@@ -124,7 +124,8 @@ def _cmd_net(args):
         return 0, rep.as_dict()
     src = _parse_surface_point(net, args.src)
     dst = _parse_surface_point(net, args.dst)
-    path = im.shortest_path(net, src, dst)
+    max_faces = args.max_iter if args.max_iter is not None else 32
+    path = im.shortest_path(net, src, dst, max_faces=max_faces)
     return 0, {
         "length": path.length,
         "face_sequence": list(path.face_sequence),
@@ -167,7 +168,7 @@ def _cmd_ma(args):
     }
 
 
-def _cmd_minkowski(args, rng):
+def _cmd_minkowski(args):
     tol = args.tol if args.tol is not None else 1e-9
     if args.action == "roundtrip":
         npts = max(4, (args.faces + 4) // 2)
@@ -339,14 +340,13 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    rng = np.random.default_rng(args.seed)
     try:
         if args.command == "net":
             code, metrics = _cmd_net(args)
         elif args.command == "ma":
             code, metrics = _cmd_ma(args)
         elif args.command == "minkowski":
-            code, metrics = _cmd_minkowski(args, rng)
+            code, metrics = _cmd_minkowski(args)
         elif args.command == "rigidity":
             code, metrics = _cmd_rigidity(args)
         else:

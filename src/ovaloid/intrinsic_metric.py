@@ -441,9 +441,10 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
 
     Face sequences are explored best-first on the straight-line lower bound
     from the unfolded source to the reachability window on the entered edge.
-    Sequences longer than ``max_faces`` are not expanded; if that cap ever
-    prunes the search before any path is found a SearchBudgetExceeded is
-    raised.
+    Sequences longer than ``max_faces`` are not expanded; a
+    SearchBudgetExceeded is raised when that cap pruned a sequence whose
+    lower bound is below the best length found, so a shorter path may have
+    been missed (or when no path was found at all).
     """
     scale = max(net.scale, 1.0)
     slack = 1e-12 * scale
@@ -467,7 +468,7 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
 
     heap = []
     counter = 0
-    budget_hit = False
+    pruned_lb = np.inf  # smallest lower bound of a sequence the cap stopped
 
     def push(state, lb):
         nonlocal counter
@@ -525,7 +526,7 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
                     best = (st, st.src, qc, ql, st.face)
 
         if st.depth >= max_faces:
-            budget_hit = True
+            pruned_lb = min(pruned_lb, lb)
             continue
 
         k = len(poly)
@@ -558,11 +559,16 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
             push(st2, lb2)
 
     if best is None:
-        if budget_hit:
+        if pruned_lb < np.inf:
             raise SearchBudgetExceeded(
                 f"no path found within {max_faces} faces"
             )
         raise InvalidNet("surface appears disconnected; no path found")
+    if pruned_lb < best_len - slack:
+        raise SearchBudgetExceeded(
+            f"a path through more than {max_faces} faces may be shorter "
+            f"than the {best_len} found"
+        )
 
     return _reconstruct(net, best, best_len)
 

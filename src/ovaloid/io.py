@@ -18,8 +18,6 @@ from .ma_solver import MAProblem
 from .minkowski_solver import CurvatureSample, MinkowskiProblem
 from .rigidity_lab import GridPatch, TriangulatedSurface
 
-PROBLEM_KINDS = ("mesh", "ma-problem", "minkowski-problem", "rigidity-problem")
-
 
 @dataclasses.dataclass
 class ProblemFile:

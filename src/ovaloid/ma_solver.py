@@ -176,30 +176,38 @@ def _on_polygon_boundary(polygon, points, tol=1e-9):
     return out
 
 
+def _lower_hull(nodes, values):
+    """Lower facets of the convex hull of the lifted nodes (B_i, v_i).
+
+    Returns (facets, planes): ``facets`` is an (F, k) array of node indices
+    and ``planes`` holds the plane z = s . x + t of each facet as a row
+    (s1, s2, t).  When Qhull refuses the lift (coplanar lifted points or
+    collinear nodes) a single facet holds every node, under the
+    least-squares plane.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    try:
+        hull = ConvexHull(np.column_stack([nodes, values]))
+    except QhullError:
+        coef, *_ = np.linalg.lstsq(
+            np.column_stack([nodes, np.ones(len(nodes))]), values, rcond=None
+        )
+        return np.arange(len(nodes))[None, :], coef[None, :]
+    eq = hull.equations
+    lower = eq[:, 2] < -1e-12
+    # facet a x + b y + c z + d = 0, c < 0  ->  z = -(a x + b y + d) / c
+    planes = -eq[lower][:, [0, 1, 3]] / eq[lower][:, 2:3]
+    return hull.simplices[lower], planes
+
+
 def lower_envelope_evaluator(nodes, values):
     """Callable evaluating the lower convex envelope of the lifted nodes.
 
     The envelope is the pointwise maximum of the planes of the lifted hull's
     lower facets; if the lifted points are coplanar it is that single plane.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    lifted = np.column_stack([nodes, values])
-    planes = None
-    try:
-        hull = ConvexHull(lifted)
-        eq = hull.equations
-        lower = eq[eq[:, 2] < -1e-12]
-        # facet a x + b y + c z + d = 0, c < 0  ->  z = -(a x + b y + d) / c
-        planes = np.column_stack(
-            [-lower[:, 0] / lower[:, 2], -lower[:, 1] / lower[:, 2],
-             -lower[:, 3] / lower[:, 2]]
-        )
-    except QhullError:
-        coef, *_ = np.linalg.lstsq(
-            np.column_stack([nodes, np.ones(len(nodes))]), values, rcond=None
-        )
-        planes = coef[None, :]
+    _, planes = _lower_hull(nodes, values)
 
     def evaluate(query):
         q = np.atleast_2d(np.asarray(query, dtype=float))
@@ -209,71 +217,59 @@ def lower_envelope_evaluator(nodes, values):
     return evaluate
 
 
-def subgradient_cell_polygon(nodes, values, i, clip=None, prescreen=24):
-    """Cell {p : p . (B_k - B_i) <= v_k - v_i for all k} as a polygon.
+def _cells(nodes, values, which, clip=None):
+    """Subgradient cells (vertices, edge_labels) of the nodes ``which``.
 
-    Interior cells are bounded and computed exactly (a provably sufficient
-    bounding box is clipped by nearest constraints first, then every
-    remaining constraint is verified).  For boundary nodes the cell is
-    unbounded and ``clip`` (a convex CCW window polygon) is required.
-    Returns (vertices, edge_labels); empty vertices mean the node is not a
-    vertex of the envelope.
+    All of them are read from one lower hull of the lifted nodes.  A node
+    off the lower hull has an empty cell.  A node on it is cut only by its
+    lower-hull neighbours, starting from ``clip`` or else from a box around
+    the slopes of its lower facets; a box edge that survives the cut means
+    the cell is unbounded, which needs a ``clip`` window.  (A hull edge
+    between two facets that are not lower bounds no slope, so neighbours
+    through such facets alone add nothing.)
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = np.ones(len(nodes), dtype=bool)
-    mask[i] = False
-    d = nodes[mask] - nodes[i]
-    c = values[mask] - values[i]
-    labels_all = np.nonzero(mask)[0]
-    dn = np.linalg.norm(d, axis=1)
-    if (dn == 0).any():
+    if len(np.unique(nodes, axis=0)) < len(nodes):
         raise ValueError("duplicate nodes")
-
-    if clip is not None:
-        start = np.asarray(clip, dtype=float)
-    else:
-        # bounded iff the constraint directions leave no angular gap >= pi
-        ang = np.sort(np.arctan2(d[:, 1], d[:, 0]))
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-        max_gap = float(gaps.max())
-        if max_gap >= np.pi - 1e-12:
+    facets, planes = _lower_hull(nodes, values)
+    cells = []
+    for i in which:
+        touching = (facets == i).any(axis=1)
+        slopes = planes[touching, :2]
+        if len(slopes) == 0:
+            cells.append((np.zeros((0, 2)), []))
+            continue
+        nbrs = np.setdiff1d(facets[touching], [i])
+        if clip is not None:
+            start = np.asarray(clip, dtype=float)
+        else:
+            lo, hi = slopes.min(axis=0), slopes.max(axis=0)
+            mid = 0.5 * (lo + hi)
+            half = float((hi - lo).max()) + 1.0
+            start = planar.box_polygon(mid[0], mid[1], half)
+        verts, labels = planar.convex_clip(
+            start,
+            np.column_stack([nodes[nbrs] - nodes[i], values[nbrs] - values[i]]),
+            labels=[int(k) for k in nbrs],
+        )
+        if clip is None and None in labels:
             raise ValueError(
                 "cell is unbounded (boundary node); pass a clip window"
             )
-        ratios = c / dn
-        top = ratios.max()
-        if top < 0:
-            return np.zeros((0, 2)), []
-        gamma = math.cos(max_gap / 2.0)
-        half = 2.0 * top / gamma + 1.0
-        start = planar.box_polygon(0.0, 0.0, half)
+        cells.append((verts, labels))
+    return cells
 
-    order = np.argsort(dn)
-    halfplanes = np.column_stack([d, c])
-    slack = 1e-12 * max(1.0, float(np.abs(c).max()))
-    active = list(order[: min(prescreen, len(order))])
-    in_active = np.zeros(len(d), dtype=bool)
-    in_active[active] = True
-    # clip with the nearest constraints, then verify the rest and re-clip
-    # from scratch with any violators until the active set is sufficient
-    for _ in range(40):
-        verts, elabels = planar.convex_clip(
-            start, halfplanes[active],
-            labels=[int(labels_all[k]) for k in active],
-        )
-        if len(verts) == 0:
-            return np.zeros((0, 2)), []
-        rest = np.nonzero(~in_active)[0]
-        if len(rest) == 0:
-            return verts, elabels
-        viol = np.nonzero((verts @ d[rest].T - c[rest][None, :] > slack).any(axis=0))[0]
-        if len(viol) == 0:
-            return verts, elabels
-        for k in rest[viol]:
-            active.append(int(k))
-            in_active[k] = True
-    raise RuntimeError("cell clipping failed to stabilise")
+
+def subgradient_cell_polygon(nodes, values, i, clip=None):
+    """Cell {p : p . (B_k - B_i) <= v_k - v_i for all k} as a polygon.
+
+    Interior cells are bounded.  For boundary nodes the cell is unbounded
+    and ``clip`` (a convex CCW window polygon) is required.  Returns
+    (vertices, edge_labels), edge label k marking the edge carved by node k;
+    empty vertices mean the node is not a vertex of the envelope.
+    """
+    return _cells(nodes, values, [i], clip)[0]
 
 
 def ma_measure(u: PLConvexFunction, node, clip=None):
@@ -299,18 +295,7 @@ def conditional_curvature(u: PLConvexFunction, node, theta=None, clip=None,
     only its p-dependence is integrated (adaptive degree-5 quadrature).
     """
     cell = ma_measure(u, node, clip=clip)
-    if theta is None:
-        return cell.area
-    z = float(u.values[node])
-    x1, x2 = float(u.nodes[node][0]), float(u.nodes[node][1])
-
-    def f(pts):
-        vals = np.asarray(theta(pts[:, 0], pts[:, 1], z, x1, x2), dtype=float)
-        if not np.isfinite(vals).all():
-            raise QuadratureFailure("theta produced a non-finite value")
-        return vals
-
-    return planar.polygon_quad(f, cell.polygon, rel_tol=rel_tol)
+    return _cell_mass(cell.polygon, theta, u.values[node], u.nodes[node], rel_tol)
 
 
 def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
@@ -324,8 +309,9 @@ def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
     nodes = np.vstack([interior_nodes, boundary_nodes])
     values = 0.5 * np.einsum("ij,ij->i", nodes, nodes)
     masses = np.zeros(len(interior_nodes))
-    for i in range(len(interior_nodes)):
-        verts, _ = subgradient_cell_polygon(nodes, values, i, clip=domain)
+    for i, (verts, _) in enumerate(
+        _cells(nodes, values, range(len(interior_nodes)), clip=domain)
+    ):
         if len(verts) < 3:
             continue
         masses[i] = planar.polygon_quad(
@@ -368,28 +354,35 @@ def monte_carlo_cell_areas(u: PLConvexFunction, samples=1_000_000, seed=0,
 # forward masses and Jacobian
 
 
-def _masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
-    return np.array(
-        [_single_mass(nodes, values, i, theta, rel_tol, clip) for i in interior_idx]
-    )
-
-
-def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
-    verts, _ = subgradient_cell_polygon(nodes, values, i, clip=clip)
+def _cell_mass(verts, theta, z, x, rel_tol):
+    """theta-weighted area of a cell, theta taken at z = u(B_i) and x = B_i."""
     if len(verts) < 3:
         return 0.0
     if theta is None:
         return abs(planar.polygon_area(verts))
-    z = float(values[i])
-    x1, x2 = nodes[i]
+    z = float(z)
+    x1, x2 = float(x[0]), float(x[1])
 
     def f(pts):
-        vals = np.asarray(theta(pts[:, 0], pts[:, 1], z, x1, x2), float)
+        vals = np.asarray(theta(pts[:, 0], pts[:, 1], z, x1, x2), dtype=float)
         if not np.isfinite(vals).all():
             raise QuadratureFailure("theta produced a non-finite value")
         return vals
 
     return planar.polygon_quad(f, verts, rel_tol=rel_tol)
+
+
+def _masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
+    cells = _cells(nodes, values, interior_idx, clip)
+    return np.array([
+        _cell_mass(verts, theta, values[i], nodes[i], rel_tol)
+        for i, (verts, _) in zip(interior_idx, cells)
+    ])
+
+
+def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
+    verts, _ = subgradient_cell_polygon(nodes, values, i, clip=clip)
+    return _cell_mass(verts, theta, values[i], nodes[i], rel_tol)
 
 
 def _mass_jacobian(nodes, values, interior_idx, theta, clip=None):
@@ -402,8 +395,8 @@ def _mass_jacobian(nodes, values, interior_idx, theta, clip=None):
     n = len(interior_idx)
     pos = {int(i): k for k, i in enumerate(interior_idx)}
     jac = np.zeros((n, n))
-    for k, i in enumerate(interior_idx):
-        verts, labels = subgradient_cell_polygon(nodes, values, i, clip=clip)
+    cells = _cells(nodes, values, interior_idx, clip)
+    for k, (i, (verts, labels)) in enumerate(zip(interior_idx, cells)):
         if len(verts) < 3:
             continue
         for e in range(len(verts)):
@@ -442,16 +435,8 @@ def mass_balance_bound(theta, mass_bound=None, tol=1e-9):
         return math.inf
     if mass_bound is not None:
         return float(mass_bound)
-    total = 0.0
-    prev = None
-    half = 1.0
-    for _ in range(24):
-        total = _integrate_square(theta, half)
-        if prev is not None and abs(total - prev) <= tol * max(abs(total), 1.0):
-            return total
-        prev = total
-        half *= 2.0
-    return math.inf
+    settled = _settled_square(theta, tol)
+    return math.inf if settled is None else settled[0]
 
 
 def _integrate_square(theta, half, n=96):
@@ -464,6 +449,21 @@ def _integrate_square(theta, half, n=96):
     return float(w @ vals @ w)
 
 
+def _settled_square(theta, rel):
+    """(integral, half) for the first square [-half, half]^2 whose doubling
+    from half / 2 changed theta's integral by at most ``rel``; None when the
+    integral keeps growing."""
+    prev = None
+    half = 1.0
+    for _ in range(24):
+        total = _integrate_square(theta, half)
+        if prev is not None and abs(total - prev) <= rel * max(abs(total), 1.0):
+            return total, half
+        prev = total
+        half *= 2.0
+    return None
+
+
 def _theta_window(theta, rel=1e-12):
     """Half-width of a square outside which theta's mass is negligible.
 
@@ -471,16 +471,9 @@ def _theta_window(theta, rel=1e-12):
     """
     if theta is None:
         return None
-    prev = None
-    half = 1.0
-    for _ in range(24):
-        total = _integrate_square(theta, half)
-        if prev is not None and abs(total - prev) <= rel * max(abs(total), 1.0):
-            # the doubling that changed nothing already contained the mass
-            return 0.75 * half
-        prev = total
-        half *= 2.0
-    return None
+    settled = _settled_square(theta, rel)
+    # the doubling that changed nothing already contained the mass
+    return None if settled is None else 0.75 * settled[1]
 
 
 # ---------------------------------------------------------------------------

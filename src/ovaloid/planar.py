@@ -33,10 +33,17 @@ def polygon_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _rounding_area(poly):
+    """Area below which a polygon of this size is rounding noise."""
+    diam = float(np.ptp(poly, axis=0).max())
+    return 16.0 * np.finfo(float).eps * diam * diam
+
+
 def polygon_centroid(poly):
     p = np.asarray(poly, dtype=float)
     a = polygon_area(p)
-    if abs(a) < 1e-300:
+    if abs(a) <= _rounding_area(p):
+        # the area formula would divide rounding noise by rounding noise
         return p.mean(axis=0)
     x, y = p[:, 0], p[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -58,11 +65,6 @@ def interior_angles(poly):
         d_in[:, 0] * d_out[:, 0] + d_in[:, 1] * d_out[:, 1],
     )
     return np.pi - turn
-
-
-def edge_lengths(poly):
-    p = np.asarray(poly, dtype=float)
-    return np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
 
 
 def point_in_polygon(poly, point, tol=1e-12):
@@ -165,13 +167,17 @@ def triangulate_fan(poly):
     return [np.array([c, p[k], p[(k + 1) % len(p)]]) for k in range(len(p))]
 
 
+def _triangle_area(tri):
+    (ax, ay), (bx, by), (cx, cy) = tri
+    return 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
 def triangle_quad(f, tri):
     """Degree-5 quadrature of f(points) over one triangle; f maps (n,2)->(n,)."""
     tri = np.asarray(tri, dtype=float)
     pts = _TRI_BARY @ tri
-    area = abs(polygon_area(tri))
     vals = np.asarray(f(pts), dtype=float)
-    return area * float(_TRI_W @ vals)
+    return _triangle_area(tri) * float(_TRI_W @ vals)
 
 
 def polygon_quad(f, poly, rel_tol=1e-3, max_depth=30):
@@ -180,13 +186,22 @@ def polygon_quad(f, poly, rel_tol=1e-3, max_depth=30):
     Fan triangles are compared against their 4-way subdivision; a triangle is
     refined while its disagreement exceeds its share of the global error
     budget rel_tol * |coarse total| (split 4 ways at each level), so
-    near-zero regions of a peaked integrand settle immediately.
+    near-zero regions of a peaked integrand settle immediately.  A fan
+    triangle whose area is at rounding level for the polygon's size is
+    settled at once: on a zero-area polygon its disagreement is rounding
+    noise, which no refinement brings under a budget made of that noise.
     """
     tris = triangulate_fan(poly)
     ests = [triangle_quad(f, t) for t in tris]
     budget = rel_tol * max(abs(sum(ests)), 1e-300) / len(tris)
+    settled_area = _rounding_area(np.asarray(poly, dtype=float))
     total = 0.0
-    stack = [(t, e, budget, 0) for t, e in zip(tris, ests)]
+    stack = []
+    for t, e in zip(tris, ests):
+        if _triangle_area(t) <= settled_area:
+            total += e
+        else:
+            stack.append((t, e, budget, 0))
     while stack:
         tri, coarse, tau, depth = stack.pop()
         a, b, c = tri

@@ -16,14 +16,6 @@ def cube(edge=1.0):
     return convex_hull(corners)
 
 
-def cube_corners(edge=1.0):
-    half = edge / 2.0
-    return np.array(
-        [[sx * half, sy * half, sz * half]
-         for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-    )
-
-
 def regular_tetrahedron(edge=1.0):
     pts = np.array(
         [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
@@ -123,28 +115,3 @@ def fibonacci_sphere(n, seed=None):
         pts = pts @ q.T
     return pts
 
-
-def subdivided_icosahedron_vertices(level=2):
-    """Vertices of an icosahedron subdivided ``level`` times, on the unit sphere."""
-    verts = [tuple(v) for v in icosahedron_vertices()]
-    hull = convex_hull(np.array(verts))
-    tris = [tuple(t) for t in oriented_triangles(hull)]
-    for _ in range(level):
-        index = {v: i for i, v in enumerate(verts)}
-        cache = {}
-
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                m = (np.array(verts[a]) + np.array(verts[b])) / 2.0
-                m /= np.linalg.norm(m)
-                verts.append(tuple(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_tris = []
-        for a, b, c in tris:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        tris = new_tris
-    return np.array(verts)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ovaloid import planar
 from ovaloid.intrinsic_metric import _glue_transform, _point_representations
 
 
@@ -69,3 +70,23 @@ def brute_force_distance(net, p, q, max_faces=5, tol=1e-12):
     for f, pl in preps:
         rec(f, None, np.eye(2), np.zeros(2), [], pl)
     return best[0]
+
+
+def clipped_cell(nodes, values, i, window=None, half=100.0):
+    """Subgradient cell of node i by its definition: ``window`` (or a box of
+    half-width ``half`` around the origin) clipped by the halfplanes
+    p . (B_k - B_i) <= v_k - v_i of all N - 1 other nodes, in index order.
+
+    Returns (vertices, edge_labels) as ``ma_solver.subgradient_cell_polygon``
+    does.  No hull and no neighbour selection: the slow reference for the
+    lifted-hull cells.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    others = np.delete(np.arange(len(nodes)), i)
+    start = planar.box_polygon(0.0, 0.0, half) if window is None else window
+    return planar.convex_clip(
+        start,
+        np.column_stack([nodes[others] - nodes[i], values[others] - values[i]]),
+        labels=[int(k) for k in others],
+    )

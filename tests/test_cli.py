@@ -49,6 +49,20 @@ def test_net_geodesic_vertices(tmp_path, capsys, cube):
     assert abs(json.loads(out)["metrics"]["length"] - np.sqrt(5)) < 1e-9
 
 
+def test_net_geodesic_face_cap(tmp_path, capsys):
+    hull = shapes.random_hull(400, seed=7)
+    path = tmp_path / "hull.off"
+    io.write_off(path, hull.vertices, hull.faces)
+    j = int(np.argmin(hull.vertices @ hull.vertices[0]))
+    argv = ["net", "geodesic", str(path), "--src", "v0", "--dst", f"v{j}"]
+    # the shortest path crosses 36 faces: the default cap of 32 may hide it
+    code, out = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    code, out = run_cli(argv + ["--max-iter", "64"], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["metrics"]["length"] - 3.021335) < 1e-6
+
+
 def test_missing_file_is_usage_error(capsys):
     code = cli.run(["ma", "solve", "missing.json"])
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import grid_problem
+from oracles import clipped_cell
 from ovaloid import ma_solver as ma
 from ovaloid import planar
 from ovaloid.errors import NotEnvelopeVertex, QuadratureFailure
@@ -22,6 +24,86 @@ def random_pl(seed, n_inner=7, extent=2.0):
     base = 0.4 * ((nodes[:, 0] - 1) ** 2 + (nodes[:, 1] - 0.8) ** 2)
     values = base + rng.normal(0, 0.02, len(nodes))
     return ma.PLConvexFunction(nodes=nodes, values=values, domain=dom)
+
+
+def _assert_same_cell(nodes, values, i, window=None):
+    """The lifted-hull cell of node i equals the all-halfplane reference."""
+    got_v, got_l = ma.subgradient_cell_polygon(nodes, values, i, clip=window)
+    want_v, want_l = clipped_cell(nodes, values, i, window)
+    scale = max(1.0, float(np.abs(want_v).max())) if len(want_v) else 1.0
+    tol = 1e-12 * scale
+    assert (len(got_v) == 0) == (len(want_v) == 0), i
+    for a, b in ((got_v, want_v), (want_v, got_v)):
+        for p in a:
+            assert np.linalg.norm(b - p, axis=1).min() <= tol, (i, p)
+
+    def edges(verts, labels):
+        return [
+            (verts[k], verts[(k + 1) % len(verts)], labels[k])
+            for k in range(len(verts))
+            if np.linalg.norm(verts[(k + 1) % len(verts)] - verts[k]) > tol
+        ]
+
+    got_e, want_e = edges(got_v, got_l), edges(want_v, want_l)
+    assert len(got_e) == len(want_e), i
+    for a, b, lab in got_e:
+        assert any(
+            np.linalg.norm(a - a2) <= tol and np.linalg.norm(b - b2) <= tol
+            and lab == lab2
+            for a2, b2, lab2 in want_e
+        ), (i, a, b, lab)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hull_cells_match_reference_random(seed):
+    u = random_pl(seed)
+    window = planar.box_polygon(0.0, 0.0, 6.0)
+    for i in range(len(u.nodes)):
+        _assert_same_cell(u.nodes, u.values, i, window)
+    for i in u.interior_indices:
+        _assert_same_cell(u.nodes, u.values, int(i))
+
+
+def test_hull_cells_match_reference_coplanar_quads():
+    # every grid square of a quadratic lifts to a planar quad, which the
+    # hull splits along an arbitrary diagonal
+    grid = grid_problem(4, 4.0)
+    nodes = grid.all_nodes()
+    values = 0.5 * np.einsum("ij,ij->i", nodes, nodes)
+    for i in range(len(nodes)):
+        _assert_same_cell(nodes, values, i, grid.domain)
+    for i in range(len(grid.interior_nodes)):
+        _assert_same_cell(nodes, values, i)
+
+
+def test_hull_cells_match_reference_flat_lift():
+    grid = grid_problem(4, 4.0)
+    nodes = grid.all_nodes()
+    values = 0.3 * nodes[:, 0] - 0.2 * nodes[:, 1] + 1.0
+    window = planar.box_polygon(0.0, 0.0, 2.0)
+    for i in range(len(nodes)):
+        _assert_same_cell(nodes, values, i, window)
+    # inner cells shrink to the plane's slope and need no window
+    for i in range(len(grid.interior_nodes)):
+        verts, _ = ma.subgradient_cell_polygon(nodes, values, i)
+        assert np.abs(verts - [0.3, -0.2]).max(initial=0.0) < 1e-12
+    # the corners' cells are cones cut by the window; a cone needs a window
+    corners = [int(np.argmin(np.linalg.norm(nodes - c, axis=1)))
+               for c in grid.domain]
+    for i in corners:
+        verts, _ = ma.subgradient_cell_polygon(nodes, values, i, clip=window)
+        assert abs(planar.polygon_area(verts)) > 1.0
+        with pytest.raises(ValueError):
+            ma.subgradient_cell_polygon(nodes, values, i)
+
+
+def test_hull_cells_match_reference_node_above_envelope():
+    u = cone_function()
+    nodes = np.vstack([u.nodes, [[0.5, 0.0]]])
+    values = np.concatenate([u.values, [0.9]])
+    for i in range(len(nodes)):
+        _assert_same_cell(nodes, values, i, u.domain)
+    assert len(ma.subgradient_cell_polygon(nodes, values, 5)[0]) == 0
 
 
 def test_cone_atom_cell():
@@ -143,6 +225,20 @@ def test_conditional_curvature_smooth_vs_mc():
     mc = 4.0 * float(np.mean(theta(pts[inside][:, 0], pts[inside][:, 1], 0, 0, 0))
                      * np.mean(inside))
     assert abs(val - mc) / mc < 0.005
+
+
+def test_quadrature_of_zero_area_polygons():
+    # a cell met by solve_ma: two corners, each listed twice
+    gaussian = lambda pts: np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))
+    four_gon = np.array([[-0.119, -0.034], [-0.119, -0.034],
+                         [-0.289, -0.204], [-0.289, -0.204]])
+    assert abs(planar.polygon_quad(gaussian, four_gon, rel_tol=1e-8)) < 1e-15
+    # a sliver whose area is rounding noise, not exactly zero
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=2), rng.normal(size=2)
+    along = a + np.sort(rng.random(4))[:, None] * (b - a)
+    sliver = np.vstack([along, along[::-1] + rng.normal(size=(4, 2)) * 1e-17])
+    assert abs(planar.polygon_quad(gaussian, sliver, rel_tol=1e-10)) < 1e-14
 
 
 def test_quadrature_failure_on_nonfinite():

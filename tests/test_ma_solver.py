@@ -3,6 +3,7 @@ import pytest
 
 from conftest import grid_problem
 from ovaloid import ma_solver as ma
+from ovaloid import planar
 from ovaloid.errors import Infeasible, IncomparableProblems
 
 
@@ -170,6 +171,25 @@ def test_masses_from_density():
     np.testing.assert_allclose(
         mu2, 1.0 + problem.interior_nodes[:, 0], atol=1e-12
     )
+
+
+def test_weighted_solve_with_curved_boundary_data():
+    # the start values lie on the lower envelope of the boundary data, so
+    # some starting cells are zero-area polygons under the quadrature
+    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    shape = lambda p: 0.175 * (p[:, 0] - 1.5) ** 2 + 0.15 * (p[:, 1] - 1.5) ** 2
+    grid = grid_problem(4, 3.0, boundary_fn=shape)
+    nodes = grid.all_nodes()
+    n = len(grid.interior_nodes)
+    window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
+    mu = ma._masses(nodes, shape(nodes), np.arange(n), theta, 1e-12, window)
+    problem = ma.MAProblem(
+        domain=grid.domain, interior_nodes=grid.interior_nodes, masses=mu,
+        boundary_nodes=grid.boundary_nodes,
+        boundary_values=grid.boundary_values, theta=theta, mass_bound=np.pi,
+    )
+    u = ma.solve_ma(problem, tol=1e-8)
+    assert np.abs(u.values[:n] - shape(grid.interior_nodes)).max() < 1e-9
 
 
 def test_solver_validates_problem():
