@@ -89,10 +89,29 @@ def build_parser():
 # command implementations; each returns (exit_code, metrics)
 
 
+def _check_closed(faces):
+    """SchemaError mesh.closed unless every edge borders exactly two faces."""
+    counts = {}
+    for cyc in faces:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    bad = sum(k != 2 for k in counts.values())
+    if bad:
+        raise SchemaError(
+            "mesh.closed", f"{bad} edges do not border exactly 2 faces"
+        )
+
+
 def _load_net(path):
     if str(path).endswith(".off"):
         pf = io.parse_problem(path, kind="mesh")
-        poly = core.polytope_from_mesh(pf.payload["vertices"], pf.payload["faces"])
+        _check_closed(pf.payload["faces"])
+        try:
+            poly = core.polytope_from_mesh(pf.payload["vertices"],
+                                           pf.payload["faces"])
+        except ValueError as exc:  # not the boundary of a convex polytope
+            raise SchemaError("mesh.convex", str(exc)) from exc
         return im.net_from_polytope(poly)
     return io.read_net(path)
 
@@ -217,6 +236,9 @@ def _cmd_rigidity(args):
     tol = args.tol if args.tol is not None else 1e-10
     if args.action == "analyze":
         pf = io.parse_problem(args.path, kind="mesh")
+        if any(len(f) != 3 for f in pf.payload["faces"]):
+            raise SchemaError("mesh.triangles", "the surface must be triangulated")
+        _check_closed(pf.payload["faces"])
         surf = rl.TriangulatedSurface(
             vertices=pf.payload["vertices"],
             triangles=np.array([list(f) for f in pf.payload["faces"]]),

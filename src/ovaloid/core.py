@@ -66,34 +66,27 @@ class ConvexPolytope:
     def faces_at_vertex(self, vi):
         return [f for f, cyc in enumerate(self.faces) if vi in cyc]
 
+    def _fan_tetrahedra(self):
+        """Every face fanned into triangles (v0, v1, v2) from its first
+        vertex: six times the signed volume of each triangle's tetrahedron
+        against the origin, and the sum of its three vertices."""
+        tri = [(cyc[0], cyc[k], cyc[k + 1])
+               for cyc in self.faces for k in range(1, len(cyc) - 1)]
+        v0, v1, v2 = self.vertices[np.array(tri, dtype=int).reshape(-1, 3).T]
+        return np.einsum("ij,ij->i", v0, np.cross(v1, v2)), v0 + v1 + v2
+
     def volume(self):
         """Volume by fanning every face into tetrahedra against the origin."""
-        vol = 0.0
-        for cyc in self.faces:
-            if len(cyc) < 3:
-                continue
-            v0 = self.vertices[cyc[0]]
-            for k in range(1, len(cyc) - 1):
-                v1, v2 = self.vertices[cyc[k]], self.vertices[cyc[k + 1]]
-                vol += np.dot(v0, np.cross(v1, v2))
-        return vol / 6.0
+        w, _ = self._fan_tetrahedra()
+        return float(w.sum()) / 6.0
 
     def centroid(self):
         """Volume centroid."""
-        vol = 0.0
-        mom = np.zeros(3)
-        for cyc in self.faces:
-            if len(cyc) < 3:
-                continue
-            v0 = self.vertices[cyc[0]]
-            for k in range(1, len(cyc) - 1):
-                v1, v2 = self.vertices[cyc[k]], self.vertices[cyc[k + 1]]
-                w = np.dot(v0, np.cross(v1, v2))
-                vol += w
-                mom += w * (v0 + v1 + v2) / 4.0
+        w, corners = self._fan_tetrahedra()
+        vol = float(w.sum())
         if abs(vol) < 1e-300:
             return self.vertices.mean(axis=0)
-        return mom / vol
+        return (w @ corners) / 4.0 / vol
 
     def translated(self, t):
         t = np.asarray(t, dtype=float)
@@ -417,18 +410,3 @@ def normal_cone_area(poly, vertex_index, tol=DEFAULT_TOL):
 
 def total_normal_cone_area(poly):
     return sum(normal_cone_area(poly, v) for v in range(len(poly.vertices)))
-
-
-def solid_angle_monte_carlo(poly, vertex_index, samples=200_000, seed=0):
-    """Monte-Carlo estimate of a vertex normal cone's solid angle.
-
-    A direction p lies in the cone of vertex v exactly when v maximises
-    <p, x> over all vertices.  Independent of the spherical-polygon formula;
-    used as a cross-check oracle.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(samples, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    scores = dirs @ poly.vertices.T
-    hits = np.count_nonzero(scores.argmax(axis=1) == vertex_index)
-    return 4.0 * np.pi * hits / samples

@@ -70,6 +70,9 @@ def read_off(path):
             verts[k] = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(f"bad coordinate: {exc}", path=path, line=ln) from exc
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if len(bad):
+        raise ParseError("non-finite coordinate", path=path, line=body[bad[0]][0])
     faces = []
     for k in range(nf):
         ln, text = body[nv + k]

@@ -3,10 +3,15 @@
 A PL convex function is the lower convex envelope of lifted nodes (B_i, v_i)
 over a convex domain.  The measure it carries at a node is the area of the
 subgradient cell {p : p . (B_k - B_i) <= v_k - v_i for all k}, optionally
-weighted by a positive density theta(p, z, x); matching prescribed node
-masses is the inverse problem solved here by monotone value-lowering sweeps
-(Oliker-Prussner style) with a damped Newton phase when the weight does not
-depend on z.
+weighted by a positive density theta(p, z, x).  Every cell of an evaluation
+comes from one lower hull of the lifted nodes.
+
+Matching prescribed node masses is the inverse problem solved here.  When
+theta does not depend on z the solve is a damped Newton iteration
+(Kitagawa-Merigot-Thibert) from a strictly convex start, on the sparse
+Jacobian read from the same cells as the masses.  Monotone value-lowering
+sweeps (Oliker-Prussner) solve z-dependent weights and are the fallback
+when no Newton step is accepted.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ import math
 import warnings
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import brentq
+from scipy.sparse import linalg as sparse_linalg
 from scipy.spatial import ConvexHull, QhullError
 
 from . import planar
@@ -321,35 +328,6 @@ def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
     return masses
 
 
-def monte_carlo_cell_areas(u: PLConvexFunction, samples=1_000_000, seed=0,
-                           box=None):
-    """Monte-Carlo estimate of every node's cell area.
-
-    Random slopes drawn uniformly in the axis-aligned rectangle ``box``
-    (given as (lo, hi) corner pair or a polygon whose bounding box is used)
-    are assigned to the node attaining the Legendre maximum p . B_k - v_k;
-    hit fractions estimate |cell ∩ box|.  Independent of the
-    halfplane-intersection route.
-    """
-    if box is None:
-        raise ValueError("a sampling rectangle is required")
-    box = np.asarray(box, dtype=float)
-    lo, hi = box.min(axis=0), box.max(axis=0)
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(u.nodes))
-    total = 0
-    chunk = 200_000
-    rect_area = float(np.prod(hi - lo))
-    while total < samples:
-        m = min(chunk, samples - total)
-        pts = lo + rng.random((m, 2)) * (hi - lo)
-        scores = pts @ u.nodes.T - u.values[None, :]
-        win = scores.argmax(axis=1)
-        counts += np.bincount(win, minlength=len(u.nodes)).astype(float)
-        total += m
-    return counts / total * rect_area
-
-
 # ---------------------------------------------------------------------------
 # forward masses and Jacobian
 
@@ -372,12 +350,16 @@ def _cell_mass(verts, theta, z, x, rel_tol):
     return planar.polygon_quad(f, verts, rel_tol=rel_tol)
 
 
-def _masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
-    cells = _cells(nodes, values, interior_idx, clip)
+def _cell_masses(nodes, values, interior_idx, cells, theta, rel_tol):
     return np.array([
         _cell_mass(verts, theta, values[i], nodes[i], rel_tol)
         for i, (verts, _) in zip(interior_idx, cells)
     ])
+
+
+def _masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
+    cells = _cells(nodes, values, interior_idx, clip)
+    return _cell_masses(nodes, values, interior_idx, cells, theta, rel_tol)
 
 
 def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
@@ -385,43 +367,56 @@ def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
     return _cell_mass(verts, theta, values[i], nodes[i], rel_tol)
 
 
-def _mass_jacobian(nodes, values, interior_idx, theta, clip=None):
-    """d(mass_i)/d(value_j) from the cell edge geometry.
+def _mass_jacobian(nodes, values, interior_idx, cells, theta):
+    """Sparse d(mass_i)/d(value_j) of the interior nodes from their cells.
 
-    An edge of cell i carved by node k has dA_i/dv_k = (edge theta-integral)
-    / |B_k - B_i|; the diagonal collects the negated total.  Only valid when
-    theta does not depend on z.
+    ``cells`` are the interior nodes' cells as ``_cells`` returns them; no
+    hull is built here.  An edge of cell i carved by node k has
+    dm_i/dv_k = (edge theta-integral) / |B_k - B_i|, and the diagonal
+    collects the negated row total, so the matrix has Laplacian structure
+    with an entry per pair of lower-hull neighbours.  Only valid when theta
+    does not depend on z.
     """
     n = len(interior_idx)
-    pos = {int(i): k for k, i in enumerate(interior_idx)}
-    jac = np.zeros((n, n))
-    cells = _cells(nodes, values, interior_idx, clip)
+    rows, owners, carvers, fluxes = [], [], [], []
     for k, (i, (verts, labels)) in enumerate(zip(interior_idx, cells)):
-        if len(verts) < 3:
+        carved = [e for e, lab in enumerate(labels) if lab is not None]
+        if len(verts) < 3 or not carved:
             continue
-        for e in range(len(verts)):
-            lab = labels[e]
-            if not isinstance(lab, (int, np.integer)):
-                continue
-            a, b = verts[e], verts[(e + 1) % len(verts)]
-            seg = np.linalg.norm(b - a)
-            if seg == 0:
-                continue
-            if theta is None:
-                flux = seg
-            else:
-                pts = a[None, :] + _GL_T[:, None] * (b - a)[None, :]
-                vals = np.asarray(
-                    theta(pts[:, 0], pts[:, 1], float(values[i]),
-                          nodes[i][0], nodes[i][1]),
-                    float,
-                )
-                flux = seg * float(_GL_W @ vals)
-            w = flux / np.linalg.norm(nodes[int(lab)] - nodes[i])
-            jac[k, k] -= w
-            if int(lab) in pos:
-                jac[k, pos[int(lab)]] += w
-    return jac
+        a = verts[carved]
+        b = verts[(np.array(carved) + 1) % len(verts)]
+        flux = np.linalg.norm(b - a, axis=1)
+        if theta is not None:
+            pts = (a[:, None, :] + _GL_T[None, :, None] * (b - a)[:, None, :])
+            pts = pts.reshape(-1, 2)
+            vals = np.asarray(
+                theta(pts[:, 0], pts[:, 1], float(values[i]),
+                      nodes[i][0], nodes[i][1]),
+                float,
+            )
+            flux = flux * (vals.reshape(-1, 4) @ _GL_W)
+        rows.append(np.full(len(carved), k))
+        owners.append(np.full(len(carved), i))
+        carvers.append([labels[e] for e in carved])
+        fluxes.append(flux)
+    if not rows:
+        return sparse.csc_matrix((n, n))
+    rows = np.concatenate(rows)
+    carvers = np.concatenate(carvers).astype(int)
+    owners = np.concatenate(owners)
+    w = np.concatenate(fluxes) / np.linalg.norm(
+        nodes[carvers] - nodes[owners], axis=1
+    )
+    pos = np.full(len(nodes), -1)
+    pos[np.asarray(interior_idx, dtype=int)] = np.arange(n)
+    cols = pos[carvers]
+    off = cols >= 0
+    diag = np.arange(n)
+    return sparse.coo_matrix(
+        (np.concatenate([w[off], -np.bincount(rows, weights=w, minlength=n)]),
+         (np.concatenate([rows[off], diag]), np.concatenate([cols[off], diag]))),
+        shape=(n, n),
+    ).tocsc()
 
 
 def mass_balance_bound(theta, mass_bound=None, tol=1e-9):
@@ -480,19 +475,57 @@ def _theta_window(theta, rel=1e-12):
 # solver
 
 
-def _boundary_start_values(problem):
+def _envelope_values(problem):
+    """The lower envelope env of the boundary data at the interior nodes.
+
+    A convex function with this boundary data lies at or below env, and so
+    does every interior value of a solution with positive target masses:
+    value-lowering sweeps from env approach the solution from above.
+    """
     ev = lower_envelope_evaluator(problem.boundary_nodes, problem.boundary_values)
     return ev(problem.interior_nodes)
 
 
+def _boundary_start_values(problem):
+    """Interior start values built on the envelope env of the boundary data.
+
+    For a z-dependent weight the start is env itself, which the sweeps need.
+    Otherwise it is the strictly convex env(x) + t (|x - c|^2 - rho^2), c
+    the mean of the boundary nodes and rho their largest distance from c:
+    every boundary node lies on or above it and every interior node on it,
+    so each interior node is a strict vertex of the lower hull and its cell
+    has positive area.  t makes the unweighted measure of t |x|^2 over the
+    domain equal the total target.  This start may lie below the solution.
+    """
+    env = _envelope_values(problem)
+    if problem.theta_z_dependent:
+        return env
+    x = problem.interior_nodes
+    c = problem.boundary_nodes.mean(axis=0)
+    rho2 = float(np.max(np.sum((problem.boundary_nodes - c) ** 2, axis=1)))
+    area = abs(planar.polygon_area(problem.domain))
+    t = 0.5 * math.sqrt(problem.masses.sum() / area)
+    return env + t * (np.sum((x - c) ** 2, axis=1) - rho2)
+
+
 def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
-             newton=True, on_sweep=None):
+             on_sweep=None):
     """Solve for a PL convex function with prescribed node masses.
 
-    Monotone Oliker-Prussner sweeps lower one node value at a time until its
-    weighted cell mass reaches the target; when theta is z-independent a
-    damped Newton phase on the value vector finishes the solve.  Returns a
-    PLConvexFunction whose solve_info records the per-sweep residuals.
+    When theta does not depend on z, damped Newton steps on the value vector
+    run from the first iteration: from the strictly convex default start
+    every cell is nonempty, a step is accepted only if it lowers the
+    residual and keeps every cell above half the smallest of the starting
+    and target masses, and the Jacobian comes from the cells of the last
+    accepted evaluation.  Monotone Oliker-Prussner sweeps, which lower one
+    node value at a time until its weighted cell mass reaches the target,
+    serve z-dependent weights and any iteration in which no Newton step is
+    accepted.  Sweeps only lower values, so they need an iterate at or above
+    the solution.  Neither the Newton start, a given init_values nor a
+    Newton step ensures that, so before the first sweep after them a
+    z-independent solve restarts at the lower envelope of the boundary
+    data, and the residual history may rise there.  Returns a
+    PLConvexFunction whose solve_info records the per-iteration residuals.
 
     Raises Infeasible when the targets exceed the attainable mass and
     MaxIterExceeded (carrying the best iterate) when the budget runs out.
@@ -539,18 +572,48 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         # inexact sweeps: quadrature only needs to outpace the residual
         return float(np.clip(0.02 * res, quad_tol, 1e-6))
 
+    def evaluate(vals, qt):
+        # masses and the cells they came from, for the next Jacobian
+        cells = _cells(nodes, vals, interior_idx, window)
+        return _cell_masses(nodes, vals, interior_idx, cells, theta, qt), cells
+
+    def rel_residual(masses):
+        return float(np.max(np.abs(masses - mu) / mu))
+
     vscale = max(np.ptp(values), 1.0)
     history = []
     sweeps = 0
     newton_iters = 0
+    floor = None   # the Newton phase's lower bound on every cell's mass
+    above = False  # whether the values are known to lie at or above the solution
     window = current_window(values)
-    m = _masses(nodes, values, interior_idx, theta, quad_now(1.0), window)
-    residual = float(np.max(np.abs(m - mu) / mu))
+    m, cells = evaluate(values, quad_now(1.0))
+    residual = rel_residual(m)
 
     def record():
         history.append(residual)
         if on_sweep is not None:
             on_sweep(sweeps, residual)
+
+    def newton_step(qt):
+        """(values, masses, cells, residual) of the accepted damped Newton
+        trial from the current iterate, or None when no trial is accepted."""
+        jac = _mass_jacobian(nodes, values, interior_idx, cells, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
+            delta = sparse_linalg.spsolve(jac, mu - m)
+        if not np.isfinite(delta).all():
+            return None
+        alpha = 1.0
+        for _ in range(30):
+            trial = values.copy()
+            trial[:n_int] += alpha * delta
+            m_trial, cells_trial = evaluate(trial, qt)
+            r_trial = rel_residual(m_trial)
+            if m_trial.min() >= floor and r_trial < residual * (1 - 0.1 * alpha):
+                return trial, m_trial, cells_trial, r_trial
+            alpha *= 0.5
+        return None
 
     record()
     for it in range(max_iter):
@@ -559,37 +622,27 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         if problem.theta_z_dependent:
             window = current_window(values)
         qt = quad_now(residual)
-        # sweeps only ever lower values, so they cannot recover from an
-        # iterate that sits below the solution; Newton can, and is safe as
-        # soon as every cell is nonempty
-        use_newton = newton and not problem.theta_z_dependent and (m > 0).all()
-        if use_newton:
-            jac = _mass_jacobian(nodes, values, interior_idx, theta, window)
-            try:
-                delta = np.linalg.solve(jac, mu - m)
-            except np.linalg.LinAlgError:
-                use_newton = False
-            if use_newton:
-                alpha = 1.0
-                improved = False
-                for _ in range(30):
-                    trial = values.copy()
-                    trial[:n_int] += alpha * delta
-                    m_trial = _masses(nodes, trial, interior_idx, theta,
-                                      qt, window)
-                    r_trial = float(np.max(np.abs(m_trial - mu) / mu))
-                    if np.isfinite(r_trial) and r_trial < residual * (1 - 0.1 * alpha):
-                        values = trial
-                        m = m_trial
-                        residual = r_trial
-                        improved = True
-                        break
-                    alpha *= 0.5
+        if not problem.theta_z_dependent:
+            if (m > 0).all():
                 newton_iters += 1
-                if improved:
+                if floor is None:
+                    floor = 0.5 * min(m.min(), mu.min())
+                step = newton_step(qt)
+                if step is not None:
+                    values, m, cells, residual = step
+                    above = False
                     sweeps += 1
                     record()
                     continue
+            if not above:
+                # the sweep below cannot raise a value that sits under the
+                # solution: restart it at the envelope, which lies above
+                values[:n_int] = _envelope_values(problem)
+                m, cells = evaluate(values, quad_now(1.0))
+                residual = rel_residual(m)
+                qt = quad_now(residual)
+                floor = None
+                above = True
         # Oliker-Prussner sweep: lower deficient nodes to their targets
         for i in range(n_int):
             mi = _single_mass(nodes, values, i, theta, qt, window)
@@ -611,9 +664,8 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
 
             hi_t = values[i]
             values[i] = brentq(g, lo, hi_t, xtol=1e-13 * vscale, maxiter=200)
-        qt = quad_now(max(residual * 0.1, tol))
-        m = _masses(nodes, values, interior_idx, theta, qt, window)
-        new_residual = float(np.max(np.abs(m - mu) / mu))
+        m, cells = evaluate(values, quad_now(max(residual * 0.1, tol)))
+        new_residual = rel_residual(m)
         if new_residual > residual + 1e-9:
             warnings.warn(
                 f"sweep residual rose from {residual} to {new_residual}",

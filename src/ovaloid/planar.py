@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .errors import QuadratureFailure
+
 # 7-point degree-5 rule on the reference triangle (barycentric coords, weights sum to 1)
 _SQ15 = np.sqrt(15.0)
 _A1 = (6.0 - _SQ15) / 21.0
@@ -162,22 +164,45 @@ def box_polygon(cx, cy, half):
 
 def triangulate_fan(poly):
     """Fan triangulation of a convex polygon from its centroid."""
+    return list(_fan(poly))
+
+
+def _fan(poly):
+    """(k, 3, 2) array of the fan triangles (centroid, p_k, p_k+1)."""
     p = np.asarray(poly, dtype=float)
-    c = polygon_centroid(p)
-    return [np.array([c, p[k], p[(k + 1) % len(p)]]) for k in range(len(p))]
+    c = np.broadcast_to(polygon_centroid(p), p.shape)
+    return np.stack([c, p, np.roll(p, -1, axis=0)], axis=1)
 
 
-def _triangle_area(tri):
-    (ax, ay), (bx, by), (cx, cy) = tri
-    return 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+def _triangle_areas(tris):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    return 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+
+
+def _triangle_quads(f, tris):
+    """Degree-5 quadrature of f over every triangle of a (T, 3, 2) array,
+    from a single call of f on all T * 7 points."""
+    pts = np.einsum("qk,tkd->tqd", _TRI_BARY, tris).reshape(-1, 2)
+    vals = np.asarray(f(pts), dtype=float).reshape(len(tris), len(_TRI_W))
+    return _triangle_areas(tris) * (vals @ _TRI_W)
 
 
 def triangle_quad(f, tri):
     """Degree-5 quadrature of f(points) over one triangle; f maps (n,2)->(n,)."""
-    tri = np.asarray(tri, dtype=float)
-    pts = _TRI_BARY @ tri
-    vals = np.asarray(f(pts), dtype=float)
-    return _triangle_area(tri) * float(_TRI_W @ vals)
+    return float(_triangle_quads(f, np.asarray(tri, dtype=float)[None])[0])
+
+
+def _subdivide(tris):
+    """The 4-way midpoint subdivision of every triangle, as (T, 4, 3, 2)."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+    return np.stack([
+        np.stack([a, ab, ca], axis=1),
+        np.stack([ab, b, bc], axis=1),
+        np.stack([ca, bc, c], axis=1),
+        np.stack([ab, bc, ca], axis=1),
+    ], axis=1)
 
 
 def polygon_quad(f, poly, rel_tol=1e-3, max_depth=30):
@@ -190,38 +215,28 @@ def polygon_quad(f, poly, rel_tol=1e-3, max_depth=30):
     triangle whose area is at rounding level for the polygon's size is
     settled at once: on a zero-area polygon its disagreement is rounding
     noise, which no refinement brings under a budget made of that noise.
+    Each refinement level evaluates f once, on all of its triangles.
     """
-    tris = triangulate_fan(poly)
-    ests = [triangle_quad(f, t) for t in tris]
-    budget = rel_tol * max(abs(sum(ests)), 1e-300) / len(tris)
-    settled_area = _rounding_area(np.asarray(poly, dtype=float))
-    total = 0.0
-    stack = []
-    for t, e in zip(tris, ests):
-        if _triangle_area(t) <= settled_area:
-            total += e
-        else:
-            stack.append((t, e, budget, 0))
-    while stack:
-        tri, coarse, tau, depth = stack.pop()
-        a, b, c = tri
-        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
-        kids = [
-            np.array([a, ab, ca]),
-            np.array([ab, b, bc]),
-            np.array([ca, bc, c]),
-            np.array([ab, bc, ca]),
-        ]
-        fine_parts = [triangle_quad(f, k) for k in kids]
-        fine = sum(fine_parts)
-        if not np.isfinite(fine):
-            from .errors import QuadratureFailure
-
+    poly = np.asarray(poly, dtype=float)
+    tris = _fan(poly)
+    ests = _triangle_quads(f, tris)
+    if not np.isfinite(ests).all():
+        raise QuadratureFailure("non-finite weight value inside cell")
+    tau = rel_tol * max(abs(ests.sum()), 1e-300) / len(tris)
+    settled = _triangle_areas(tris) <= _rounding_area(poly)
+    total = float(ests[settled].sum())
+    tris, coarse = tris[~settled], ests[~settled]
+    for depth in range(max_depth + 1):
+        if len(tris) == 0:
+            break
+        kids = _subdivide(tris)
+        parts = _triangle_quads(f, kids.reshape(-1, 3, 2)).reshape(-1, 4)
+        fine = parts.sum(axis=1)
+        if not np.isfinite(fine).all():
             raise QuadratureFailure("non-finite weight value inside cell")
-        if depth >= max_depth or abs(fine - coarse) <= tau:
-            total += fine
-        else:
-            stack.extend(
-                (k, fk, tau / 4.0, depth + 1) for k, fk in zip(kids, fine_parts)
-            )
+        done = (np.abs(fine - coarse) <= tau) | (depth == max_depth)
+        total += float(fine[done].sum())
+        tris = kids[~done].reshape(-1, 3, 2)
+        coarse = parts[~done].reshape(-1)
+        tau /= 4.0
     return total

@@ -90,3 +90,82 @@ def clipped_cell(nodes, values, i, window=None, half=100.0):
         np.column_stack([nodes[others] - nodes[i], values[others] - values[i]]),
         labels=[int(k) for k in others],
     )
+
+
+def monte_carlo_cell_areas(u, samples=1_000_000, seed=0, box=None):
+    """Monte-Carlo estimate of every cell area of the PL convex function u.
+
+    Random slopes drawn uniformly in the axis-aligned rectangle ``box``
+    (given as (lo, hi) corner pair or a polygon whose bounding box is used)
+    are assigned to the node attaining the Legendre maximum p . B_k - v_k;
+    hit fractions estimate |cell ∩ box|.  Independent of the
+    halfplane-intersection route.
+    """
+    if box is None:
+        raise ValueError("a sampling rectangle is required")
+    box = np.asarray(box, dtype=float)
+    lo, hi = box.min(axis=0), box.max(axis=0)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(u.nodes))
+    total = 0
+    chunk = 200_000
+    rect_area = float(np.prod(hi - lo))
+    while total < samples:
+        m = min(chunk, samples - total)
+        pts = lo + rng.random((m, 2)) * (hi - lo)
+        scores = pts @ u.nodes.T - u.values[None, :]
+        win = scores.argmax(axis=1)
+        counts += np.bincount(win, minlength=len(u.nodes)).astype(float)
+        total += m
+    return counts / total * rect_area
+
+
+def solid_angle_monte_carlo(poly, vertex_index, samples=200_000, seed=0):
+    """Monte-Carlo estimate of a vertex normal cone's solid angle.
+
+    A direction p lies in the cone of vertex v exactly when v maximises
+    <p, x> over all vertices.  Independent of the spherical-polygon formula;
+    used as a cross-check oracle.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(samples, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scores = dirs @ poly.vertices.T
+    hits = np.count_nonzero(scores.argmax(axis=1) == vertex_index)
+    return 4.0 * np.pi * hits / samples
+
+
+def per_triangle_quad(f, poly, rel_tol=1e-3, max_depth=30):
+    """``planar.polygon_quad`` one triangle at a time, depth first.
+
+    The same fan triangles, error budget, refinement rule and depth cap as
+    the batched quadrature, with one call of f per triangle: the reference
+    for its level-by-level evaluation.
+    """
+    poly = np.asarray(poly, dtype=float)
+    tris = planar.triangulate_fan(poly)
+    ests = [planar.triangle_quad(f, t) for t in tris]
+    budget = rel_tol * max(abs(sum(ests)), 1e-300) / len(tris)
+    diam = float(np.ptp(poly, axis=0).max())
+    settled_area = 16.0 * np.finfo(float).eps * diam * diam
+    total = 0.0
+    stack = []
+    for t, e in zip(tris, ests):
+        (ax, ay), (bx, by), (cx, cy) = t
+        if 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) <= settled_area:
+            total += e
+        else:
+            stack.append((t, e, budget, 0))
+    while stack:
+        tri, coarse, tau, depth = stack.pop()
+        a, b, c = tri
+        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+        kids = [np.array([a, ab, ca]), np.array([ab, b, bc]),
+                np.array([ca, bc, c]), np.array([ab, bc, ca])]
+        parts = [planar.triangle_quad(f, k) for k in kids]
+        fine = sum(parts)
+        if depth >= max_depth or abs(fine - coarse) <= tau:
+            total += fine
+        else:
+            stack.extend((k, fk, tau / 4.0, depth + 1) for k, fk in zip(kids, parts))
+    return total

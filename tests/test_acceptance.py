@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import corner_point, grid_problem, random_face_point
-from oracles import brute_force_distance
+from oracles import brute_force_distance, monte_carlo_cell_areas
 from ovaloid import core, intrinsic_metric as im, ma_solver as ma
 from ovaloid import minkowski_solver as mk, rigidity_lab as rl, shapes
-from ovaloid.errors import MinStepReached, NotEnvelopeVertex
+from ovaloid.errors import MinStepReached, NotEnvelopeVertex, OvaloidError
 
 
 @contextmanager
@@ -100,6 +100,7 @@ def test_04_comparison_angle_monotonicity():
             for s in (11, 12, 13)
         ]
         done = 0
+        failed_scans = 0
         while done < 20:
             net = nets[done % len(nets)]
             O = random_face_point(net, rng)
@@ -107,7 +108,11 @@ def test_04_comparison_angle_monotonicity():
             B = random_face_point(net, rng)
             try:
                 rep = im.angle_monotonicity_scan(net, O, A, B, samples=8)
-            except Exception:
+            except OvaloidError:
+                # a named failure skips the configuration; none occurs with
+                # this seed, and a few more would point at a geodesic bug
+                failed_scans += 1
+                assert failed_scans <= 3, "too many failed angle scans"
                 continue
             if not (0.25 < rep.alphas[0] < np.pi - 0.25):
                 continue  # keep configurations numerically well-conditioned
@@ -167,8 +172,8 @@ def test_05_ma_measures():
             pad = 0.02 * (hi - lo).max() + 1e-6
             box = np.array([lo - pad, hi + pad])
             box_area = float(np.prod(box[1] - box[0]))
-            mc = ma.monte_carlo_cell_areas(u, samples=1_000_000,
-                                           seed=seed, box=box)
+            mc = monte_carlo_cell_areas(u, samples=1_000_000,
+                                        seed=seed, box=box)
             for i, c in cells.items():
                 if c.area >= 0.08 * box_area:
                     assert abs(mc[i] - c.area) / c.area <= 0.01, (seed, i)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ovaloid import cli, io, shapes
 
@@ -61,6 +62,47 @@ def test_net_geodesic_face_cap(tmp_path, capsys):
     code, out = run_cli(argv + ["--max-iter", "64"], capsys)
     assert code == 0
     assert abs(json.loads(out)["metrics"]["length"] - 3.021335) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["net", "validate"], ["net", "curvature"], ["rigidity", "analyze"],
+])
+def test_open_mesh_is_schema_error(tmp_path, capsys, argv):
+    # a tetrahedron with only two of its four faces
+    path = tmp_path / "open.off"
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+    io.write_off(path, verts, [(0, 2, 1), (0, 1, 3)])
+    code = cli.run(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: mesh.closed:")
+    assert "Traceback" not in captured.err
+
+
+def test_inside_out_mesh_is_not_convex(tmp_path, capsys):
+    # a closed tetrahedron whose faces all wind clockwise seen from outside
+    path = tmp_path / "inverted.off"
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+    io.write_off(path, verts, [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)])
+    assert cli.run(["net", "validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("ovaloid: mesh.convex:")
+
+
+def test_non_finite_coordinate_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "nan.off"
+    path.write_text("OFF\n4 4 0\n0 0 0\n1 0 0\nnan 1 0\n0 0 1\n"
+                    "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n")
+    assert cli.run(["net", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite coordinate" in err and "line 5" in err
+
+
+def test_quad_mesh_rigidity_is_schema_error(tmp_path, capsys, cube):
+    path = tmp_path / "cube.off"
+    io.write_off(path, cube.vertices, cube.faces)
+    assert cli.run(["rigidity", "analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("ovaloid: mesh.triangles")
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from conftest import grid_problem
-from oracles import clipped_cell
+from oracles import clipped_cell, monte_carlo_cell_areas, per_triangle_quad
 from ovaloid import ma_solver as ma
 from ovaloid import planar
 from ovaloid.errors import NotEnvelopeVertex, QuadratureFailure
@@ -147,7 +148,7 @@ def test_monte_carlo_oracle():
     u = random_pl(4)
     interior = u.interior_indices
     box = planar.box_polygon(0.0, 0.0, 4.0)
-    mc = ma.monte_carlo_cell_areas(u, samples=400_000, seed=0, box=box)
+    mc = monte_carlo_cell_areas(u, samples=400_000, seed=0, box=box)
     for i in interior:
         try:
             cell = ma.ma_measure(u, int(i))
@@ -239,6 +240,22 @@ def test_quadrature_of_zero_area_polygons():
     along = a + np.sort(rng.random(4))[:, None] * (b - a)
     sliver = np.vstack([along, along[::-1] + rng.normal(size=(4, 2)) * 1e-17])
     assert abs(planar.polygon_quad(gaussian, sliver, rel_tol=1e-10)) < 1e-14
+
+
+def test_batched_quadrature_matches_per_triangle():
+    # one weight call per refinement level gives the sum of the depth-first,
+    # one-triangle-at-a-time quadrature on the same triangles
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        pts = rng.normal(size=(int(rng.integers(3, 12)), 2))
+        pts = pts * rng.uniform(0.1, 3.0) + rng.normal(size=2)
+        poly = pts[ConvexHull(pts).vertices]
+        s = rng.uniform(0.3, 3.0)
+        gaussian = lambda p: np.exp(-s * (p[:, 0] ** 2 + p[:, 1] ** 2))
+        for rel_tol in (1e-3, 1e-6):
+            want = per_triangle_quad(gaussian, poly, rel_tol=rel_tol)
+            got = planar.polygon_quad(gaussian, poly, rel_tol=rel_tol)
+            assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
 def test_quadrature_failure_on_nonfinite():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import grid_problem
 from ovaloid import ma_solver as ma
@@ -198,3 +199,124 @@ def test_solver_validates_problem():
     problem.masses[0] = -1.0
     with pytest.raises(ValueError):
         ma.solve_ma(problem)
+
+
+def _fd_jacobian(nodes, values, n, theta, window, h, rel_tol):
+    """Central differences of the interior masses in each interior value."""
+    idx = np.arange(n)
+    cols = []
+    for j in range(n):
+        up, down = values.copy(), values.copy()
+        up[j] += h
+        down[j] -= h
+        cols.append((ma._masses(nodes, up, idx, theta, rel_tol, window)
+                     - ma._masses(nodes, down, idx, theta, rel_tol, window))
+                    / (2 * h))
+    return np.column_stack(cols)
+
+
+def _sparse_jacobian(nodes, values, n, theta, window):
+    idx = np.arange(n)
+    cells = ma._cells(nodes, values, idx, window)
+    return ma._mass_jacobian(nodes, values, idx, cells, theta).toarray()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_jacobian_matches_finite_differences(seed):
+    problem, v_int = random_forward_instance(seed, n_side=5)
+    nodes = problem.all_nodes()
+    n = len(v_int)
+    values = np.concatenate([v_int, problem.boundary_values])
+    jac = _sparse_jacobian(nodes, values, n, None, None)
+    fd = _fd_jacobian(nodes, values, n, None, None, 1e-6, 1e-6)
+    assert np.abs(jac - fd).max() <= 1e-8 * np.abs(fd).max()
+    # Laplacian structure: lower-hull neighbours only, rows sum to minus
+    # the flux into the boundary
+    assert (np.diag(jac) < 0).all()
+    off = jac - np.diag(np.diag(jac))
+    assert (off >= 0).all() and (jac.sum(axis=1) <= 1e-12).all()
+
+
+def test_sparse_jacobian_matches_finite_differences_weighted():
+    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    grid = grid_problem(4, 3.0)
+    nodes = grid.all_nodes()
+    n = len(grid.interior_nodes)
+    rng = np.random.default_rng(4)
+    values = 0.175 * (nodes[:, 0] - 1.5) ** 2 + 0.15 * (nodes[:, 1] - 1.5) ** 2
+    values[:n] += rng.normal(0, 0.01, n)
+    window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
+    jac = _sparse_jacobian(nodes, values, n, theta, window)
+    fd = _fd_jacobian(nodes, values, n, theta, window, 1e-5, 1e-13)
+    assert np.abs(jac - fd).max() <= 1e-8 * np.abs(fd).max()
+
+
+def test_z_independent_solves_take_no_sweeps(monkeypatch):
+    calls = []
+    single_mass = ma._single_mass
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return single_mass(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "_single_mass", counted)
+    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    weighted = grid_problem(4, 3.0, theta=theta, mass_bound=np.pi)
+    weighted.masses[:] = 0.5 * np.pi / len(weighted.masses)
+    for problem in (random_forward_instance(3)[0], weighted):
+        u = ma.solve_ma(problem, tol=1e-10)
+        info = u.solve_info
+        assert info["final_residual"] <= 1e-10
+        assert info["sweeps"] == info["newton_iters"] > 0
+    assert calls == []
+
+
+def test_sweeps_restart_above_the_solution_when_newton_fails(monkeypatch):
+    # the strictly convex start lies below this quadratic at every interior
+    # node, and sweeps only lower values; with a singular Jacobian no Newton
+    # step is accepted, and the sweeps alone must still reach the quadratic
+    a, extent = 0.5, 3.0
+    centre = np.full(2, 0.5 * extent)
+    quad = lambda p: a * np.sum((p - centre) ** 2, axis=1)
+    problem = grid_problem(4, extent, boundary_fn=quad)
+    nodes = problem.all_nodes()
+    n = len(problem.interior_nodes)
+    problem.masses[:] = ma._masses(nodes, quad(nodes), np.arange(n), None)
+    want = quad(problem.interior_nodes)
+    assert (ma._boundary_start_values(problem) < want).all()
+    monkeypatch.setattr(
+        ma, "_mass_jacobian",
+        lambda nodes, values, idx, cells, theta: sparse.csc_matrix(
+            (len(idx), len(idx))
+        ),
+    )
+    u = ma.solve_ma(problem, tol=1e-8)
+    assert u.solve_info["final_residual"] <= 1e-8
+    assert np.abs(u.values[:n] - want).max() < 1e-7
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_strictly_convex_start_has_positive_cells(seed):
+    # convex boundary data: a random quadratic plus the largest of a few
+    # random planes, on grids of several sizes
+    rng = np.random.default_rng(seed)
+    planes = rng.normal(0, 1.0, (4, 3))
+    a = rng.uniform(0.0, 0.5, 2)
+
+    def convex(p):
+        return (a[0] * p[:, 0] ** 2 + a[1] * p[:, 1] ** 2
+                + (p @ planes[:, :2].T + planes[:, 2]).max(axis=1))
+
+    problem = grid_problem(3 + seed, 3.0, boundary_fn=convex)
+    n = len(problem.interior_nodes)
+    nodes = problem.all_nodes()
+    start = ma._boundary_start_values(problem)
+    values = np.concatenate([start, problem.boundary_values])
+    areas = ma._masses(nodes, values, np.arange(n), None)
+    assert (areas > 1e-9 * problem.masses.sum()).all(), areas.min()
+    # the lower envelope of the boundary data alone leaves cells empty
+    env = ma.lower_envelope_evaluator(
+        problem.boundary_nodes, problem.boundary_values
+    )(problem.interior_nodes)
+    values[:n] = env
+    assert ma._masses(nodes, values, np.arange(n), None).min() == 0.0
