@@ -206,7 +206,10 @@ def _cmd_minkowski(args):
         return (0 if err <= 1e-6 else 1), metrics
     payload = io.parse_problem(args.path, kind="minkowski-problem").payload
     if isinstance(payload, mk.CurvatureSample):
-        problem = mk.discretize_curvature(payload)
+        try:
+            problem = mk.discretize_curvature(payload).validate()
+        except ValueError as exc:  # the closing repair fails or the normals are bad
+            raise SchemaError("minkowski.curvature.valid", str(exc)) from exc
     else:
         problem = payload
     if args.action == "check":

@@ -10,6 +10,7 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -153,24 +154,6 @@ def _newell(points):
     return (s / area if area > 0 else s), area
 
 
-def _order_cycle_ccw(points, idx, normal):
-    """Order vertex indices CCW (seen from the normal side) around their centroid."""
-    pts = points[idx]
-    c = pts.mean(axis=0)
-    # build an in-plane frame
-    ref = np.eye(3)[np.argmin(np.abs(normal))]
-    e1 = np.cross(normal, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
-    order = np.argsort(-ang)  # e2 = n x e1 makes (e1, e2, n) left-handed; flip
-    cyc = [idx[k] for k in order]
-    nvec, _ = _newell(points[cyc])
-    if np.dot(nvec, normal) < 0:
-        cyc.reverse()
-    return tuple(cyc)
-
-
 def convex_hull(points, tol=DEFAULT_TOL, merge_tol=1e-7):
     """Convex hull of >= 4 points as a ConvexPolytope.
 
@@ -297,36 +280,65 @@ def polytope_from_support(normals, support_numbers, tol=DEFAULT_TOL):
 
     hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), interior)
     verts = hsi.intersections
-    # dual_facets[k] lists the halfspaces meeting at intersection point k,
-    # giving the vertex-face incidence combinatorially (no tolerance tests)
-    face_verts = [[] for _ in range(len(n))]
-    for k, facet in enumerate(hsi.dual_facets):
-        for i in facet:
-            verts_k = face_verts[int(i)]
-            if k not in verts_k:
-                verts_k.append(k)
-
-    faces, areas, supports = [], [], []
-    for i in range(len(n)):
-        idx = face_verts[i]
-        if len(idx) < 3:
-            faces.append(())
-            areas.append(0.0)
-            supports.append(float((verts @ n[i]).max()))
-            continue
-        cyc = _order_cycle_ccw(verts, idx, n[i])
-        _, area = _newell(verts[list(cyc)])
-        faces.append(cyc)
-        areas.append(area)
-        supports.append(float((verts @ n[i]).max()))
-
+    faces, areas = _face_cycles(verts, hsi.dual_facets, n)
     return ConvexPolytope(
         vertices=verts,
-        faces=tuple(faces),
+        faces=faces,
         normals=n,
-        areas=np.array(areas),
-        support_numbers=np.array(supports),
+        areas=areas,
+        support_numbers=(verts @ n.T).max(axis=0),
     )
+
+
+def _face_cycles(verts, dual_facets, normals):
+    """CCW vertex cycles and Newell areas of every face, in one pass.
+
+    ``dual_facets[k]`` lists the halfspaces meeting at vertex k, so the
+    (face, vertex) incidence is combinatorial (no tolerance tests).  Each
+    face's vertices are sorted by angle about their centroid in a frame of
+    the face plane; the Newell sum then tells whether that order runs
+    clockwise, and flipped faces are reversed.  A face with fewer than 3
+    vertices gets the cycle () and area 0.
+    """
+    m = len(normals)
+    nv = len(verts)
+    sizes = np.fromiter(map(len, dual_facets), dtype=np.intp, count=nv)
+    face_of = np.fromiter(itertools.chain.from_iterable(dual_facets),
+                          dtype=np.intp, count=int(sizes.sum()))
+    pair = np.unique(face_of * nv + np.repeat(np.arange(nv), sizes))
+    face, vert = np.divmod(pair, nv)  # sorted by face, then vertex
+    count = np.bincount(face, minlength=m)
+    live = count[face] >= 3
+    face, vert = face[live], vert[live]
+    count = np.where(count >= 3, count, 0)
+    start = np.concatenate([[0], np.cumsum(count)[:-1]])
+
+    pts = verts[vert]
+    centre = np.zeros((m, 3))
+    np.add.at(centre, face, pts)
+    centre /= np.maximum(count, 1)[:, None]
+    ref = np.eye(3)[np.argmin(np.abs(normals), axis=1)]
+    e1 = np.cross(normals, ref)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(normals, e1)
+    d = pts - centre[face]
+    ang = np.arctan2(np.einsum("ij,ij->i", d, e2[face]),
+                     np.einsum("ij,ij->i", d, e1[face]))
+    order = np.lexsort((-ang, face))
+    pts = pts[order]
+
+    # Newell vector of each face in that order; reverse the faces where it
+    # points inward
+    pos = np.arange(len(face)) - start[face]
+    nxt = start[face] + (pos + 1) % count[face]
+    newell = np.zeros((m, 3))
+    np.add.at(newell, face, np.cross(pts, pts[nxt]))
+    newell *= 0.5
+    flip = np.einsum("ij,ij->i", newell, normals) < 0
+    pos = np.where(flip[face], count[face] - 1 - pos, pos)
+    cyc = vert[order][start[face] + pos].tolist()
+    faces = tuple(tuple(cyc[a:a + c]) for a, c in zip(start.tolist(), count.tolist()))
+    return faces, np.linalg.norm(newell, axis=1)
 
 
 def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):

@@ -199,49 +199,49 @@ def _parse_ma(data):
 def _parse_minkowski(data):
     if "curvature" in data:
         cur = data["curvature"]
-        sample = CurvatureSample(
-            centers=np.asarray(_need(cur, "centers", "minkowski.centers"), float),
-            cell_areas=np.asarray(_need(cur, "cell_areas", "minkowski.cell_areas"), float),
-            curvature=np.asarray(_need(cur, "K", "minkowski.K"), float),
-        )
+        centers = _need(cur, "centers", "minkowski.centers")
+        cell_areas = _need(cur, "cell_areas", "minkowski.cell_areas")
+        curvature = _need(cur, "K", "minkowski.K")
         try:
-            sample.validate()
+            return CurvatureSample(
+                centers=np.asarray(centers, float),
+                cell_areas=np.asarray(cell_areas, float),
+                curvature=np.asarray(curvature, float),
+            ).validate()
         except ValueError as exc:
             raise SchemaError("minkowski.curvature.valid", str(exc)) from exc
-        return sample
-    problem = MinkowskiProblem(
-        normals=np.asarray(_need(data, "normals", "minkowski.normals"), float),
-        target_areas=np.asarray(_need(data, "areas", "minkowski.areas"), float),
-    )
+    normals = _need(data, "normals", "minkowski.normals")
+    areas = _need(data, "areas", "minkowski.areas")
     try:
-        problem.validate()
+        return MinkowskiProblem(normals=np.asarray(normals, float),
+                                target_areas=np.asarray(areas, float)).validate()
     except ValueError as exc:
         raise SchemaError("minkowski.valid", str(exc)) from exc
-    return problem
 
 
 def _parse_rigidity(data):
     if "grid" in data:
         grid = data["grid"]
-        z = np.asarray(_need(grid, "z", "rigidity.grid.z"), dtype=float)
+        z = _need(grid, "z", "rigidity.grid.z")
+        h = _need(grid, "h", "rigidity.grid.h")
         zeta = grid.get("zeta")
-        zeta = np.zeros_like(z) if zeta is None else np.asarray(zeta, dtype=float)
         try:
-            return GridPatch(h=float(_need(grid, "h", "rigidity.grid.h")),
-                             z=z, zeta=zeta)
+            z = np.asarray(z, dtype=float)
+            zeta = np.zeros_like(z) if zeta is None else np.asarray(zeta, dtype=float)
+            return GridPatch(h=float(h), z=z, zeta=zeta)
         except ValueError as exc:
             raise SchemaError("rigidity.grid.valid", str(exc)) from exc
     surf = _need(data, "surface", "rigidity.surface")
-    surface = TriangulatedSurface(
-        vertices=np.asarray(_need(surf, "vertices", "rigidity.vertices"), float),
-        triangles=np.asarray(_need(surf, "triangles", "rigidity.triangles"), int),
-        with_boundary=bool(surf.get("with_boundary", False)),
-    )
+    vertices = _need(surf, "vertices", "rigidity.vertices")
+    triangles = _need(surf, "triangles", "rigidity.triangles")
     try:
-        surface.validate()
+        return TriangulatedSurface(
+            vertices=np.asarray(vertices, float),
+            triangles=np.asarray(triangles, int),
+            with_boundary=bool(surf.get("with_boundary", False)),
+        ).validate()
     except ValueError as exc:
         raise SchemaError("rigidity.surface.valid", str(exc)) from exc
-    return surface
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,20 @@
 Recover a convex polytope from prescribed outer unit normals and face areas
 (or from Gauss-curvature samples on the sphere, converted to per-cell areas).
 The solve runs a damped Newton iteration on the support vector: the area map
-is the gradient of the volume functional, its Jacobian follows from the edge
-geometry, and the translation kernel is handled by a least-squares step plus
-recentering.
+is the gradient of the volume functional, its sparse Jacobian follows from
+the edge geometry, and the translation kernel is handled by a pinned sparse
+solve projected to the minimum-norm step, plus recentering.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 from scipy.spatial import SphericalVoronoi
 
 from .core import (
@@ -119,37 +123,60 @@ def area_map(normals, support_numbers):
     return polytope_from_support(normals, support_numbers).areas.copy()
 
 
-def _edge_lengths_by_face_pair(poly: ConvexPolytope):
-    """Map (i, j) of adjacent faces to their shared edge length."""
-    out = {}
-    m = len(poly.faces)
-    vert_sets = [frozenset(c) for c in poly.faces]
-    for i in range(m):
-        if len(poly.faces[i]) < 3:
-            continue
-        for j in range(i + 1, m):
-            shared = vert_sets[i] & vert_sets[j]
-            if len(shared) == 2:
-                a, b = (poly.vertices[v] for v in shared)
-                out[(i, j)] = float(np.linalg.norm(a - b))
-    return out
-
-
 def area_jacobian(poly: ConvexPolytope):
-    """d(area_i)/d(h_j): edge/sin for neighbours, -sum edge*cot on the diagonal."""
+    """d(area_i)/d(h_j) as a sparse CSR matrix: edge/sin for neighbours,
+    -sum edge*cot on the diagonal.
+
+    Every directed edge u -> w of a face cycle meets its twin w -> u in the
+    neighbouring face, so the face pairs and their edge lengths come from
+    matching the two directions of each edge.
+    """
     m = len(poly.faces)
-    jac = np.zeros((m, m))
-    for (i, j), ell in _edge_lengths_by_face_pair(poly).items():
-        ni, nj = poly.normals[i], poly.normals[j]
-        sin = float(np.linalg.norm(np.cross(ni, nj)))
-        if sin < 1e-14:
-            continue
-        cos = float(ni @ nj)
-        jac[i, j] += ell / sin
-        jac[j, i] += ell / sin
-        jac[i, i] -= ell * cos / sin
-        jac[j, j] -= ell * cos / sin
-    return jac
+    nv = len(poly.vertices)
+    sizes = np.fromiter(map(len, poly.faces), dtype=np.intp, count=m)
+    u = np.fromiter(itertools.chain.from_iterable(poly.faces), dtype=np.intp,
+                    count=int(sizes.sum()))
+    face = np.repeat(np.arange(m), sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    w = u[start + (np.arange(len(u)) - start + 1) % sizes[face]]
+    key, twin = u * nv + w, w * nv + u
+    order = np.argsort(key)
+    at = order[np.minimum(np.searchsorted(key, twin, sorter=order), len(u) - 1)]
+    hit = key[at] == twin
+    i, j, tail, head = face[hit], face[at[hit]], u[hit], w[hit]
+    sin = np.linalg.norm(np.cross(poly.normals[i], poly.normals[j]), axis=1)
+    keep = sin >= 1e-14
+    i, j, tail, head, sin = (x[keep] for x in (i, j, tail, head, sin))
+    ell = np.linalg.norm(poly.vertices[tail] - poly.vertices[head], axis=1)
+    cos = np.einsum("ij,ij->i", poly.normals[i], poly.normals[j])
+    return sparse.csr_matrix(
+        (np.concatenate([ell / sin, -ell * cos / sin]),
+         (np.concatenate([i, i]), np.concatenate([j, i]))),
+        shape=(m, m),
+    )
+
+
+def _pinned_step(jac, normals, rhs):
+    """Minimum-norm solution of jac @ x = rhs for an area Jacobian.
+
+    The kernel of jac is the translations x_i = <n_i, t>.  Fixing x = 0 at
+    three faces with independent normals removes it, leaving a nonsingular
+    sparse system in the other m - 3 faces; projecting the translations out
+    of its solution gives the minimum-norm step.  Returns None when the
+    pinned system is singular.
+    """
+    a = 0
+    b = int(np.argmax(np.linalg.norm(np.cross(normals, normals[a]), axis=1)))
+    c = int(np.argmax(np.abs(normals @ np.cross(normals[a], normals[b]))))
+    free = np.ones(len(normals), dtype=bool)
+    free[[a, b, c]] = False
+    x = np.zeros(len(normals))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
+        x[free] = sparse_linalg.spsolve(jac[free][:, free].tocsc(), rhs[free])
+    if not np.isfinite(x).all():
+        return None
+    return x - normals @ np.linalg.solve(normals.T @ normals, normals.T @ x)
 
 
 def _activate_all_faces(n, h):
@@ -191,11 +218,12 @@ def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
                     init_support=None, full_output=False):
     """Polytope with the prescribed face normals and areas, centred at origin.
 
-    Newton steps h <- h + J^+ (A0 - A(h)) with the symmetric area Jacobian;
-    the pseudo-inverse step stays orthogonal to the translation kernel and
-    the body is recentred after convergence.  Raises DegenerateFace if some
-    prescribed face vanishes at the optimum and MaxIterExceeded with the
-    residual history when the budget runs out.
+    Newton steps h <- h + J^+ (A0 - A(h)) with the sparse symmetric area
+    Jacobian; the minimum-norm step stays orthogonal to the translation
+    kernel and the body is recentred after convergence.  Raises
+    DegenerateFace if some prescribed face vanishes at the optimum and
+    MaxIterExceeded with the residual history when the budget runs out or
+    the Jacobian is singular.
 
     Residuals below ~1e-10 relative are not reachable: the halfspace
     intersection quantises vertices at that scale.
@@ -225,8 +253,12 @@ def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
         history.append(resid)
         if resid <= tol:
             break
-        jac = area_jacobian(poly)
-        full_step, *_ = np.linalg.lstsq(jac, target - areas, rcond=1e-12)
+        full_step = _pinned_step(area_jacobian(poly), n, target - areas)
+        if full_step is None:
+            raise MaxIterExceeded(
+                f"singular area Jacobian at residual {resid}",
+                best=poly, residual=resid,
+            )
         accepted = False
         for _ in range(60):
             step = full_step

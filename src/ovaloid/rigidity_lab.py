@@ -31,24 +31,28 @@ class TriangulatedSurface:
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=int))
 
+    def _sides(self):
+        """Every triangle side as a sorted vertex-index pair, (3T, 2)."""
+        t = self.triangles
+        return np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                       axis=1)
+
     def edges(self):
-        seen = set()
-        for a, b, c in self.triangles:
-            for u, w in ((a, b), (b, c), (c, a)):
-                seen.add((min(u, w), max(u, w)))
-        return sorted(seen)
+        """Sorted vertex-index pairs of all edges, as an (E, 2) array."""
+        return np.unique(self._sides(), axis=0)
 
     def validate(self):
-        counts = {}
-        for a, b, c in self.triangles:
-            for u, w in ((a, b), (b, c), (c, a)):
-                key = (min(u, w), max(u, w))
-                counts[key] = counts.get(key, 0) + 1
-        bad = [e for e, k in counts.items() if k != 2]
+        t, v = self.triangles, self.vertices
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise ValueError("vertices must be rows of 3 coordinates")
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError("triangles must be rows of 3 vertex indices")
+        if t.size and (t.min() < 0 or t.max() >= len(v)):
+            raise ValueError("triangle vertex index out of range")
+        _, counts = np.unique(self._sides(), axis=0, return_counts=True)
+        bad = int((counts != 2).sum())
         if bad and not self.with_boundary:
-            raise ValueError(
-                f"{len(bad)} edges are not shared by exactly 2 triangles"
-            )
+            raise ValueError(f"{bad} edges are not shared by exactly 2 triangles")
         return self
 
 
@@ -59,19 +63,16 @@ def isometry_constraints(surface: TriangulatedSurface):
     to the two endpoint displacement blocks (row scaling by edge length).
     """
     edges = surface.edges()
-    v = surface.vertices
-    rows, cols, vals = [], [], []
-    for r, (i, j) in enumerate(edges):
-        d = v[i] - v[j]
-        d = d / np.linalg.norm(d)
-        for k in range(3):
-            rows += [r, r]
-            cols += [3 * i + k, 3 * j + k]
-            vals += [d[k], -d[k]]
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(edges), 3 * len(v))
-    )
-    return mat
+    d = _unit_directions(surface.vertices, edges)
+    rows = np.repeat(np.arange(len(edges)), 6)
+    cols = (3 * edges[:, [0, 0, 0, 1, 1, 1]] + [0, 1, 2, 0, 1, 2]).ravel()
+    return sp.csr_matrix((np.hstack([d, -d]).ravel(), (rows, cols)),
+                         shape=(len(edges), 3 * len(surface.vertices)))
+
+
+def _unit_directions(vertices, edges):
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    return d / np.linalg.norm(d, axis=1)[:, None]
 
 
 def trivial_motion_basis(vertices):
@@ -89,12 +90,10 @@ def trivial_motion_basis(vertices):
 def constraint_residual(surface, field):
     """Max edge-length-rate magnitude of a displacement field (V, 3)."""
     tau = np.asarray(field, dtype=float).reshape(len(surface.vertices), 3)
-    v = surface.vertices
-    worst = 0.0
-    for i, j in surface.edges():
-        d = v[i] - v[j]
-        worst = max(worst, abs(d @ (tau[i] - tau[j])) / np.linalg.norm(d))
-    return worst
+    edges = surface.edges()
+    d = _unit_directions(surface.vertices, edges)
+    rate = np.einsum("ij,ij->i", d, tau[edges[:, 0]] - tau[edges[:, 1]])
+    return float(np.abs(rate).max(initial=0.0))
 
 
 @dataclasses.dataclass
@@ -123,32 +122,37 @@ def bending_space(surface: TriangulatedSurface, tol=1e-10):
     nontrivial flex space (empty exactly when the surface is rigid).
     """
     surface.validate()
-    mat = isometry_constraints(surface).toarray()
-    _, svals, vt = np.linalg.svd(mat)
+    mat = isometry_constraints(surface)
+    dense = mat.toarray()
+    svals = np.linalg.svd(dense, compute_uv=False)
     smax = svals[0] if len(svals) else 1.0
     rank = int(np.sum(svals > tol * smax))
-    kernel_dim = mat.shape[1] - rank
-    kernel = vt[rank:].T  # (3V, kernel_dim), orthonormal
+    kernel_dim = dense.shape[1] - rank
     # pad with the structural zeros svd omits when E < 3V
-    svals = np.concatenate([svals, np.zeros(mat.shape[1] - len(svals))])
+    svals = np.concatenate([svals, np.zeros(dense.shape[1] - len(svals))])
 
     triv = trivial_motion_basis(surface.vertices)
     qt, rt = np.linalg.qr(triv)
     if np.abs(np.diag(rt)).min() < 1e-12 * np.abs(np.diag(rt)).max():
         raise DegenerateGeometry("vertex set spans fewer than 6 rigid motions")
-    # residual of the trivial motions themselves (should be exactly flat)
-    triv_resid = max(
-        constraint_residual(surface, qt[:, k]) for k in range(6)
-    )
+    # residual of the trivial motions themselves (should be exactly flat);
+    # the rows of mat are unit edge directions
+    triv_resid = float(np.abs(mat @ qt).max(initial=0.0))
 
-    proj = kernel - qt @ (qt.T @ kernel)
-    if proj.size:
-        u2, s2, _ = np.linalg.svd(proj, full_matrices=False)
-        extra = int(np.sum(s2 > 1e-8))
-        basis = u2[:, :extra]
-    else:
+    if kernel_dim == 6:
+        # the six rigid motions already fill the kernel: no basis to report
         extra = 0
-        basis = np.zeros((mat.shape[1], 0))
+        basis = np.zeros((dense.shape[1], 0))
+    else:
+        kernel = np.linalg.svd(dense)[2][rank:].T  # (3V, kernel_dim), orthonormal
+        proj = kernel - qt @ (qt.T @ kernel)
+        if proj.size:
+            u2, s2, _ = np.linalg.svd(proj, full_matrices=False)
+            extra = int(np.sum(s2 > 1e-8))
+            basis = u2[:, :extra]
+        else:
+            extra = 0
+            basis = np.zeros((dense.shape[1], 0))
     nontrivial = kernel_dim - 6
     if nontrivial != extra:
         warnings.warn(
@@ -228,37 +232,45 @@ def solve_defo(z, h, zeta_boundary):
             nodes=[(r + 1, c + 1) for r, c in bad],
         )
 
-    def idx(r, c):
-        return (r - 1) * (nx - 2) + (c - 1)
-
-    nun = (ny - 2) * (nx - 2)
-    mat = sp.lil_matrix((nun, nun))
-    rhs = np.zeros(nun)
+    mat, rhs = _flex_system(zxx, zyy, zxy, zb)
     zeta = zb.copy()
-
-    # stencil multiplied by h^2: zeta_xx ~ E - 2C + W, zeta_yy ~ N - 2C + S,
-    # zeta_xy ~ (NE - NW - SE + SW) / 4
-    for r in range(1, ny - 1):
-        for c in range(1, nx - 1):
-            a = zyy[r - 1, c - 1]   # multiplies zeta_xx
-            b = zxx[r - 1, c - 1]   # multiplies zeta_yy
-            g = zxy[r - 1, c - 1]
-            row = idx(r, c)
-            entries = {
-                (r, c): -2.0 * a - 2.0 * b,
-                (r, c + 1): a, (r, c - 1): a,
-                (r + 1, c): b, (r - 1, c): b,
-                (r + 1, c + 1): -0.5 * g, (r - 1, c - 1): -0.5 * g,
-                (r + 1, c - 1): 0.5 * g, (r - 1, c + 1): 0.5 * g,
-            }
-            for (rr, cc), coef in entries.items():
-                if 1 <= rr < ny - 1 and 1 <= cc < nx - 1:
-                    mat[row, idx(rr, cc)] += coef
-                else:
-                    rhs[row] -= coef * zb[rr, cc]
-    sol = spsolve(mat.tocsr(), rhs)
-    zeta[1:-1, 1:-1] = sol.reshape(ny - 2, nx - 2)
+    zeta[1:-1, 1:-1] = spsolve(mat, rhs).reshape(ny - 2, nx - 2)
     return GridPatch(h=h, z=z, zeta=zeta)
+
+
+def _flex_system(zxx, zyy, zxy, zb):
+    """Sparse matrix and right-hand side of the flex equation at interior
+    nodes, times h^2, with the Dirichlet ring of ``zb`` moved to the right.
+
+    zeta_xx ~ E - 2C + W, zeta_yy ~ N - 2C + S and
+    zeta_xy ~ (NE - NW - SE + SW) / 4, each weighted by the node's own
+    coefficient; one COO block per stencil offset.
+    """
+    ny, nx = zb.shape
+    nun = (ny - 2) * (nx - 2)
+    index = np.full((ny, nx), -1)
+    index[1:-1, 1:-1] = np.arange(nun).reshape(ny - 2, nx - 2)
+    a, b, g = zyy, zxx, zxy  # multiply zeta_xx, zeta_yy, zeta_xy
+    rows, cols, vals = [], [], []
+    rhs = np.zeros_like(a)
+    for dr, dc, coef in (
+        (0, 0, -2.0 * a - 2.0 * b),
+        (0, 1, a), (0, -1, a), (1, 0, b), (-1, 0, b),
+        (1, 1, -0.5 * g), (-1, -1, -0.5 * g), (1, -1, 0.5 * g), (-1, 1, 0.5 * g),
+    ):
+        near = (slice(1 + dr, ny - 1 + dr), slice(1 + dc, nx - 1 + dc))
+        col = index[near]
+        inside = col >= 0
+        rows.append(index[1:-1, 1:-1][inside])
+        cols.append(col[inside])
+        vals.append(coef[inside])
+        rhs -= np.where(inside, 0.0, coef * zb[near])
+    mat = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nun, nun),
+    )
+    mat.eliminate_zeros()
+    return mat, rhs.ravel()
 
 
 @dataclasses.dataclass

@@ -58,3 +58,17 @@ def grid_problem(n_side, extent, mass_fn=None, boundary_fn=None, **kw):
         domain=domain, interior_nodes=interior, masses=masses,
         boundary_nodes=boundary, boundary_values=bvals, **kw,
     )
+
+
+def support_cases():
+    """Random hulls, their supports perturbed enough to cut faces off, and
+    the cube and octahedron, whose vertices lie on 4 planes."""
+    cases = []
+    for seed in range(8):
+        src = shapes.random_hull(30 + 10 * seed, seed=seed)
+        jitter = np.random.default_rng(seed).uniform(-0.15, 0.15, len(src.normals))
+        cases += [(src.normals, src.support_numbers),
+                  (src.normals, src.support_numbers + jitter)]
+    for src in (shapes.cube(), shapes.octahedron()):
+        cases.append((src.normals, src.support_numbers))
+    return cases

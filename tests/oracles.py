@@ -1,8 +1,11 @@
 """Independent slow oracles used to cross-check the fast implementations."""
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
-from ovaloid import planar
+from ovaloid import core, planar, rigidity_lab
 from ovaloid.intrinsic_metric import _glue_transform, _point_representations
 
 
@@ -169,3 +172,158 @@ def per_triangle_quad(f, poly, rel_tol=1e-3, max_depth=30):
         else:
             stack.extend((k, fk, tau / 4.0, depth + 1) for k, fk in zip(kids, parts))
     return total
+
+
+def _order_cycle_ccw(points, idx, normal):
+    """Order vertex indices CCW (seen from the normal side) around their centroid."""
+    pts = points[idx]
+    c = pts.mean(axis=0)
+    ref = np.eye(3)[np.argmin(np.abs(normal))]
+    e1 = np.cross(normal, ref)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(normal, e1)
+    ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
+    cyc = [idx[k] for k in np.argsort(-ang)]
+    nvec, _ = core._newell(points[cyc])
+    if np.dot(nvec, normal) < 0:
+        cyc.reverse()
+    return tuple(cyc)
+
+
+def per_face_polytope_from_support(normals, support_numbers):
+    """``core.polytope_from_support`` one face at a time: the vertex lists
+    grown from ``dual_facets`` with a membership test, each face ordered
+    and its Newell area taken on its own.  The reference for the batched
+    face cycles."""
+    n = core.unit_vectors(normals)
+    h = np.asarray(support_numbers, dtype=float)
+    res = linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([n, np.ones((len(n), 1))]),
+        b_ub=h,
+        bounds=[(None, None)] * 3 + [(0, None)],
+        method="highs",
+    )
+    hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), res.x[:3])
+    verts = hsi.intersections
+    face_verts = [[] for _ in range(len(n))]
+    for k, facet in enumerate(hsi.dual_facets):
+        for i in facet:
+            if k not in face_verts[int(i)]:
+                face_verts[int(i)].append(k)
+    faces, areas = [], []
+    for i in range(len(n)):
+        if len(face_verts[i]) < 3:
+            faces.append(())
+            areas.append(0.0)
+            continue
+        cyc = _order_cycle_ccw(verts, face_verts[i], n[i])
+        faces.append(cyc)
+        areas.append(core._newell(verts[list(cyc)])[1])
+    return core.ConvexPolytope(
+        vertices=verts,
+        faces=tuple(faces),
+        normals=n,
+        areas=np.array(areas),
+        support_numbers=np.array([float((verts @ ni).max()) for ni in n]),
+    )
+
+
+def pair_scan_area_jacobian(poly):
+    """Dense area Jacobian from a scan of all face pairs: two faces are
+    neighbours when their vertex sets share exactly two vertices."""
+    m = len(poly.faces)
+    jac = np.zeros((m, m))
+    vert_sets = [frozenset(c) for c in poly.faces]
+    for i in range(m):
+        if len(poly.faces[i]) < 3:
+            continue
+        for j in range(i + 1, m):
+            shared = vert_sets[i] & vert_sets[j]
+            if len(shared) != 2:
+                continue
+            a, b = (poly.vertices[v] for v in shared)
+            ell = float(np.linalg.norm(a - b))
+            ni, nj = poly.normals[i], poly.normals[j]
+            sin = float(np.linalg.norm(np.cross(ni, nj)))
+            if sin < 1e-14:
+                continue
+            cos = float(ni @ nj)
+            jac[i, j] += ell / sin
+            jac[j, i] += ell / sin
+            jac[i, i] -= ell * cos / sin
+            jac[j, j] -= ell * cos / sin
+    return jac
+
+
+def lil_flex_system(zxx, zyy, zxy, zb):
+    """The flex stencil assembled node by node into a ``lil_matrix``: the
+    reference for ``rigidity_lab._flex_system``."""
+    ny, nx = zb.shape
+
+    def idx(r, c):
+        return (r - 1) * (nx - 2) + (c - 1)
+
+    nun = (ny - 2) * (nx - 2)
+    mat = sp.lil_matrix((nun, nun))
+    rhs = np.zeros(nun)
+    for r in range(1, ny - 1):
+        for c in range(1, nx - 1):
+            a = zyy[r - 1, c - 1]
+            b = zxx[r - 1, c - 1]
+            g = zxy[r - 1, c - 1]
+            row = idx(r, c)
+            entries = {
+                (r, c): -2.0 * a - 2.0 * b,
+                (r, c + 1): a, (r, c - 1): a,
+                (r + 1, c): b, (r - 1, c): b,
+                (r + 1, c + 1): -0.5 * g, (r - 1, c - 1): -0.5 * g,
+                (r + 1, c - 1): 0.5 * g, (r - 1, c + 1): 0.5 * g,
+            }
+            for (rr, cc), coef in entries.items():
+                if 1 <= rr < ny - 1 and 1 <= cc < nx - 1:
+                    mat[row, idx(rr, cc)] += coef
+                else:
+                    rhs[row] -= coef * zb[rr, cc]
+    return mat.tocsr(), rhs
+
+
+def loop_isometry_constraints(surface):
+    """Edge-length constraint rows built edge by edge from a set of sides."""
+    edges = sorted({(min(u, w), max(u, w))
+                    for a, b, c in surface.triangles.tolist()
+                    for u, w in ((a, b), (b, c), (c, a))})
+    v = surface.vertices
+    rows, cols, vals = [], [], []
+    for r, (i, j) in enumerate(edges):
+        d = v[i] - v[j]
+        d = d / np.linalg.norm(d)
+        for k in range(3):
+            rows += [r, r]
+            cols += [3 * i + k, 3 * j + k]
+            vals += [d[k], -d[k]]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(edges), 3 * len(v)))
+
+
+def full_svd_bending_space(surface, tol=1e-10):
+    """``rigidity_lab.bending_space`` from one full SVD of the loop-built
+    constraint matrix, with the trivial motions' residual taken edge by edge:
+    (kernel_dim, nontrivial_dim, flex basis, padded singular values,
+    trivial residual)."""
+    mat = loop_isometry_constraints(surface).toarray()
+    _, svals, vt = np.linalg.svd(mat)
+    rank = int(np.sum(svals > tol * svals[0]))
+    kernel = vt[rank:].T
+    svals = np.concatenate([svals, np.zeros(mat.shape[1] - len(svals))])
+    qt, _ = np.linalg.qr(rigidity_lab.trivial_motion_basis(surface.vertices))
+    v = surface.vertices
+    resid = 0.0
+    for i, j in {(min(u, w), max(u, w)) for a, b, c in surface.triangles.tolist()
+                 for u, w in ((a, b), (b, c), (c, a))}:
+        d = v[i] - v[j]
+        resid = max(resid, float(np.abs(d @ (qt[i * 3:i * 3 + 3] - qt[j * 3:j * 3 + 3])).max())
+                    / float(np.linalg.norm(d)))
+    proj = kernel - qt @ (qt.T @ kernel)
+    u2, s2, _ = np.linalg.svd(proj, full_matrices=False)
+    extra = int(np.sum(s2 > 1e-8))
+    return len(kernel.T), extra, u2[:, :extra], svals, resid

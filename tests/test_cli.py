@@ -170,6 +170,30 @@ def test_minkowski_solve_and_check_cli(tmp_path, capsys, cube):
     assert len(verts) == 8 and len(faces) == 6
 
 
+@pytest.mark.parametrize("action", ["check", "solve"])
+@pytest.mark.parametrize("centers, cell_areas", [
+    # the closing repair takes every area to zero
+    (np.eye(3), np.full(3, 4 * np.pi / 3)),
+    # the repair succeeds, but two normals coincide
+    (np.vstack([np.eye(3), -np.eye(3), [[1.0, 0.0, 0.0]]]),
+     np.full(7, 4 * np.pi / 7)),
+])
+def test_bad_curvature_sample_is_schema_error(tmp_path, capsys, action,
+                                              centers, cell_areas):
+    path = tmp_path / "curv.json"
+    path.write_text(json.dumps({
+        "kind": "minkowski-problem",
+        "curvature": {"centers": centers.tolist(),
+                      "cell_areas": cell_areas.tolist(),
+                      "K": [1.0] * len(centers)},
+    }))
+    code = cli.run(["minkowski", action, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: minkowski.curvature.valid:")
+
+
 def test_rigidity_cli(tmp_path, capsys):
     ico = shapes.icosahedron()
     path = tmp_path / "ico.off"

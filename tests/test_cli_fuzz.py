@@ -1,0 +1,107 @@
+"""Random small inputs through the whole CLI: every run ends in exit code 0,
+1 or 2, and no exception escapes ``cli.run``."""
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ovaloid import cli, shapes
+
+FUZZ = settings(max_examples=30, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+coordinate = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.sampled_from([0.0, 1e-300, float("nan"), float("inf")]),
+)
+vector = st.lists(coordinate, min_size=2, max_size=4)
+vectors = st.lists(vector, min_size=0, max_size=8)
+numbers = st.lists(coordinate, min_size=0, max_size=8)
+
+
+def _run(tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    code = cli.run(argv + [str(path), "--max-iter", "8",
+                           "--out", str(tmp_path / "report.json")])
+    assert code in (0, 1, 2)
+
+
+def _off_text(verts, faces):
+    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
+    lines += [" ".join(repr(float(c)) for c in v) for v in verts]
+    lines += [" ".join(str(int(i)) for i in [len(f), *f]) for f in faces]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def off_meshes(draw):
+    if draw(st.booleans()):
+        # a closed triangulated hull, perhaps with one triangle turned over
+        hull = shapes.random_hull(draw(st.integers(4, 10)),
+                                  seed=draw(st.integers(0, 2**16)))
+        tris = shapes.oriented_triangles(hull)
+        if draw(st.booleans()):
+            tris[0] = tris[0][::-1]
+        return _off_text(hull.vertices, tris)
+    n = draw(st.integers(3, 7))
+    verts = draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                          min_size=n, max_size=n))
+    faces = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=4),
+                          min_size=1, max_size=10))
+    return _off_text(verts, faces)
+
+
+@FUZZ
+@given(text=off_meshes(),
+       command=st.sampled_from([["net", "validate"], ["net", "curvature"],
+                                ["rigidity", "analyze"]]))
+def test_off_meshes(tmp_path, text, command):
+    _run(tmp_path, "mesh.off", text, command)
+
+
+@st.composite
+def minkowski_problems(draw):
+    shape = draw(st.sampled_from(["hull", "normals", "curvature"]))
+    if shape == "hull":
+        # a closed problem, its areas perhaps a little off
+        hull = shapes.random_hull(draw(st.integers(4, 10)),
+                                  seed=draw(st.integers(0, 2**16)))
+        areas = hull.areas * (1.0 + draw(st.sampled_from([0.0, 1e-10, 1e-3]))
+                              * (hull.normals[:, 0] > 0))
+        body = {"normals": hull.normals.tolist(), "areas": areas.tolist()}
+    elif shape == "normals":
+        body = {"normals": draw(vectors), "areas": draw(numbers)}
+    else:
+        body = {"curvature": {"centers": draw(vectors),
+                              "cell_areas": draw(numbers), "K": draw(numbers)}}
+    return json.dumps({"kind": "minkowski-problem", **body})
+
+
+@FUZZ
+@given(text=minkowski_problems(), action=st.sampled_from(["check", "solve"]))
+def test_minkowski_problems(tmp_path, text, action):
+    _run(tmp_path, "mk.json", text, ["minkowski", action])
+
+
+@st.composite
+def rigidity_problems(draw):
+    if draw(st.booleans()):
+        ny, nx = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+        grid = st.lists(st.lists(coordinate, min_size=nx, max_size=nx),
+                        min_size=ny, max_size=ny)
+        body = {"grid": {"h": draw(coordinate), "z": draw(grid),
+                         "zeta": draw(grid)}}
+    else:
+        body = {"surface": {
+            "vertices": draw(vectors),
+            "triangles": draw(st.lists(st.lists(st.integers(-1, 6), min_size=2,
+                                                max_size=4), max_size=6))}}
+    return json.dumps({"kind": "rigidity-problem", **body})
+
+
+@FUZZ
+@given(text=rigidity_problems(), action=st.sampled_from(["solve", "check"]))
+def test_rigidity_problems(tmp_path, text, action):
+    _run(tmp_path, "grid.json", text, ["rigidity", "defo", action])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import solid_angle_monte_carlo
+from conftest import support_cases
+from oracles import per_face_polytope_from_support, solid_angle_monte_carlo
 from ovaloid import core, shapes
 from ovaloid.errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
 
@@ -66,6 +67,19 @@ def test_from_support_octahedron_roundtrip():
     np.testing.assert_allclose(
         np.sort(direct.areas), np.sort(p.areas), rtol=1e-12
     )
+
+
+def test_from_support_matches_per_face_reference():
+    dead = 0
+    for n, h in support_cases():
+        fast = core.polytope_from_support(n, h)
+        ref = per_face_polytope_from_support(n, h)
+        assert fast.faces == ref.faces
+        dead += sum(len(f) == 0 for f in fast.faces)
+        assert np.abs(fast.areas - ref.areas).max() <= 1e-14 * ref.areas.max()
+        assert np.abs(fast.support_numbers - ref.support_numbers).max() \
+            <= 1e-14 * np.abs(h).max()
+    assert dead > 100  # the perturbed supports do cut faces off
 
 
 def test_from_support_unbounded_and_empty():

@@ -136,6 +136,46 @@ def test_minkowski_problem_parse(tmp_path, cube):
     assert isinstance(pf2.payload, mk.CurvatureSample)
 
 
+@pytest.mark.parametrize("body, constraint", [
+    ({"normals": [[1.0, 0.0, 0.0], [0.0, 1.0]], "areas": [1.0, 1.0]},
+     "minkowski.valid"),
+    ({"normals": [[2.0, 0.0, 0.0]] * 4, "areas": [1.0] * 4}, "minkowski.valid"),
+    ({"normals": [], "areas": []}, "minkowski.valid"),
+    ({"curvature": {"centers": [[0.0, 0.0, 1.0], [1.0]], "cell_areas": [],
+                    "K": []}}, "minkowski.curvature.valid"),
+], ids=["ragged", "not-unit", "empty", "ragged-centers"])
+def test_malformed_minkowski_arrays_are_schema_errors(tmp_path, body, constraint):
+    path = tmp_path / "mk.json"
+    path.write_text(json.dumps({"kind": "minkowski-problem", **body}))
+    with pytest.raises(SchemaError) as err:
+        io.parse_problem(path)
+    assert err.value.constraint == constraint
+
+
+@pytest.mark.parametrize("triangles", [[[0, 1]], [[0, 1, 2], [0, 1]], [[0, 1, 5]], []],
+                         ids=["pairs", "ragged", "out-of-range", "empty"])
+def test_malformed_triangles_are_schema_errors(tmp_path, triangles):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({
+        "kind": "rigidity-problem",
+        "surface": {"vertices": np.eye(3).tolist(), "triangles": triangles},
+    }))
+    with pytest.raises(SchemaError) as err:
+        io.parse_problem(path)
+    assert err.value.constraint == "rigidity.surface.valid"
+
+
+def test_ragged_grid_is_schema_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "kind": "rigidity-problem",
+        "grid": {"h": 0.25, "z": [[0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0, 2.0]]},
+    }))
+    with pytest.raises(SchemaError) as err:
+        io.parse_problem(path)
+    assert err.value.constraint == "rigidity.grid.valid"
+
+
 def test_rigidity_problem_parse(tmp_path):
     path = tmp_path / "r.json"
     ico = shapes.icosahedron()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import support_cases
+from oracles import pair_scan_area_jacobian
 from ovaloid import core, shapes
 from ovaloid import minkowski_solver as mk
 from ovaloid.errors import MaxIterExceeded
@@ -92,7 +94,7 @@ def test_volume_gradient_is_area():
 def test_area_jacobian_matches_finite_differences():
     src = shapes.random_hull(14, seed=8).centered()
     poly = core.polytope_from_support(src.normals, src.support_numbers)
-    jac = mk.area_jacobian(poly)
+    jac = mk.area_jacobian(poly).toarray()
     assert np.abs(jac - jac.T).max() < 1e-12
     eps = 1e-7
     for j in range(0, len(src.normals), 5):
@@ -102,6 +104,29 @@ def test_area_jacobian_matches_finite_differences():
         hm[j] -= eps
         fd = (mk.area_map(src.normals, hp) - mk.area_map(src.normals, hm)) / (2 * eps)
         assert np.abs(jac[:, j] - fd).max() < 5e-5
+
+
+def test_area_jacobian_matches_pair_scan_reference():
+    for n, h in support_cases():
+        poly = core.polytope_from_support(n, h)
+        ref = pair_scan_area_jacobian(poly)
+        jac = mk.area_jacobian(poly).toarray()
+        assert np.abs(jac - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_points", [52, 200])
+def test_pinned_step_is_minimum_norm_least_squares(n_points):
+    # the first Newton step of a solve with 100 and 396 faces
+    src = shapes.random_hull(n_points, seed=1).centered()
+    n = src.normals
+    poly = core.polytope_from_support(n, np.ones(len(n)))
+    poly = poly.scaled(np.sqrt(src.areas.sum() / poly.areas.sum()))
+    rhs = src.areas - poly.areas
+    jac = mk.area_jacobian(poly)
+    step = mk._pinned_step(jac, n, rhs)
+    ref, *_ = np.linalg.lstsq(jac.toarray(), rhs, rcond=1e-12)
+    assert np.abs(step - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.abs(n.T @ step).max() <= 1e-12 * np.abs(step).max()
 
 
 def test_discretize_curvature_unit_and_scaled():

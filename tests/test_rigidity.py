@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import full_svd_bending_space, lil_flex_system, loop_isometry_constraints
 from ovaloid import rigidity_lab as rl
 from ovaloid import shapes
 from ovaloid.errors import DegenerateGeometry, NotStrictlyConvex, PrecisionWarning
@@ -90,6 +91,29 @@ def test_random_convex_surfaces_rigid():
         assert rep.nontrivial_dim == 0, seed
 
 
+@pytest.mark.parametrize("builder", [
+    lambda: surface_of(shapes.octahedron()),
+    lambda: surface_of(shapes.icosahedron()),
+    lambda: rl.TriangulatedSurface(*shapes.cube_with_face_centers()),
+    *[lambda seed=seed: surface_of(shapes.random_hull(20, seed=seed))
+      for seed in (0, 1, 2, 3)],
+])
+def test_bending_space_matches_full_svd_reference(builder):
+    surf = builder()
+    mat = rl.isometry_constraints(surf)
+    assert np.abs((mat - loop_isometry_constraints(surf)).toarray()).max() <= 1e-15
+    rep = rl.bending_space(surf)
+    kernel_dim, extra, basis, svals, resid = full_svd_bending_space(surf)
+    assert rep.kernel_dim == kernel_dim
+    assert rep.nontrivial_dim == kernel_dim - 6 == extra
+    np.testing.assert_allclose(rep.spectrum_tail, svals[-12:], rtol=0,
+                               atol=1e-13 * svals[0])
+    assert abs(rep.trivial_residual - resid) <= 1e-15
+    # the same flex space: equal orthogonal projectors
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T,
+                               rtol=0, atol=1e-10)
+
+
 def test_degenerate_geometry_rejected():
     line = rl.TriangulatedSurface(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], float),
@@ -150,6 +174,21 @@ def test_solve_defo_convergence_order_two():
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     for o in orders:
         assert abs(o - 2.0) <= 0.3
+
+
+def test_flex_system_matches_lil_reference():
+    rng = np.random.default_rng(4)
+    for ny, nx, gamma in ((9, 9, 0.0), (17, 17, 0.2), (33, 33, -0.25), (9, 14, 0.1)):
+        h = 0.8 / (nx - 1)
+        X, Y = np.meshgrid(0.3 + h * np.arange(nx), 0.3 + h * np.arange(ny))
+        z = 0.5 * (X**2 + Y**2) + gamma * X * Y
+        zb = rng.normal(size=z.shape)
+        diffs = rl._second_diffs(z, h)
+        mat, rhs = rl._flex_system(*diffs, zb)
+        ref_mat, ref_rhs = lil_flex_system(*diffs, zb)
+        assert mat.nnz == ref_mat.nnz
+        assert np.array_equal(mat.toarray(), ref_mat.toarray())
+        assert np.array_equal(rhs, ref_rhs)
 
 
 def test_not_strictly_convex_names_nodes():
