@@ -75,6 +75,14 @@ class NotEnvelopeVertex(OvaloidError):
     """Node is not a vertex of the lower convex envelope."""
 
 
+class DuplicateNodes(OvaloidError, ValueError):
+    """Two nodes of a PL convex function share a position."""
+
+
+class UnboundedCell(OvaloidError, ValueError):
+    """A subgradient cell is unbounded and no clip window was given."""
+
+
 class QuadratureFailure(OvaloidError):
     """Weight function evaluated to a non-finite value."""
 

@@ -3,8 +3,9 @@
 A PL convex function is the lower convex envelope of lifted nodes (B_i, v_i)
 over a convex domain.  The measure it carries at a node is the area of the
 subgradient cell {p : p . (B_k - B_i) <= v_k - v_i for all k}, optionally
-weighted by a positive density theta(p, z, x).  Every cell of an evaluation
-comes from one lower hull of the lifted nodes.
+weighted by a positive density theta(p, z, x).  The cells are the dual of
+the lower hull of the lifted nodes: every cell of an evaluation is read off
+one sort of that hull's (node, facet) incidences.
 
 Matching prescribed node masses is the inverse problem solved here.  When
 theta does not depend on z the solve is a damped Newton iteration
@@ -17,23 +18,27 @@ when no Newton step is accepted.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import brentq
 from scipy.sparse import linalg as sparse_linalg
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from . import planar
 from .errors import (
+    DegenerateInput,
+    DuplicateNodes,
     Infeasible,
     IncomparableProblems,
     MaxIterExceeded,
     MinStepReached,
     NotEnvelopeVertex,
-    QuadratureFailure,
+    UnboundedCell,
 )
 
 # 4-point Gauss-Legendre on [0, 1]
@@ -71,19 +76,11 @@ class PLConvexFunction:
     def interior_indices(self):
         return np.nonzero(~self.boundary_mask)[0]
 
-    @property
-    def boundary_indices(self):
-        return np.nonzero(self.boundary_mask)[0]
-
-    def envelope_values(self):
-        """Envelope height at every node; equals values[i] iff i lies on it."""
-        ev = lower_envelope_evaluator(self.nodes, self.values)
-        return ev(self.nodes)
-
     def envelope_flags(self, tol=1e-9):
         """True where the node is on the lower envelope."""
         scale = max(np.ptp(self.values), 1.0)
-        return self.values <= self.envelope_values() + tol * scale
+        env = lower_envelope_evaluator(self.nodes, self.values)(self.nodes)
+        return self.values <= env + tol * scale
 
 
 @dataclasses.dataclass
@@ -93,7 +90,6 @@ class SubgradientCell:
     node: int
     polygon: np.ndarray    # (k, 2) CCW in p-space
     area: float
-    mass: float | None = None           # theta-weighted measure, if computed
     edge_constraints: list | None = None  # node index carving each edge
 
 
@@ -126,6 +122,14 @@ class MAProblem:
             raise ValueError("one mass per interior node required")
         if len(self.boundary_nodes) != len(self.boundary_values):
             raise ValueError("one value per boundary node required")
+        nodes = self.all_nodes()
+        if not (np.isfinite(nodes).all() and np.isfinite(self.boundary_values).all()):
+            raise ValueError("nodes and boundary values must be finite")
+        if len(np.unique(nodes, axis=0)) < len(nodes):
+            raise ValueError("nodes must be distinct")
+        b = self.boundary_nodes
+        if len(b) < 3 or np.linalg.matrix_rank(b[1:] - b[0]) < 2:
+            raise ValueError("boundary nodes must not be collinear")
         if not _on_polygon_boundary(self.domain, self.boundary_nodes).all():
             raise ValueError("boundary nodes must lie on the domain boundary")
         if _on_polygon_boundary(self.domain, self.interior_nodes).any():
@@ -186,21 +190,24 @@ def _on_polygon_boundary(polygon, points, tol=1e-9):
 def _lower_hull(nodes, values):
     """Lower facets of the convex hull of the lifted nodes (B_i, v_i).
 
-    Returns (facets, planes): ``facets`` is an (F, k) array of node indices
+    Returns (facets, planes): ``facets`` is an (F, 3) array of node indices
     and ``planes`` holds the plane z = s . x + t of each facet as a row
-    (s1, s2, t).  When Qhull refuses the lift (coplanar lifted points or
-    collinear nodes) a single facet holds every node, under the
-    least-squares plane.
+    (s1, s2, t).  When Qhull refuses the lift (coplanar lifted points) the
+    facets are the Delaunay triangles of the nodes, all under the
+    least-squares plane.  Collinear nodes raise DegenerateInput.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     try:
         hull = ConvexHull(np.column_stack([nodes, values]))
     except QhullError:
-        coef, *_ = np.linalg.lstsq(
-            np.column_stack([nodes, np.ones(len(nodes))]), values, rcond=None
-        )
-        return np.arange(len(nodes))[None, :], coef[None, :]
+        lift = np.column_stack([nodes, np.ones(len(nodes))])
+        coef = np.linalg.lstsq(lift, values, rcond=None)[0]
+        try:
+            tri = Delaunay(nodes)
+        except QhullError as exc:
+            raise DegenerateInput("the nodes are collinear") from exc
+        return tri.simplices, np.repeat(coef[None, :], len(tri.simplices), axis=0)
     eq = hull.equations
     lower = eq[:, 2] < -1e-12
     # facet a x + b y + c z + d = 0, c < 0  ->  z = -(a x + b y + d) / c
@@ -224,48 +231,100 @@ def lower_envelope_evaluator(nodes, values):
     return evaluate
 
 
-def _cells(nodes, values, which, clip=None):
-    """Subgradient cells (vertices, edge_labels) of the nodes ``which``.
+class _Cells(NamedTuple):
+    """Subgradient cells of n nodes in one flat layout, cell after cell.
 
-    All of them are read from one lower hull of the lifted nodes.  A node
-    off the lower hull has an empty cell.  A node on it is cut only by its
-    lower-hull neighbours, starting from ``clip`` or else from a box around
-    the slopes of its lower facets; a box edge that survives the cut means
-    the cell is unbounded, which needs a ``clip`` window.  (A hull edge
-    between two facets that are not lower bounds no slope, so neighbours
-    through such facets alone add nothing.)
+    ``owner`` is k at every vertex of the cell of the k-th node asked for,
+    whose vertices run CCW, and ``label`` the node carving the edge from
+    the vertex to the next one of its cell (-1 on a window edge).
+    """
+
+    verts: np.ndarray
+    owner: np.ndarray
+    label: np.ndarray
+    n: int
+
+    def bounds(self):
+        return np.searchsorted(self.owner, np.arange(self.n + 1))
+
+    def next_vertex(self):
+        """Index of the vertex after each vertex in its own cell."""
+        b = self.bounds()
+        lo, hi = b[self.owner], b[self.owner + 1]
+        return lo + (np.arange(len(self.owner)) + 1 - lo) % (hi - lo)
+
+    def cell(self, k):
+        """(vertices, edge labels) of cell k, None labelling window edges."""
+        lo, hi = np.searchsorted(self.owner, [k, k + 1])
+        labels = self.label[lo:hi].tolist()
+        return self.verts[lo:hi], [None if lab < 0 else lab for lab in labels]
+
+
+def _cells(nodes, values, which, clip=None):
+    """Subgradient cells of the nodes ``which``, as one ``_Cells`` layout.
+
+    The cells are the dual of the lower hull of the lifted nodes.  With its
+    facets oriented CCW in x, one sort of the (node, facet) incidences by
+    node and by the angle of the facet centroid about the node lists each
+    node's fan of facets in CCW order: their slopes are the cell's vertices,
+    and the edge between two consecutive ones is carved by the node the two
+    facets share besides it.  A node off the lower hull has an empty cell.
+
+    A node on the boundary of the nodes' hull has an open fan and an
+    unbounded cell.  Without a ``clip`` window (a convex CCW polygon) that
+    raises UnboundedCell; with one, the cell is the window cut by the
+    node's lower-hull neighbours, and so is a closed cell with a vertex
+    outside the window.  If the lower hull is one plane, all other nodes
+    are neighbours.  Duplicate nodes raise DuplicateNodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
+    which = np.asarray(which, dtype=np.intp)
+    n = len(which)
     if len(np.unique(nodes, axis=0)) < len(nodes):
-        raise ValueError("duplicate nodes")
+        raise DuplicateNodes("two nodes share a position")
     facets, planes = _lower_hull(nodes, values)
-    cells = []
-    for i in which:
-        touching = (facets == i).any(axis=1)
-        slopes = planes[touching, :2]
-        if len(slopes) == 0:
-            cells.append((np.zeros((0, 2)), []))
-            continue
-        nbrs = np.setdiff1d(facets[touching], [i])
-        if clip is not None:
-            start = np.asarray(clip, dtype=float)
-        else:
-            lo, hi = slopes.min(axis=0), slopes.max(axis=0)
-            mid = 0.5 * (lo + hi)
-            half = float((hi - lo).max()) + 1.0
-            start = planar.box_polygon(mid[0], mid[1], half)
-        verts, labels = planar.convex_clip(
-            start,
-            np.column_stack([nodes[nbrs] - nodes[i], values[nbrs] - values[i]]),
-            labels=[int(k) for k in nbrs],
+    a, b, c = (nodes[facets[:, k]] for k in range(3))
+    cw = (b - a)[:, 0] * (c - a)[:, 1] < (b - a)[:, 1] * (c - a)[:, 0]
+    facets = np.where(cw[:, None], facets[:, [0, 2, 1]], facets)
+    # incidences of the wanted nodes, each with the vertices after and
+    # before the node in its facet
+    pos = np.full(len(nodes), -1)
+    pos[which] = np.arange(n)
+    facet, j = np.divmod(np.flatnonzero(pos[facets.ravel()] >= 0), 3)
+    node, after, before = (facets[facet, (j + s) % 3] for s in range(3))
+    d = nodes[facets[facet]].mean(axis=1) - nodes[node]
+    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), pos[node]))
+    owner, after, before = pos[node][order], after[order], before[order]
+    cells = _Cells(planes[facet[order], :2], owner, before, n)
+    # a fan is closed when each facet shares an edge with the next one
+    fan_open = np.bincount(owner, before != after[cells.next_vertex()], n) > 0
+    if clip is None:
+        if fan_open.any():
+            raise UnboundedCell(f"the cell of node {which[fan_open.argmax()]} "
+                                "is unbounded; pass a clip window")
+        return cells
+    window = np.asarray(clip, dtype=float)
+    normal = (np.roll(window, -1, axis=0) - window) @ np.array([[0, -1], [1, 0]])
+    outside = (cells.verts @ normal.T > (normal * window).sum(axis=1)).any(axis=1)
+    flat = bool((planes == planes[0]).all())
+    recut = fan_open | (np.bincount(owner, outside, n) > 0) | flat
+    kept = ~recut[owner]
+    parts = [(cells.verts[kept], owner[kept], before[kept])]
+    bounds = cells.bounds()
+    for k in np.flatnonzero(recut):
+        i, s = which[k], slice(bounds[k], bounds[k + 1])
+        nbrs = (np.delete(np.arange(len(nodes)), i) if flat
+                else np.unique(np.concatenate([after[s], before[s]])))
+        v, lab = planar.convex_clip(
+            window, np.column_stack([nodes[nbrs] - nodes[i], values[nbrs] - values[i]]),
+            labels=nbrs.tolist(),
         )
-        if clip is None and None in labels:
-            raise ValueError(
-                "cell is unbounded (boundary node); pass a clip window"
-            )
-        cells.append((verts, labels))
-    return cells
+        parts.append((v, np.full(len(v), k),
+                      np.array([-1 if e is None else e for e in lab], dtype=np.intp)))
+    verts, owner, label = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return _Cells(verts[order], owner[order], label[order], n)
 
 
 def subgradient_cell_polygon(nodes, values, i, clip=None):
@@ -273,10 +332,11 @@ def subgradient_cell_polygon(nodes, values, i, clip=None):
 
     Interior cells are bounded.  For boundary nodes the cell is unbounded
     and ``clip`` (a convex CCW window polygon) is required.  Returns
-    (vertices, edge_labels), edge label k marking the edge carved by node k;
-    empty vertices mean the node is not a vertex of the envelope.
+    (vertices, edge_labels), edge label k marking the edge carved by node k
+    and None a window edge; empty vertices mean the node is not a vertex of
+    the envelope.
     """
-    return _cells(nodes, values, [i], clip)[0]
+    return _cells(nodes, values, [i], clip).cell(0)
 
 
 def ma_measure(u: PLConvexFunction, node, clip=None):
@@ -286,8 +346,8 @@ def ma_measure(u: PLConvexFunction, node, clip=None):
     (its cell is empty).
     """
     verts, labels = subgradient_cell_polygon(u.nodes, u.values, node, clip=clip)
-    area = abs(planar.polygon_area(verts)) if len(verts) >= 3 else 0.0
-    if len(verts) < 3 or area == 0.0:
+    area = abs(planar.polygon_area(verts))
+    if area == 0.0:
         raise NotEnvelopeVertex(f"node {node} carries no measure")
     return SubgradientCell(
         node=int(node), polygon=verts, area=area, edge_constraints=labels
@@ -315,17 +375,10 @@ def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
     """
     nodes = np.vstack([interior_nodes, boundary_nodes])
     values = 0.5 * np.einsum("ij,ij->i", nodes, nodes)
-    masses = np.zeros(len(interior_nodes))
-    for i, (verts, _) in enumerate(
-        _cells(nodes, values, range(len(interior_nodes)), clip=domain)
-    ):
-        if len(verts) < 3:
-            continue
-        masses[i] = planar.polygon_quad(
-            lambda pts: np.asarray(phi(pts), dtype=float), verts,
-            rel_tol=rel_tol,
-        )
-    return masses
+    idx = np.arange(len(interior_nodes))
+    cells = _cells(nodes, values, idx, clip=domain)
+    return _cell_masses(nodes, values, idx, cells,
+                        lambda p1, p2, *_: phi(np.column_stack([p1, p2])), rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -338,28 +391,19 @@ def _cell_mass(verts, theta, z, x, rel_tol):
         return 0.0
     if theta is None:
         return abs(planar.polygon_area(verts))
-    z = float(z)
-    x1, x2 = float(x[0]), float(x[1])
-
-    def f(pts):
-        vals = np.asarray(theta(pts[:, 0], pts[:, 1], z, x1, x2), dtype=float)
-        if not np.isfinite(vals).all():
-            raise QuadratureFailure("theta produced a non-finite value")
-        return vals
-
-    return planar.polygon_quad(f, verts, rel_tol=rel_tol)
+    z, x1, x2 = float(z), float(x[0]), float(x[1])
+    return planar.polygon_quad(lambda p: theta(p[:, 0], p[:, 1], z, x1, x2), verts,
+                               rel_tol=rel_tol)
 
 
-def _cell_masses(nodes, values, interior_idx, cells, theta, rel_tol):
-    return np.array([
-        _cell_mass(verts, theta, values[i], nodes[i], rel_tol)
-        for i, (verts, _) in zip(interior_idx, cells)
-    ])
-
-
-def _masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
-    cells = _cells(nodes, values, interior_idx, clip)
-    return _cell_masses(nodes, values, interior_idx, cells, theta, rel_tol)
+def _cell_masses(nodes, values, which, cells, theta, rel_tol):
+    """Masses of the cells of ``_cells(nodes, values, which, ...)``."""
+    if theta is None:  # one shoelace sum
+        v, w = cells.verts, cells.verts[cells.next_vertex()]
+        cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
+        return np.abs(0.5 * np.bincount(cells.owner, cross, cells.n))
+    return np.array([_cell_mass(cells.cell(k)[0], theta, values[i], nodes[i], rel_tol)
+                     for k, i in enumerate(which)])
 
 
 def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
@@ -370,53 +414,37 @@ def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
 def _mass_jacobian(nodes, values, interior_idx, cells, theta):
     """Sparse d(mass_i)/d(value_j) of the interior nodes from their cells.
 
-    ``cells`` are the interior nodes' cells as ``_cells`` returns them; no
-    hull is built here.  An edge of cell i carved by node k has
-    dm_i/dv_k = (edge theta-integral) / |B_k - B_i|, and the diagonal
-    collects the negated row total, so the matrix has Laplacian structure
-    with an entry per pair of lower-hull neighbours.  Only valid when theta
-    does not depend on z.
+    ``cells`` is the interior nodes' ``_Cells`` layout; no hull is built
+    here.  An edge of cell i carved by node k has dm_i/dv_k = (edge
+    theta-integral) / |B_k - B_i|, and the diagonal collects the negated
+    row total, so the matrix has Laplacian structure with an entry per pair
+    of lower-hull neighbours.  Only valid when theta does not depend on z.
     """
-    n = len(interior_idx)
-    rows, owners, carvers, fluxes = [], [], [], []
-    for k, (i, (verts, labels)) in enumerate(zip(interior_idx, cells)):
-        carved = [e for e, lab in enumerate(labels) if lab is not None]
-        if len(verts) < 3 or not carved:
-            continue
-        a = verts[carved]
-        b = verts[(np.array(carved) + 1) % len(verts)]
-        flux = np.linalg.norm(b - a, axis=1)
-        if theta is not None:
-            pts = (a[:, None, :] + _GL_T[None, :, None] * (b - a)[:, None, :])
-            pts = pts.reshape(-1, 2)
-            vals = np.asarray(
-                theta(pts[:, 0], pts[:, 1], float(values[i]),
-                      nodes[i][0], nodes[i][1]),
-                float,
-            )
-            flux = flux * (vals.reshape(-1, 4) @ _GL_W)
-        rows.append(np.full(len(carved), k))
-        owners.append(np.full(len(carved), i))
-        carvers.append([labels[e] for e in carved])
-        fluxes.append(flux)
-    if not rows:
-        return sparse.csc_matrix((n, n))
-    rows = np.concatenate(rows)
-    carvers = np.concatenate(carvers).astype(int)
-    owners = np.concatenate(owners)
-    w = np.concatenate(fluxes) / np.linalg.norm(
-        nodes[carvers] - nodes[owners], axis=1
-    )
+    idx = np.asarray(interior_idx, dtype=np.intp)
+    n = len(idx)
+    carved = (cells.label >= 0) & (np.diff(cells.bounds())[cells.owner] >= 3)
+    a, b = cells.verts[carved], cells.verts[cells.next_vertex()[carved]]
+    rows, carvers = cells.owner[carved], cells.label[carved]
+    flux = np.linalg.norm(b - a, axis=1)
+    if theta is not None:
+        # Gauss points on the edges, one weight call per cell
+        pts = a[:, None, :] + _GL_T[None, :, None] * (b - a)[:, None, :]
+        cut = np.searchsorted(rows, np.arange(n + 1))
+        for k in np.flatnonzero(np.diff(cut)):
+            s, i = slice(cut[k], cut[k + 1]), idx[k]
+            p = pts[s].reshape(-1, 2)
+            vals = theta(p[:, 0], p[:, 1], float(values[i]), nodes[i][0], nodes[i][1])
+            flux[s] *= np.asarray(vals, float).reshape(-1, 4) @ _GL_W
+    w = flux / np.linalg.norm(nodes[carvers] - nodes[idx[rows]], axis=1)
     pos = np.full(len(nodes), -1)
-    pos[np.asarray(interior_idx, dtype=int)] = np.arange(n)
+    pos[idx] = np.arange(n)
     cols = pos[carvers]
-    off = cols >= 0
-    diag = np.arange(n)
-    return sparse.coo_matrix(
-        (np.concatenate([w[off], -np.bincount(rows, weights=w, minlength=n)]),
+    off, diag = cols >= 0, np.arange(n)
+    return sparse.csc_matrix(
+        (np.concatenate([w[off], -np.bincount(rows, w, n)]),
          (np.concatenate([rows[off], diag]), np.concatenate([cols[off], diag]))),
         shape=(n, n),
-    ).tocsc()
+    )
 
 
 def mass_balance_bound(theta, mass_bound=None, tol=1e-9):
@@ -434,14 +462,16 @@ def mass_balance_bound(theta, mass_bound=None, tol=1e-9):
     return math.inf if settled is None else settled[0]
 
 
+@functools.cache
+def _gauss_legendre(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _integrate_square(theta, half, n=96):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = x * half
-    w = w * half
+    x, w = (half * r for r in _gauss_legendre(n))
     xx, yy = np.meshgrid(x, x)
-    vals = theta(xx.ravel(), yy.ravel(), 0.0, 0.0, 0.0)
-    vals = np.asarray(vals, dtype=float).reshape(n, n)
-    return float(w @ vals @ w)
+    vals = np.asarray(theta(xx.ravel(), yy.ravel(), 0.0, 0.0, 0.0), dtype=float)
+    return float(w @ vals.reshape(n, n) @ w)
 
 
 def _settled_square(theta, rel):
@@ -616,7 +646,8 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         return None
 
     record()
-    for it in range(max_iter):
+    converged = True
+    for _ in range(max_iter):
         if residual <= tol:
             break
         if problem.theta_z_dependent:
@@ -646,10 +677,8 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         # Oliker-Prussner sweep: lower deficient nodes to their targets
         for i in range(n_int):
             mi = _single_mass(nodes, values, i, theta, qt, window)
-            if mi >= mu[i] * (1.0 - 0.05 * tol) and mi <= mu[i] / (1.0 - 0.05 * tol):
-                continue
-            if mi > mu[i]:
-                continue  # excess resolves as neighbours come down
+            if mi >= mu[i] * (1.0 - 0.05 * tol):
+                continue  # on target, or an excess that neighbours resolve
             lo = _bracket_below(nodes, values, i, theta, mu[i], vscale,
                                 quad_tol=qt, clip=window)
             if lo is None:
@@ -675,27 +704,21 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         sweeps += 1
         record()
     else:
-        u = PLConvexFunction(
-            nodes=nodes, values=values, domain=problem.domain,
-            solve_info={
-                "residual_history": history, "sweeps": sweeps,
-                "newton_iters": newton_iters, "final_residual": residual,
-                "converged": False,
-            },
-        )
-        raise MaxIterExceeded(
-            f"residual {residual} after {max_iter} iterations",
-            best=u, residual=residual,
-        )
-
-    return PLConvexFunction(
+        converged = False
+    u = PLConvexFunction(
         nodes=nodes, values=values, domain=problem.domain,
         solve_info={
             "residual_history": history, "sweeps": sweeps,
             "newton_iters": newton_iters, "final_residual": residual,
-            "converged": True,
+            "converged": converged,
         },
     )
+    if not converged:
+        raise MaxIterExceeded(
+            f"residual {residual} after {max_iter} iterations",
+            best=u, residual=residual,
+        )
+    return u
 
 
 def _bracket_below(nodes, values, i, theta, target, vscale, quad_tol=1e-8,

@@ -92,22 +92,18 @@ def point_in_polygon(poly, point, tol=1e-12):
     return wind != 0
 
 
-def clip_halfplane(poly, normal, offset, tol=0.0):
+def clip_halfplane(verts, labels, normal, offset, label):
     """Clip a convex polygon against {x : normal . x <= offset} (Sutherland-Hodgman).
 
-    Returns (vertices, edge_labels) where edge_labels[k] tags the edge from
-    vertex k to k+1 with the label of the clipping line that created it
-    (None for inherited edges).  ``poly`` may be (verts, labels) or bare verts.
+    ``labels[k]`` tags the edge from vertex k to k+1.  Returns the clipped
+    (vertices, edge_labels): an edge along the clipping line gets
+    ``label``, the others keep theirs.
     """
-    if isinstance(poly, tuple):
-        verts, labels = poly
-    else:
-        verts, labels = np.asarray(poly, dtype=float), [None] * len(poly)
     n = len(verts)
     if n == 0:
         return verts, []
     d = verts @ np.asarray(normal, dtype=float) - offset
-    inside = d <= tol
+    inside = d <= 0.0
     if inside.all():
         return verts, labels
     if not inside.any():
@@ -115,37 +111,28 @@ def clip_halfplane(poly, normal, offset, tol=0.0):
     out_v, out_l = [], []
     for k in range(n):
         k2 = (k + 1) % n
-        a_in, b_in = inside[k], inside[k2]
-        if a_in:
+        if inside[k]:
             out_v.append(verts[k])
-            if b_in:
-                out_l.append(labels[k])
-            else:
-                t = d[k] / (d[k] - d[k2])
-                out_v.append(verts[k] + t * (verts[k2] - verts[k]))
-                out_l.append(labels[k])
-                out_l.append("CUT")  # placeholder, replaced below
-        elif b_in:
+            out_l.append(labels[k])
+        if inside[k] != inside[k2]:
             t = d[k] / (d[k] - d[k2])
             out_v.append(verts[k] + t * (verts[k2] - verts[k]))
-            out_l.append(labels[k])
-    out_l = ["__new__" if l == "CUT" else l for l in out_l]
+            out_l.append(label if inside[k] else labels[k])
     return np.array(out_v), out_l
 
 
-def convex_clip(poly, halfplanes, labels=None, tol=0.0):
+def convex_clip(poly, halfplanes, labels):
     """Intersect a convex polygon with halfplanes {n_k . x <= c_k}.
 
     ``halfplanes`` is an (m, 3) array of rows (nx, ny, c).  Returns
-    (vertices, edge_labels); edge label k marks edges carved by halfplane k.
+    (vertices, edge_labels); edges carved by halfplane k are labelled
+    ``labels[k]``, the polygon's own edges None.
     """
     verts = np.asarray(poly, dtype=float)
     elabels = [None] * len(verts)
     hp = np.asarray(halfplanes, dtype=float)
     for k in range(len(hp)):
-        verts, elabels = clip_halfplane((verts, elabels), hp[k, :2], hp[k, 2], tol=tol)
-        lab = k if labels is None else labels[k]
-        elabels = [lab if l == "__new__" else l for l in elabels]
+        verts, elabels = clip_halfplane(verts, elabels, hp[k, :2], hp[k, 2], labels[k])
         if len(verts) == 0:
             break
     return verts, elabels
@@ -160,11 +147,6 @@ def box_polygon(cx, cy, half):
             [cx - half, cy + half],
         ]
     )
-
-
-def triangulate_fan(poly):
-    """Fan triangulation of a convex polygon from its centroid."""
-    return list(_fan(poly))
 
 
 def _fan(poly):
@@ -186,11 +168,6 @@ def _triangle_quads(f, tris):
     pts = np.einsum("qk,tkd->tqd", _TRI_BARY, tris).reshape(-1, 2)
     vals = np.asarray(f(pts), dtype=float).reshape(len(tris), len(_TRI_W))
     return _triangle_areas(tris) * (vals @ _TRI_W)
-
-
-def triangle_quad(f, tri):
-    """Degree-5 quadrature of f(points) over one triangle; f maps (n,2)->(n,)."""
-    return float(_triangle_quads(f, np.asarray(tri, dtype=float)[None])[0])
 
 
 def _subdivide(tris):

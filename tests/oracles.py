@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from ovaloid import core, planar, rigidity_lab
+from ovaloid import core, ma_solver, planar, rigidity_lab
 from ovaloid.intrinsic_metric import _glue_transform, _point_representations
 
 
@@ -95,6 +95,14 @@ def clipped_cell(nodes, values, i, window=None, half=100.0):
     )
 
 
+def cell_masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
+    """Masses of the cells of the nodes ``interior_idx``, each weight taken
+    at its node's value and position, through one ``ma_solver._cells`` call."""
+    cells = ma_solver._cells(nodes, values, interior_idx, clip)
+    return ma_solver._cell_masses(nodes, values, interior_idx, cells, theta,
+                                  rel_tol)
+
+
 def monte_carlo_cell_areas(u, samples=1_000_000, seed=0, box=None):
     """Monte-Carlo estimate of every cell area of the PL convex function u.
 
@@ -145,9 +153,12 @@ def per_triangle_quad(f, poly, rel_tol=1e-3, max_depth=30):
     the batched quadrature, with one call of f per triangle: the reference
     for its level-by-level evaluation.
     """
+    def triangle_quad(tri):
+        return float(planar._triangle_quads(f, tri[None])[0])
+
     poly = np.asarray(poly, dtype=float)
-    tris = planar.triangulate_fan(poly)
-    ests = [planar.triangle_quad(f, t) for t in tris]
+    tris = list(planar._fan(poly))
+    ests = [triangle_quad(t) for t in tris]
     budget = rel_tol * max(abs(sum(ests)), 1e-300) / len(tris)
     diam = float(np.ptp(poly, axis=0).max())
     settled_area = 16.0 * np.finfo(float).eps * diam * diam
@@ -165,7 +176,7 @@ def per_triangle_quad(f, poly, rel_tol=1e-3, max_depth=30):
         ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
         kids = [np.array([a, ab, ca]), np.array([ab, b, bc]),
                 np.array([ca, bc, c]), np.array([ab, bc, ca])]
-        parts = [planar.triangle_quad(f, k) for k in kids]
+        parts = [triangle_quad(k) for k in kids]
         fine = sum(parts)
         if depth >= max_depth or abs(fine - coarse) <= tau:
             total += fine

@@ -143,6 +143,32 @@ def test_ma_solve_cli(tmp_path, capsys):
     assert np.abs(v1 - v0).max() < 1e-7
 
 
+def _ma_payload(**changes):
+    data = {
+        "kind": "ma-problem",
+        "domain": [[0, 0], [2, 0], [2, 2], [0, 2]],
+        "nodes": [[1.0, 1.0], [0.8, 1.2]],
+        "masses": [0.7, 0.5],
+        "boundary": [[0, 0, 0.0], [2, 0, 0.0], [2, 2, 0.0], [0, 2, 0.0]],
+    }
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("changes", [
+    {"nodes": [[1.0, 1.0], [1.0, 1.0]]},
+    {"boundary": [[0, 0, 0.0], [1, 0, 0.0], [2, 0, 0.0]]},
+], ids=["duplicate-nodes", "collinear-boundary"])
+def test_degenerate_ma_nodes_are_schema_errors(tmp_path, capsys, changes):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_ma_payload(**changes)))
+    code = cli.run(["ma", "solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: ma.valid:")
+
+
 def test_minkowski_roundtrip_cli(capsys):
     code, out = run_cli(
         ["minkowski", "roundtrip", "--faces", "20", "--seed", "7"], capsys
@@ -220,6 +246,24 @@ def test_rigidity_cli(tmp_path, capsys):
     code, out = run_cli(["rigidity", "defo", "check", str(gpath)], capsys)
     assert code == 0
     assert json.loads(out)["metrics"]["ok"]
+
+
+@pytest.mark.parametrize("grid", [
+    {"h": 0.25, "z": [[0.0, 1.0, float("nan")], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]},
+    {"h": 0.25, "z": np.eye(3).tolist(),
+     "zeta": [[0.0, 1.0, 2.0], [0.0, float("inf"), 2.0], [0.0, 1.0, 2.0]]},
+    {"h": 0.0, "z": np.eye(3).tolist()},
+    {"h": -0.25, "z": np.eye(3).tolist()},
+], ids=["nan-z", "inf-zeta", "zero-h", "negative-h"])
+@pytest.mark.parametrize("action", ["solve", "check"])
+def test_bad_defo_grid_is_schema_error(tmp_path, capsys, grid, action):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"kind": "rigidity-problem", "grid": grid}))
+    code = cli.run(["rigidity", "defo", action, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: rigidity.grid.valid:")
 
 
 def test_determinism_modulo_timestamp(tmp_path, capsys):

@@ -6,7 +6,12 @@ from conftest import grid_problem
 from oracles import clipped_cell, monte_carlo_cell_areas, per_triangle_quad
 from ovaloid import ma_solver as ma
 from ovaloid import planar
-from ovaloid.errors import NotEnvelopeVertex, QuadratureFailure
+from ovaloid.errors import (
+    DuplicateNodes,
+    NotEnvelopeVertex,
+    QuadratureFailure,
+    UnboundedCell,
+)
 
 
 def cone_function():
@@ -29,8 +34,14 @@ def random_pl(seed, n_inner=7, extent=2.0):
 
 def _assert_same_cell(nodes, values, i, window=None):
     """The lifted-hull cell of node i equals the all-halfplane reference."""
-    got_v, got_l = ma.subgradient_cell_polygon(nodes, values, i, clip=window)
-    want_v, want_l = clipped_cell(nodes, values, i, window)
+    got = ma.subgradient_cell_polygon(nodes, values, i, clip=window)
+    _assert_cell_equal(got, clipped_cell(nodes, values, i, window), i)
+
+
+def _assert_cell_equal(got, want, i):
+    """Same vertices within 1e-12 of the cell's scale, and the same labels
+    on every edge longer than that."""
+    (got_v, got_l), (want_v, want_l) = got, want
     scale = max(1.0, float(np.abs(want_v).max())) if len(want_v) else 1.0
     tol = 1e-12 * scale
     assert (len(got_v) == 0) == (len(want_v) == 0), i
@@ -105,6 +116,62 @@ def test_hull_cells_match_reference_node_above_envelope():
     for i in range(len(nodes)):
         _assert_same_cell(nodes, values, i, u.domain)
     assert len(ma.subgradient_cell_polygon(nodes, values, 5)[0]) == 0
+
+
+def jittered_grid(n_side=20, seed=0):
+    """(nodes, values, interior indices) of a grid on [0, n_side]^2 whose
+    interior nodes are moved off it, under a noisy convex quadratic."""
+    rng = np.random.default_rng(seed)
+    grid = grid_problem(n_side, float(n_side))
+    inner = grid.interior_nodes + rng.uniform(-0.3, 0.3, grid.interior_nodes.shape)
+    nodes = np.vstack([inner, grid.boundary_nodes])
+    values = 0.05 * np.sum((nodes - 0.5 * n_side) ** 2, axis=1)
+    values += rng.normal(0, 0.01, len(nodes))
+    return nodes, values, np.arange(len(inner))
+
+
+def _cell_cases():
+    for seed in range(8):
+        u = random_pl(seed)
+        yield pytest.param(f"random{seed}", u.nodes, u.values,
+                           u.interior_indices, planar.box_polygon(0.0, 0.0, 6.0),
+                           id=f"random{seed}")
+    grid = grid_problem(4, 4.0)
+    nodes = grid.all_nodes()
+    inner = np.arange(len(grid.interior_nodes))
+    yield pytest.param("quads", nodes, 0.5 * np.einsum("ij,ij->i", nodes, nodes),
+                       inner, grid.domain, id="quads")
+    yield pytest.param("flat", nodes, 0.3 * nodes[:, 0] - 0.2 * nodes[:, 1] + 1.0,
+                       inner, planar.box_polygon(0.0, 0.0, 2.0), id="flat")
+    # the window cuts closed cells as well as the boundary ones
+    yield pytest.param("jittered441", *jittered_grid(),
+                       planar.box_polygon(0.0, 0.0, 0.6), id="jittered441")
+
+
+@pytest.mark.parametrize("name, nodes, values, inner, window", _cell_cases())
+def test_all_cells_at_once_match_reference(name, nodes, values, inner, window):
+    cells = ma._cells(nodes, values, range(len(nodes)), window)
+    for i in range(len(nodes)):
+        _assert_cell_equal(cells.cell(i), clipped_cell(nodes, values, i, window), i)
+    cells = ma._cells(nodes, values, inner)
+    for k, i in enumerate(inner):
+        if name == "flat":
+            # each cell is the plane's slope, from a closed Delaunay fan
+            verts, _ = cells.cell(k)
+            assert len(verts) >= 3 and np.abs(verts - [0.3, -0.2]).max() < 1e-12
+        else:
+            _assert_cell_equal(cells.cell(k), clipped_cell(nodes, values, i), i)
+
+
+def test_cell_errors_are_named():
+    u = cone_function()
+    with pytest.raises(UnboundedCell):
+        ma._cells(u.nodes, u.values, [0, 1])
+    assert issubclass(UnboundedCell, ValueError)
+    nodes = np.vstack([u.nodes, u.nodes[:1]])
+    with pytest.raises(DuplicateNodes):
+        ma._cells(nodes, np.append(u.values, 0.5), [0])
+    assert issubclass(DuplicateNodes, ValueError)
 
 
 def test_cone_atom_cell():

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from conftest import grid_problem
+from oracles import cell_masses
 from ovaloid import ma_solver as ma
 from ovaloid import planar
 from ovaloid.errors import Infeasible, IncomparableProblems
@@ -21,7 +22,7 @@ def random_forward_instance(seed, n_side=6, extent=6.0):
     v_bnd = base(boundary)
     nodes = np.vstack([interior, boundary])
     values = np.concatenate([v_int, v_bnd])
-    mu = ma._masses(nodes, values, np.arange(len(interior)), None)
+    mu = cell_masses(nodes, values, np.arange(len(interior)), None)
     assert mu.min() > 1e-4, "degenerate forward instance"
     problem = ma.MAProblem(
         domain=problem.domain, interior_nodes=interior, masses=mu,
@@ -183,7 +184,7 @@ def test_weighted_solve_with_curved_boundary_data():
     nodes = grid.all_nodes()
     n = len(grid.interior_nodes)
     window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
-    mu = ma._masses(nodes, shape(nodes), np.arange(n), theta, 1e-12, window)
+    mu = cell_masses(nodes, shape(nodes), np.arange(n), theta, 1e-12, window)
     problem = ma.MAProblem(
         domain=grid.domain, interior_nodes=grid.interior_nodes, masses=mu,
         boundary_nodes=grid.boundary_nodes,
@@ -209,8 +210,8 @@ def _fd_jacobian(nodes, values, n, theta, window, h, rel_tol):
         up, down = values.copy(), values.copy()
         up[j] += h
         down[j] -= h
-        cols.append((ma._masses(nodes, up, idx, theta, rel_tol, window)
-                     - ma._masses(nodes, down, idx, theta, rel_tol, window))
+        cols.append((cell_masses(nodes, up, idx, theta, rel_tol, window)
+                     - cell_masses(nodes, down, idx, theta, rel_tol, window))
                     / (2 * h))
     return np.column_stack(cols)
 
@@ -271,6 +272,22 @@ def test_z_independent_solves_take_no_sweeps(monkeypatch):
     assert calls == []
 
 
+def test_unweighted_newton_solve_clips_nothing(monkeypatch):
+    # every interior cell is read off a closed fan of lower-hull facets
+    calls = []
+    clip = planar.clip_halfplane
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(planar, "clip_halfplane", counted)
+    u = ma.solve_ma(random_forward_instance(2)[0], tol=1e-10)
+    assert u.solve_info["final_residual"] <= 1e-10
+    assert u.solve_info["newton_iters"] > 0
+    assert calls == []
+
+
 def test_sweeps_restart_above_the_solution_when_newton_fails(monkeypatch):
     # the strictly convex start lies below this quadratic at every interior
     # node, and sweeps only lower values; with a singular Jacobian no Newton
@@ -281,7 +298,7 @@ def test_sweeps_restart_above_the_solution_when_newton_fails(monkeypatch):
     problem = grid_problem(4, extent, boundary_fn=quad)
     nodes = problem.all_nodes()
     n = len(problem.interior_nodes)
-    problem.masses[:] = ma._masses(nodes, quad(nodes), np.arange(n), None)
+    problem.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
     want = quad(problem.interior_nodes)
     assert (ma._boundary_start_values(problem) < want).all()
     monkeypatch.setattr(
@@ -312,11 +329,11 @@ def test_strictly_convex_start_has_positive_cells(seed):
     nodes = problem.all_nodes()
     start = ma._boundary_start_values(problem)
     values = np.concatenate([start, problem.boundary_values])
-    areas = ma._masses(nodes, values, np.arange(n), None)
+    areas = cell_masses(nodes, values, np.arange(n), None)
     assert (areas > 1e-9 * problem.masses.sum()).all(), areas.min()
     # the lower envelope of the boundary data alone leaves cells empty
     env = ma.lower_envelope_evaluator(
         problem.boundary_nodes, problem.boundary_values
     )(problem.interior_nodes)
     values[:n] = env
-    assert ma._masses(nodes, values, np.arange(n), None).min() == 0.0
+    assert cell_masses(nodes, values, np.arange(n), None).min() == 0.0
