@@ -14,12 +14,19 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
 
 DEFAULT_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: importing
+    ``scipy.optimize`` would add about 0.08 s to every CLI start."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def as_points(points, dim=3):

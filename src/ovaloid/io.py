@@ -115,8 +115,17 @@ _THETA_NAMES = {
 
 
 def compile_theta(expression):
-    """Compile a weight expression in variables p1, p2, z, x1, x2."""
-    code = compile(expression, "<theta>", "eval")
+    """Compile a weight expression in variables p1, p2, z, x1, x2.
+
+    The weight returns one float per slope, also for an expression that
+    does not depend on p.  An expression that does not compile is
+    ``theta.syntax``; one that cannot be evaluated (a division by zero, a
+    string value) raises ``theta.eval`` when it is called.
+    """
+    try:
+        code = compile(expression, "<theta>", "eval")
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise SchemaError("theta.syntax", f"theta does not compile: {exc}") from exc
     for name in code.co_names:
         if name not in _THETA_NAMES and name not in ("p1", "p2", "z", "x1", "x2"):
             raise SchemaError("theta.names", f"unknown name {name!r} in theta")
@@ -124,7 +133,13 @@ def compile_theta(expression):
     def theta(p1, p2, z, x1, x2):
         env = dict(_THETA_NAMES)
         env.update({"p1": p1, "p2": p2, "z": z, "x1": x1, "x2": x2})
-        return eval(code, {"__builtins__": {}}, env)
+        try:
+            value = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+            if value.shape != np.shape(p1):
+                value = np.broadcast_to(value, np.shape(p1))
+            return value
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise SchemaError("theta.eval", f"theta cannot be evaluated: {exc}") from exc
 
     return theta
 
@@ -170,13 +185,24 @@ def parse_problem(path, kind=None):
     return ProblemFile(kind=file_kind, payload=payload, path=str(path))
 
 
+def _real_array(data, field):
+    """The field as a float array; ``ma.<field>`` when it is missing or is not
+    a (possibly nested) list of numbers of one shape."""
+    try:
+        return np.asarray(_need(data, field, f"ma.{field}"), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"ma.{field}", f"{field} must be numbers: {exc}") from exc
+
+
 def _parse_ma(data):
-    domain = np.asarray(_need(data, "domain", "ma.domain"), dtype=float)
-    nodes = np.asarray(_need(data, "nodes", "ma.nodes"), dtype=float)
-    masses = np.asarray(_need(data, "masses", "ma.masses"), dtype=float)
-    boundary = np.asarray(_need(data, "boundary", "ma.boundary"), dtype=float)
+    domain, nodes, masses, boundary = (
+        _real_array(data, field) for field in ("domain", "nodes", "masses", "boundary"))
     if boundary.ndim != 2 or boundary.shape[1] != 3:
         raise SchemaError("ma.boundary.shape", "boundary rows must be [x, y, value]")
+    mass_bound = data.get("mass_bound")
+    if mass_bound is not None and (not isinstance(mass_bound, (int, float))
+                                   or isinstance(mass_bound, bool)):
+        raise SchemaError("ma.mass_bound", "mass_bound must be a number")
     theta_src = data.get("theta")
     theta = compile_theta(theta_src) if theta_src else None
     problem = MAProblem(
@@ -187,7 +213,7 @@ def _parse_ma(data):
         boundary_values=boundary[:, 2],
         theta=theta,
         theta_z_dependent=bool(data.get("theta_z_dependent", False)),
-        mass_bound=data.get("mass_bound"),
+        mass_bound=mass_bound,
     )
     try:
         problem.validate()

@@ -7,12 +7,12 @@ weighted by a positive density theta(p, z, x).  The cells are the dual of
 the lower hull of the lifted nodes: every cell of an evaluation is read off
 one sort of that hull's (node, facet) incidences.
 
-Matching prescribed node masses is the inverse problem solved here.  When
-theta does not depend on z the solve is a damped Newton iteration
-(Kitagawa-Merigot-Thibert) from a strictly convex start, on the sparse
-Jacobian read from the same cells as the masses.  Monotone value-lowering
-sweeps (Oliker-Prussner) solve z-dependent weights and are the fallback
-when no Newton step is accepted.
+Matching prescribed node masses is the inverse problem solved here, by a
+damped Newton iteration (Kitagawa-Merigot-Thibert) from a strictly convex
+start, on the sparse Jacobian read from the same cells as the masses.  For
+a weight that depends on z, the Jacobian's diagonal also carries each
+cell's integral of d theta / dz.  Monotone value-lowering sweeps
+(Oliker-Prussner) are the fallback when no Newton step is accepted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import brentq
 from scipy.sparse import linalg as sparse_linalg
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
@@ -114,6 +113,13 @@ class MAProblem:
         self.boundary_values = np.asarray(self.boundary_values, dtype=float)
 
     def validate(self):
+        for name, pts in (("the domain", self.domain),
+                          ("the interior nodes", self.interior_nodes),
+                          ("the boundary nodes", self.boundary_nodes)):
+            if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+                raise ValueError(f"{name} must be a nonempty list of [x, y] points")
+        if self.masses.ndim != 1 or self.boundary_values.ndim != 1:
+            raise ValueError("masses and boundary values must be lists of numbers")
         if (self.masses <= 0).any():
             raise ValueError("all masses must be positive")
         if not np.isfinite(self.masses).all():
@@ -122,9 +128,14 @@ class MAProblem:
             raise ValueError("one mass per interior node required")
         if len(self.boundary_nodes) != len(self.boundary_values):
             raise ValueError("one value per boundary node required")
+        if self.mass_bound is not None and not self.mass_bound > 0:
+            raise ValueError("mass_bound must be positive")
         nodes = self.all_nodes()
-        if not (np.isfinite(nodes).all() and np.isfinite(self.boundary_values).all()):
-            raise ValueError("nodes and boundary values must be finite")
+        if not (np.isfinite(nodes).all() and np.isfinite(self.boundary_values).all()
+                and np.isfinite(self.domain).all()):
+            raise ValueError("the domain, nodes and boundary values must be finite")
+        if not abs(planar.polygon_area(self.domain)) > 0:
+            raise ValueError("the domain must have positive area")
         if len(np.unique(nodes, axis=0)) < len(nodes):
             raise ValueError("nodes must be distinct")
         b = self.boundary_nodes
@@ -134,7 +145,18 @@ class MAProblem:
             raise ValueError("boundary nodes must lie on the domain boundary")
         if _on_polygon_boundary(self.domain, self.interior_nodes).any():
             raise ValueError("interior nodes must be strictly inside the domain")
-        if self.theta is not None:
+        if self.theta is None:
+            # without a weight window, a cell is bounded only when its node
+            # is inside the boundary nodes' hull
+            try:
+                eq = ConvexHull(b).equations
+            except QhullError as exc:
+                raise ValueError("boundary nodes must not be collinear") from exc
+            dist = (self.interior_nodes @ eq[:, :2].T + eq[:, 2]).max(axis=1)
+            if (dist > -1e-9 * max(np.abs(b).max(), 1.0)).any():
+                raise ValueError("without a weight, interior nodes must lie strictly "
+                                 "inside the convex hull of the boundary nodes")
+        else:
             probe = self.theta(
                 np.array([0.0, 1.0, -0.5]), np.array([0.0, -1.0, 0.5]),
                 0.0, 0.0, 0.0,
@@ -385,7 +407,7 @@ def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
 # forward masses and Jacobian
 
 
-def _cell_mass(verts, theta, z, x, rel_tol):
+def _cell_mass(verts, theta, z, x, rel_tol, max_depth=30):
     """theta-weighted area of a cell, theta taken at z = u(B_i) and x = B_i."""
     if len(verts) < 3:
         return 0.0
@@ -393,16 +415,17 @@ def _cell_mass(verts, theta, z, x, rel_tol):
         return abs(planar.polygon_area(verts))
     z, x1, x2 = float(z), float(x[0]), float(x[1])
     return planar.polygon_quad(lambda p: theta(p[:, 0], p[:, 1], z, x1, x2), verts,
-                               rel_tol=rel_tol)
+                               rel_tol=rel_tol, max_depth=max_depth)
 
 
-def _cell_masses(nodes, values, which, cells, theta, rel_tol):
+def _cell_masses(nodes, values, which, cells, theta, rel_tol, max_depth=30):
     """Masses of the cells of ``_cells(nodes, values, which, ...)``."""
     if theta is None:  # one shoelace sum
         v, w = cells.verts, cells.verts[cells.next_vertex()]
         cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
         return np.abs(0.5 * np.bincount(cells.owner, cross, cells.n))
-    return np.array([_cell_mass(cells.cell(k)[0], theta, values[i], nodes[i], rel_tol)
+    return np.array([_cell_mass(cells.cell(k)[0], theta, values[i], nodes[i], rel_tol,
+                                max_depth)
                      for k, i in enumerate(which)])
 
 
@@ -418,7 +441,8 @@ def _mass_jacobian(nodes, values, interior_idx, cells, theta):
     here.  An edge of cell i carved by node k has dm_i/dv_k = (edge
     theta-integral) / |B_k - B_i|, and the diagonal collects the negated
     row total, so the matrix has Laplacian structure with an entry per pair
-    of lower-hull neighbours.  Only valid when theta does not depend on z.
+    of lower-hull neighbours.  When theta depends on z, the full Jacobian
+    adds the diagonal ``_theta_z_masses``.
     """
     idx = np.asarray(interior_idx, dtype=np.intp)
     n = len(idx)
@@ -445,6 +469,25 @@ def _mass_jacobian(nodes, values, interior_idx, cells, theta):
          (np.concatenate([rows[off], diag]), np.concatenate([cols[off], diag]))),
         shape=(n, n),
     )
+
+
+def _theta_z_masses(nodes, values, which, cells, theta, rel_tol):
+    """Integral of d theta / dz over each cell, at z = u(B_i) and x = B_i.
+
+    This is the part of d(mass_i)/d(value_i) that comes from theta being
+    taken at the node's own value.  The derivative is a central difference
+    in z with step h = 1e-4 max(1, |z|).  For a weight that varies on a
+    unit scale in z, its truncation error is a smooth h^2 / 6 of it and its
+    rounding noise about 1e-11 of it.  No adaptive refinement settles that
+    noise, so the quadrature tolerance is floored and its depth capped: the
+    Jacobian only steers a damped step.
+    """
+    def theta_z(p1, p2, z, x1, x2):
+        h = 1e-4 * max(1.0, abs(z))
+        return (theta(p1, p2, z + h, x1, x2) - theta(p1, p2, z - h, x1, x2)) / (2.0 * h)
+
+    return _cell_masses(nodes, values, which, cells, theta_z, max(rel_tol, 1e-9),
+                        max_depth=6)
 
 
 def mass_balance_bound(theta, mass_bound=None, tol=1e-9):
@@ -517,19 +560,17 @@ def _envelope_values(problem):
 
 
 def _boundary_start_values(problem):
-    """Interior start values built on the envelope env of the boundary data.
+    """Strictly convex interior start values, for every weight.
 
-    For a z-dependent weight the start is env itself, which the sweeps need.
-    Otherwise it is the strictly convex env(x) + t (|x - c|^2 - rho^2), c
-    the mean of the boundary nodes and rho their largest distance from c:
-    every boundary node lies on or above it and every interior node on it,
-    so each interior node is a strict vertex of the lower hull and its cell
-    has positive area.  t makes the unweighted measure of t |x|^2 over the
-    domain equal the total target.  This start may lie below the solution.
+    The start is env(x) + t (|x - c|^2 - rho^2), env the lower envelope of
+    the boundary data, c the mean of the boundary nodes and rho their
+    largest distance from c: every boundary node lies on or above it and
+    every interior node on it, so each interior node is a strict vertex of
+    the lower hull and its cell has positive area.  t makes the unweighted
+    measure of t |x|^2 over the domain equal the total target.  This start
+    may lie below the solution.
     """
     env = _envelope_values(problem)
-    if problem.theta_z_dependent:
-        return env
     x = problem.interior_nodes
     c = problem.boundary_nodes.mean(axis=0)
     rho2 = float(np.max(np.sum((problem.boundary_nodes - c) ** 2, axis=1)))
@@ -542,20 +583,22 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
              on_sweep=None):
     """Solve for a PL convex function with prescribed node masses.
 
-    When theta does not depend on z, damped Newton steps on the value vector
-    run from the first iteration: from the strictly convex default start
-    every cell is nonempty, a step is accepted only if it lowers the
-    residual and keeps every cell above half the smallest of the starting
-    and target masses, and the Jacobian comes from the cells of the last
-    accepted evaluation.  Monotone Oliker-Prussner sweeps, which lower one
-    node value at a time until its weighted cell mass reaches the target,
-    serve z-dependent weights and any iteration in which no Newton step is
+    Damped Newton steps on the value vector run from the first iteration:
+    from the strictly convex default start every cell is nonempty, a step
+    is accepted only if it lowers the residual and keeps every cell above
+    half the smallest of the starting and target masses, and the Jacobian
+    comes from the cells of the last accepted evaluation.  A z-dependent
+    weight is taken at the node's own value, so its Jacobian adds each
+    cell's integral of d theta / dz to the diagonal; under theta_z <= 0 that
+    only makes the diagonal more negative.  Monotone Oliker-Prussner sweeps,
+    which lower one node value at a time until its weighted cell mass
+    reaches the target, serve any iteration in which no Newton step is
     accepted.  Sweeps only lower values, so they need an iterate at or above
     the solution.  Neither the Newton start, a given init_values nor a
-    Newton step ensures that, so before the first sweep after them a
-    z-independent solve restarts at the lower envelope of the boundary
-    data, and the residual history may rise there.  Returns a
-    PLConvexFunction whose solve_info records the per-iteration residuals.
+    Newton step ensures that, so before the first sweep after them the
+    solve restarts at the lower envelope of the boundary data, and the
+    residual history may rise there.  Returns a PLConvexFunction whose
+    solve_info records the per-iteration residuals.
 
     Raises Infeasible when the targets exceed the attainable mass and
     MaxIterExceeded (carrying the best iterate) when the budget runs out.
@@ -580,22 +623,26 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         values[:n_int] = _boundary_start_values(problem)
 
     theta = problem.theta
+    z_dependent = theta is not None and problem.theta_z_dependent
 
     # quadrature window: cells are intersected with a square outside which
-    # theta carries negligible mass, keeping weighted quadratures bounded;
-    # for z-dependent weights the window is refreshed at the lowest current
-    # value (theta_z <= 0 makes lower z the widest profile)
-    def current_window(vals):
-        if theta is None:
-            return None
-        if problem.theta_z_dependent:
-            z_ref = float(vals.min())
-            half = _theta_window(
-                lambda p1, p2, z, x1, x2: theta(p1, p2, z_ref, x1, x2)
-            )
+    # theta carries negligible mass, keeping weighted quadratures bounded.
+    # theta_z <= 0 makes lower z the widest profile, so a z-dependent
+    # window is rebuilt only when the lowest value falls below its z
+    window, window_z = None, math.inf
+
+    def refresh_window(vals):
+        nonlocal window, window_z
+        z = float(vals.min())
+        if theta is None or z >= window_z:
+            return
+        if z_dependent:
+            half = _theta_window(lambda p1, p2, _, x1, x2: theta(p1, p2, z, x1, x2))
+            window_z = z
         else:
             half = _theta_window(theta)
-        return None if half is None else planar.box_polygon(0.0, 0.0, half)
+            window_z = -math.inf
+        window = None if half is None else planar.box_polygon(0.0, 0.0, half)
     quad_tol = max(1e-11, 0.01 * tol)
 
     def quad_now(res):
@@ -604,6 +651,7 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
 
     def evaluate(vals, qt):
         # masses and the cells they came from, for the next Jacobian
+        refresh_window(vals)
         cells = _cells(nodes, vals, interior_idx, window)
         return _cell_masses(nodes, vals, interior_idx, cells, theta, qt), cells
 
@@ -616,7 +664,6 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
     newton_iters = 0
     floor = None   # the Newton phase's lower bound on every cell's mass
     above = False  # whether the values are known to lie at or above the solution
-    window = current_window(values)
     m, cells = evaluate(values, quad_now(1.0))
     residual = rel_residual(m)
 
@@ -629,6 +676,11 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
         """(values, masses, cells, residual) of the accepted damped Newton
         trial from the current iterate, or None when no trial is accepted."""
         jac = _mass_jacobian(nodes, values, interior_idx, cells, theta)
+        if z_dependent:
+            jac = jac + sparse.diags(
+                _theta_z_masses(nodes, values, interior_idx, cells, theta, qt),
+                format="csc",
+            )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
             delta = sparse_linalg.spsolve(jac, mu - m)
@@ -650,30 +702,27 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
     for _ in range(max_iter):
         if residual <= tol:
             break
-        if problem.theta_z_dependent:
-            window = current_window(values)
         qt = quad_now(residual)
-        if not problem.theta_z_dependent:
-            if (m > 0).all():
-                newton_iters += 1
-                if floor is None:
-                    floor = 0.5 * min(m.min(), mu.min())
-                step = newton_step(qt)
-                if step is not None:
-                    values, m, cells, residual = step
-                    above = False
-                    sweeps += 1
-                    record()
-                    continue
-            if not above:
-                # the sweep below cannot raise a value that sits under the
-                # solution: restart it at the envelope, which lies above
-                values[:n_int] = _envelope_values(problem)
-                m, cells = evaluate(values, quad_now(1.0))
-                residual = rel_residual(m)
-                qt = quad_now(residual)
-                floor = None
-                above = True
+        if (m > 0).all():
+            newton_iters += 1
+            if floor is None:
+                floor = 0.5 * min(m.min(), mu.min())
+            step = newton_step(qt)
+            if step is not None:
+                values, m, cells, residual = step
+                above = False
+                sweeps += 1
+                record()
+                continue
+        if not above:
+            # the sweep below cannot raise a value that sits under the
+            # solution: restart it at the envelope, which lies above
+            values[:n_int] = _envelope_values(problem)
+            m, cells = evaluate(values, quad_now(1.0))
+            residual = rel_residual(m)
+            qt = quad_now(residual)
+            floor = None
+            above = True
         # Oliker-Prussner sweep: lower deficient nodes to their targets
         for i in range(n_int):
             mi = _single_mass(nodes, values, i, theta, qt, window)
@@ -719,6 +768,14 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
             best=u, residual=residual,
         )
     return u
+
+
+def brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on first use (only the sweeps
+    need it): importing ``scipy.optimize`` would slow every CLI start."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
 
 
 def _bracket_below(nodes, values, i, theta, target, vscale, quad_tol=1e-8,

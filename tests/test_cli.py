@@ -1,8 +1,12 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ovaloid
 from ovaloid import cli, io, shapes
 
 
@@ -10,6 +14,15 @@ def run_cli(argv, capsys):
     code = cli.run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the sweeps and polytope_from_support need it, on first use
+    code = ("import sys, ovaloid.cli; ovaloid.cli.build_parser(); "
+            "assert 'scipy.optimize' not in sys.modules")
+    src = str(pathlib.Path(ovaloid.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": src})
 
 
 def test_net_curvature_cube(tmp_path, capsys, cube):
@@ -158,7 +171,10 @@ def _ma_payload(**changes):
 @pytest.mark.parametrize("changes", [
     {"nodes": [[1.0, 1.0], [1.0, 1.0]]},
     {"boundary": [[0, 0, 0.0], [1, 0, 0.0], [2, 0, 0.0]]},
-], ids=["duplicate-nodes", "collinear-boundary"])
+    # unweighted: the first node's cell would be unbounded
+    {"nodes": [[1.8, 1.8], [0.6, 0.6]],
+     "boundary": [[0, 0, 0.0], [2, 0, 0.0], [0, 2, 0.0], [1, 0, 0.0]]},
+], ids=["duplicate-nodes", "collinear-boundary", "outside-boundary-hull"])
 def test_degenerate_ma_nodes_are_schema_errors(tmp_path, capsys, changes):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(_ma_payload(**changes)))
@@ -167,6 +183,25 @@ def test_degenerate_ma_nodes_are_schema_errors(tmp_path, capsys, changes):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("ovaloid: ma.valid:")
+
+
+@pytest.mark.parametrize("changes, constraint", [
+    ({"domain": [[0, 0], [2, 0, 1], [2, 2], [0, 2]]}, "ma.domain"),
+    ({"masses": ["a", "b"]}, "ma.masses"),
+    ({"mass_bound": "pi"}, "ma.mass_bound"),
+    ({"theta": "exp(-(p1**2 + p2**2)"}, "theta.syntax"),
+    ({"theta": "1 / z"}, "theta.eval"),
+], ids=["ragged-domain", "string-masses", "string-mass-bound", "theta-syntax",
+        "theta-zero-division"])
+def test_malformed_ma_payloads_are_schema_errors(tmp_path, capsys, changes,
+                                                 constraint):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_ma_payload(**changes)))
+    code = cli.run(["ma", "solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"ovaloid: {constraint}:")
 
 
 def test_minkowski_roundtrip_cli(capsys):

@@ -3,6 +3,7 @@
 
 import json
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ovaloid import cli, shapes
@@ -105,3 +106,40 @@ def rigidity_problems(draw):
 @given(text=rigidity_problems(), action=st.sampled_from(["solve", "check"]))
 def test_rigidity_problems(tmp_path, text, action):
     _run(tmp_path, "grid.json", text, ["rigidity", "defo", action])
+
+
+THETAS = [None, "exp(-(p1**2 + p2**2))", "exp(-0.3*z)*exp(-(p1**2 + p2**2))",
+          "1", "p1", "1 / z", "exp(", "foo(p1)", "'text'", "exp(1000*p1)"]
+
+
+@st.composite
+def ma_problems(draw):
+    if draw(st.booleans()):
+        # a square grid with 1 or 4 interior nodes, its data perhaps spoilt
+        side = draw(st.integers(2, 3))
+        ticks = np.linspace(0.0, 3.0, side + 1)
+        pts = np.array([(x, y) for y in ticks for x in ticks])
+        edge = (pts == 0.0).any(axis=1) | (pts == 3.0).any(axis=1)
+        n = int((~edge).sum())
+        body = {
+            "domain": [[0, 0], [3, 0], [3, 3], [0, 3]],
+            "nodes": pts[~edge].tolist(),
+            "masses": draw(st.lists(st.sampled_from([0.3, 1.0, 2.5, 0.0, -1.0]),
+                                    min_size=n, max_size=n)),
+            "boundary": [[x, y, draw(coordinate)] for x, y in pts[edge]],
+        }
+    else:
+        junk = st.one_of(vectors, numbers, st.text(max_size=3), st.none())
+        body = {"domain": draw(junk), "nodes": draw(junk),
+                "masses": draw(junk), "boundary": draw(junk)}
+    body["theta"] = draw(st.sampled_from(THETAS))
+    body["theta_z_dependent"] = draw(st.booleans())
+    body["mass_bound"] = draw(st.sampled_from([None, 3.141592653589793, -1.0,
+                                               "pi"]))
+    return json.dumps({"kind": "ma-problem", **body})
+
+
+@FUZZ
+@given(text=ma_problems())
+def test_ma_problems(tmp_path, text):
+    _run(tmp_path, "ma.json", text, ["ma", "solve"])

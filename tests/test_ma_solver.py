@@ -176,22 +176,26 @@ def test_masses_from_density():
 
 
 def test_weighted_solve_with_curved_boundary_data():
-    # the start values lie on the lower envelope of the boundary data, so
-    # some starting cells are zero-area polygons under the quadrature
-    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    # on the lower envelope of curved boundary data some cells are zero-area
+    # polygons under the quadrature; the weight with and without z recovers
+    # the generating values
+    gauss = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    gauss_z = lambda p1, p2, z, x1, x2: np.exp(-0.3 * z) * gauss(p1, p2, z, x1, x2)
     shape = lambda p: 0.175 * (p[:, 0] - 1.5) ** 2 + 0.15 * (p[:, 1] - 1.5) ** 2
     grid = grid_problem(4, 3.0, boundary_fn=shape)
     nodes = grid.all_nodes()
     n = len(grid.interior_nodes)
-    window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
-    mu = cell_masses(nodes, shape(nodes), np.arange(n), theta, 1e-12, window)
-    problem = ma.MAProblem(
-        domain=grid.domain, interior_nodes=grid.interior_nodes, masses=mu,
-        boundary_nodes=grid.boundary_nodes,
-        boundary_values=grid.boundary_values, theta=theta, mass_bound=np.pi,
-    )
-    u = ma.solve_ma(problem, tol=1e-8)
-    assert np.abs(u.values[:n] - shape(grid.interior_nodes)).max() < 1e-9
+    for theta, z_dependent, bound in ((gauss, False, np.pi), (gauss_z, True, None)):
+        window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
+        mu = cell_masses(nodes, shape(nodes), np.arange(n), theta, 1e-12, window)
+        problem = ma.MAProblem(
+            domain=grid.domain, interior_nodes=grid.interior_nodes, masses=mu,
+            boundary_nodes=grid.boundary_nodes,
+            boundary_values=grid.boundary_values, theta=theta,
+            theta_z_dependent=z_dependent, mass_bound=bound,
+        )
+        u = ma.solve_ma(problem, tol=1e-8)
+        assert np.abs(u.values[:n] - shape(grid.interior_nodes)).max() < 1e-9
 
 
 def test_solver_validates_problem():
@@ -216,10 +220,13 @@ def _fd_jacobian(nodes, values, n, theta, window, h, rel_tol):
     return np.column_stack(cols)
 
 
-def _sparse_jacobian(nodes, values, n, theta, window):
+def _sparse_jacobian(nodes, values, n, theta, window, z_dependent=False):
     idx = np.arange(n)
     cells = ma._cells(nodes, values, idx, window)
-    return ma._mass_jacobian(nodes, values, idx, cells, theta).toarray()
+    jac = ma._mass_jacobian(nodes, values, idx, cells, theta).toarray()
+    if z_dependent:
+        jac += np.diag(ma._theta_z_masses(nodes, values, idx, cells, theta, 1e-13))
+    return jac
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -252,7 +259,27 @@ def test_sparse_jacobian_matches_finite_differences_weighted():
     assert np.abs(jac - fd).max() <= 1e-8 * np.abs(fd).max()
 
 
-def test_z_independent_solves_take_no_sweeps(monkeypatch):
+def test_sparse_jacobian_matches_finite_differences_z_dependent():
+    # theta is taken at each node's own value, so the diagonal also carries
+    # the integral of d theta / dz over the node's cell
+    theta = lambda p1, p2, z, x1, x2: np.exp(-0.3 * z) * np.exp(-(p1**2 + p2**2))
+    grid = grid_problem(4, 3.0)
+    nodes = grid.all_nodes()
+    n = len(grid.interior_nodes)
+    rng = np.random.default_rng(4)
+    values = 0.175 * (nodes[:, 0] - 1.5) ** 2 + 0.15 * (nodes[:, 1] - 1.5) ** 2
+    values[:n] += rng.normal(0, 0.01, n)
+    window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
+    jac = _sparse_jacobian(nodes, values, n, theta, window, z_dependent=True)
+    fd = _fd_jacobian(nodes, values, n, theta, window, 1e-5, 1e-13)
+    assert np.abs(jac - fd).max() <= 1e-8 * np.abs(fd).max()
+    # without the theta_z term the diagonal is visibly off
+    laplacian = _sparse_jacobian(nodes, values, n, theta, window)
+    assert np.abs(laplacian - fd).max() > 1e-3 * np.abs(fd).max()
+
+
+def _count_single_mass(monkeypatch):
+    """List that collects the node of every later ``_single_mass`` call."""
     calls = []
     single_mass = ma._single_mass
 
@@ -261,6 +288,52 @@ def test_z_independent_solves_take_no_sweeps(monkeypatch):
         return single_mass(*args, **kwargs)
 
     monkeypatch.setattr(ma, "_single_mass", counted)
+    return calls
+
+
+def _z_dependent_problem():
+    theta = lambda p1, p2, z, x1, x2: np.exp(-0.3 * z) * np.exp(-(p1**2 + p2**2))
+    problem = grid_problem(3, 3.0, theta=theta, theta_z_dependent=True)
+    problem.masses[:] = 0.3
+    return problem
+
+
+def test_z_dependent_solves_take_no_sweeps(monkeypatch):
+    calls = _count_single_mass(monkeypatch)
+    u = ma.solve_ma(_z_dependent_problem(), tol=1e-8)
+    info = u.solve_info
+    assert info["final_residual"] <= 1e-8
+    assert info["sweeps"] == info["newton_iters"] > 0
+    # with the theta_z diagonal the steps converge quadratically; without
+    # it this solve takes 8 linearly converging steps
+    assert info["newton_iters"] <= 4
+    assert calls == []
+
+
+def test_z_dependent_sweep_fallback_reaches_the_newton_solution(monkeypatch):
+    # with a zero Jacobian no Newton step is accepted; the sweeps only lower
+    # values, so from a start below the solution they must restart above it
+    # to land on the Newton solution
+    problem = _z_dependent_problem()
+    n = len(problem.interior_nodes)
+    u0 = ma.solve_ma(problem, tol=1e-8)
+    monkeypatch.setattr(
+        ma, "_mass_jacobian",
+        lambda nodes, values, idx, cells, theta: sparse.csc_matrix(
+            (len(idx), len(idx))
+        ),
+    )
+    monkeypatch.setattr(ma, "_theta_z_masses", lambda *args: np.zeros(len(args[2])))
+    calls = _count_single_mass(monkeypatch)
+    u1 = ma.solve_ma(problem, tol=1e-8, max_iter=80,
+                     init_values=u0.values[:n] - 0.3)
+    assert u1.solve_info["final_residual"] <= 1e-8
+    assert calls
+    assert np.abs(u1.values - u0.values).max() < 1e-6
+
+
+def test_z_independent_solves_take_no_sweeps(monkeypatch):
+    calls = _count_single_mass(monkeypatch)
     theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
     weighted = grid_problem(4, 3.0, theta=theta, mass_bound=np.pi)
     weighted.masses[:] = 0.5 * np.pi / len(weighted.masses)
