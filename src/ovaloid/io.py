@@ -155,11 +155,16 @@ def _need(data, field, constraint):
 
 
 def _load_json(path):
+    """The JSON object in the file; ``json.object`` when the top level is not
+    one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno) from exc
+    if not isinstance(data, dict):
+        raise SchemaError("json.object", "the file must hold a JSON object")
+    return data
 
 
 def parse_problem(path, kind=None):

@@ -11,8 +11,9 @@ Matching prescribed node masses is the inverse problem solved here, by a
 damped Newton iteration (Kitagawa-Merigot-Thibert) from a strictly convex
 start, on the sparse Jacobian read from the same cells as the masses.  For
 a weight that depends on z, the Jacobian's diagonal also carries each
-cell's integral of d theta / dz.  Monotone value-lowering sweeps
-(Oliker-Prussner) are the fallback when no Newton step is accepted.
+cell's integral of d theta / dz.  A given start with an empty cell is
+blended toward the strictly convex one, and a solve in which no damped
+step is accepted raises MaxIterExceeded.
 """
 
 from __future__ import annotations
@@ -429,11 +430,6 @@ def _cell_masses(nodes, values, which, cells, theta, rel_tol, max_depth=30):
                      for k, i in enumerate(which)])
 
 
-def _single_mass(nodes, values, i, theta, rel_tol=1e-6, clip=None):
-    verts, _ = subgradient_cell_polygon(nodes, values, i, clip=clip)
-    return _cell_mass(verts, theta, values[i], nodes[i], rel_tol)
-
-
 def _mass_jacobian(nodes, values, interior_idx, cells, theta):
     """Sparse d(mass_i)/d(value_j) of the interior nodes from their cells.
 
@@ -548,17 +544,6 @@ def _theta_window(theta, rel=1e-12):
 # solver
 
 
-def _envelope_values(problem):
-    """The lower envelope env of the boundary data at the interior nodes.
-
-    A convex function with this boundary data lies at or below env, and so
-    does every interior value of a solution with positive target masses:
-    value-lowering sweeps from env approach the solution from above.
-    """
-    ev = lower_envelope_evaluator(problem.boundary_nodes, problem.boundary_values)
-    return ev(problem.interior_nodes)
-
-
 def _boundary_start_values(problem):
     """Strictly convex interior start values, for every weight.
 
@@ -570,7 +555,8 @@ def _boundary_start_values(problem):
     measure of t |x|^2 over the domain equal the total target.  This start
     may lie below the solution.
     """
-    env = _envelope_values(problem)
+    env = lower_envelope_evaluator(problem.boundary_nodes, problem.boundary_values)(
+        problem.interior_nodes)
     x = problem.interior_nodes
     c = problem.boundary_nodes.mean(axis=0)
     rho2 = float(np.max(np.sum((problem.boundary_nodes - c) ** 2, axis=1)))
@@ -579,29 +565,30 @@ def _boundary_start_values(problem):
     return env + t * (np.sum((x - c) ** 2, axis=1) - rho2)
 
 
-def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
-             on_sweep=None):
+def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
     """Solve for a PL convex function with prescribed node masses.
 
-    Damped Newton steps on the value vector run from the first iteration:
-    from the strictly convex default start every cell is nonempty, a step
-    is accepted only if it lowers the residual and keeps every cell above
-    half the smallest of the starting and target masses, and the Jacobian
-    comes from the cells of the last accepted evaluation.  A z-dependent
-    weight is taken at the node's own value, so its Jacobian adds each
-    cell's integral of d theta / dz to the diagonal; under theta_z <= 0 that
-    only makes the diagonal more negative.  Monotone Oliker-Prussner sweeps,
-    which lower one node value at a time until its weighted cell mass
-    reaches the target, serve any iteration in which no Newton step is
-    accepted.  Sweeps only lower values, so they need an iterate at or above
-    the solution.  Neither the Newton start, a given init_values nor a
-    Newton step ensures that, so before the first sweep after them the
-    solve restarts at the lower envelope of the boundary data, and the
-    residual history may rise there.  Returns a PLConvexFunction whose
-    solve_info records the per-iteration residuals.
+    Damped Newton steps (Kitagawa-Merigot-Thibert) on the value vector run
+    from a start where every cell is nonempty.  That is the strictly convex
+    default start, or init_values as given when all their cells have
+    positive mass.  Otherwise init_values are blended toward the default
+    start, halving their difference until every cell is nonempty: node i has
+    a nonempty cell iff v_i lies below the lower envelope of the other
+    lifted nodes at B_i, which is concave in the values, so those starts
+    form a convex set holding the default one.  A step is halved until it
+    lowers the residual and keeps every cell above half the smallest of the
+    starting and target masses, and the Jacobian comes from the cells of
+    the last accepted evaluation.  A z-dependent weight is taken at the
+    node's own value, so its Jacobian adds each cell's integral of
+    d theta / dz to the diagonal; under theta_z <= 0 that only makes the
+    diagonal more negative.  Returns a PLConvexFunction whose solve_info
+    records the residual after the start and after each accepted step, and
+    the number of accepted steps as ``newton_iters`` (and, with the same
+    value, as ``sweeps``).
 
-    Raises Infeasible when the targets exceed the attainable mass and
-    MaxIterExceeded (carrying the best iterate) when the budget runs out.
+    Raises Infeasible when the targets exceed the attainable mass, and
+    MaxIterExceeded, carrying the current iterate with ``converged`` False,
+    when no step is accepted or max_iter steps leave the residual above tol.
     """
     problem.validate()
     mu = problem.masses
@@ -617,10 +604,6 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
     interior_idx = np.arange(n_int)
     values = np.empty(len(nodes))
     values[n_int:] = problem.boundary_values
-    if init_values is not None:
-        values[:n_int] = np.asarray(init_values, dtype=float)
-    else:
-        values[:n_int] = _boundary_start_values(problem)
 
     theta = problem.theta
     z_dependent = theta is not None and problem.theta_z_dependent
@@ -646,7 +629,7 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
     quad_tol = max(1e-11, 0.01 * tol)
 
     def quad_now(res):
-        # inexact sweeps: quadrature only needs to outpace the residual
+        # inexact Newton: quadrature only needs to outpace the residual
         return float(np.clip(0.02 * res, quad_tol, 1e-6))
 
     def evaluate(vals, qt):
@@ -658,19 +641,16 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
     def rel_residual(masses):
         return float(np.max(np.abs(masses - mu) / mu))
 
-    vscale = max(np.ptp(values), 1.0)
-    history = []
-    sweeps = 0
-    newton_iters = 0
-    floor = None   # the Newton phase's lower bound on every cell's mass
-    above = False  # whether the values are known to lie at or above the solution
-    m, cells = evaluate(values, quad_now(1.0))
+    start = _boundary_start_values(problem)
+    init = start if init_values is None else np.asarray(init_values, dtype=float)
+    for _ in range(30):
+        values[:n_int] = init
+        m, cells = evaluate(values, quad_now(1.0))
+        if (m > 0).all():
+            break
+        init = start + 0.5 * (init - start)
     residual = rel_residual(m)
-
-    def record():
-        history.append(residual)
-        if on_sweep is not None:
-            on_sweep(sweeps, residual)
+    floor = 0.5 * min(m.min(), mu.min())  # accepted steps keep every mass above it
 
     def newton_step(qt):
         """(values, masses, cells, residual) of the accepted damped Newton
@@ -697,109 +677,31 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None,
             alpha *= 0.5
         return None
 
-    record()
-    converged = True
-    for _ in range(max_iter):
-        if residual <= tol:
+    history = [residual]
+    newton_iters = 0
+    failure = None
+    while residual > tol:
+        if newton_iters == max_iter:
+            failure = f"residual {residual} after {max_iter} Newton steps"
             break
-        qt = quad_now(residual)
-        if (m > 0).all():
-            newton_iters += 1
-            if floor is None:
-                floor = 0.5 * min(m.min(), mu.min())
-            step = newton_step(qt)
-            if step is not None:
-                values, m, cells, residual = step
-                above = False
-                sweeps += 1
-                record()
-                continue
-        if not above:
-            # the sweep below cannot raise a value that sits under the
-            # solution: restart it at the envelope, which lies above
-            values[:n_int] = _envelope_values(problem)
-            m, cells = evaluate(values, quad_now(1.0))
-            residual = rel_residual(m)
-            qt = quad_now(residual)
-            floor = None
-            above = True
-        # Oliker-Prussner sweep: lower deficient nodes to their targets
-        for i in range(n_int):
-            mi = _single_mass(nodes, values, i, theta, qt, window)
-            if mi >= mu[i] * (1.0 - 0.05 * tol):
-                continue  # on target, or an excess that neighbours resolve
-            lo = _bracket_below(nodes, values, i, theta, mu[i], vscale,
-                                quad_tol=qt, clip=window)
-            if lo is None:
-                raise Infeasible(
-                    f"node {i} cannot reach its target mass {mu[i]}"
-                )
-
-            def g(t):
-                vals = values.copy()
-                vals[i] = t
-                return _single_mass(nodes, vals, i, theta, qt, window) - mu[i]
-
-            hi_t = values[i]
-            values[i] = brentq(g, lo, hi_t, xtol=1e-13 * vscale, maxiter=200)
-        m, cells = evaluate(values, quad_now(max(residual * 0.1, tol)))
-        new_residual = rel_residual(m)
-        if new_residual > residual + 1e-9:
-            warnings.warn(
-                f"sweep residual rose from {residual} to {new_residual}",
-                stacklevel=2,
-            )
-        residual = new_residual
-        sweeps += 1
-        record()
-    else:
-        converged = False
+        step = newton_step(quad_now(residual))
+        if step is None:
+            failure = f"no damped Newton step lowers the residual {residual}"
+            break
+        values, m, cells, residual = step
+        newton_iters += 1
+        history.append(residual)
     u = PLConvexFunction(
         nodes=nodes, values=values, domain=problem.domain,
         solve_info={
-            "residual_history": history, "sweeps": sweeps,
+            "residual_history": history, "sweeps": newton_iters,
             "newton_iters": newton_iters, "final_residual": residual,
-            "converged": converged,
+            "converged": failure is None,
         },
     )
-    if not converged:
-        raise MaxIterExceeded(
-            f"residual {residual} after {max_iter} iterations",
-            best=u, residual=residual,
-        )
+    if failure is not None:
+        raise MaxIterExceeded(failure, best=u, residual=residual)
     return u
-
-
-def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use (only the sweeps
-    need it): importing ``scipy.optimize`` would slow every CLI start."""
-    from scipy.optimize import brentq as scipy_brentq
-
-    return scipy_brentq(*args, **kwargs)
-
-
-def _bracket_below(nodes, values, i, theta, target, vscale, quad_tol=1e-8,
-                   clip=None, max_doublings=60):
-    """Find a value for node i whose mass meets or exceeds the target.
-
-    None when the mass saturates below the target (the cell has swallowed the
-    whole weight window), which signals an unattainable mass.
-    """
-    step = 0.25 * vscale
-    t = values[i]
-    prev_mass = None
-    for _ in range(max_doublings):
-        t = t - step
-        vals = values.copy()
-        vals[i] = t
-        mass = _single_mass(nodes, vals, i, theta, quad_tol, clip)
-        if mass >= target:
-            return t
-        if prev_mass is not None and 0 < mass <= prev_mass * (1 + 1e-12):
-            return None  # saturated below the target
-        prev_mass = mass
-        step *= 2.0
-    return None
 
 
 # ---------------------------------------------------------------------------

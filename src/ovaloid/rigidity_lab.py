@@ -101,7 +101,6 @@ class BendingReport:
     kernel_dim: int
     nontrivial_dim: int
     basis: np.ndarray          # (3V, nontrivial_dim) orthonormal columns
-    singular_values: np.ndarray
     spectrum_tail: np.ndarray  # smallest 12 singular values
     trivial_residual: float    # constraint residual of the projected basis
 
@@ -164,7 +163,6 @@ def bending_space(surface: TriangulatedSurface, tol=1e-10):
         kernel_dim=kernel_dim,
         nontrivial_dim=nontrivial,
         basis=basis,
-        singular_values=svals,
         spectrum_tail=tail,
         trivial_residual=triv_resid,
     )

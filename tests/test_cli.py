@@ -17,7 +17,7 @@ def run_cli(argv, capsys):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the sweeps and polytope_from_support need it, on first use
+    # only polytope_from_support needs it (linprog), on first use
     code = ("import sys, ovaloid.cli; ovaloid.cli.build_parser(); "
             "assert 'scipy.optimize' not in sys.modules")
     src = str(pathlib.Path(ovaloid.__file__).parents[1])
@@ -202,6 +202,18 @@ def test_malformed_ma_payloads_are_schema_errors(tmp_path, capsys, changes,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"ovaloid: {constraint}:")
+
+
+@pytest.mark.parametrize("command", [["ma", "solve"], ["net", "validate"]])
+@pytest.mark.parametrize("top", [[1, 2], 5, None], ids=["array", "number", "null"])
+def test_top_level_json_non_object_is_schema_error(tmp_path, capsys, command, top):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(top))
+    code = cli.run(command + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: json.object:")
 
 
 def test_minkowski_roundtrip_cli(capsys):

@@ -114,6 +114,10 @@ THETAS = [None, "exp(-(p1**2 + p2**2))", "exp(-0.3*z)*exp(-(p1**2 + p2**2))",
 
 @st.composite
 def ma_problems(draw):
+    junk = st.one_of(vectors, numbers, st.text(max_size=3), st.none())
+    if draw(st.integers(0, 4)) == 0:
+        # a top level that is not an object
+        return json.dumps(draw(st.one_of(junk, coordinate, st.booleans())))
     if draw(st.booleans()):
         # a square grid with 1 or 4 interior nodes, its data perhaps spoilt
         side = draw(st.integers(2, 3))
@@ -129,7 +133,6 @@ def ma_problems(draw):
             "boundary": [[x, y, draw(coordinate)] for x, y in pts[edge]],
         }
     else:
-        junk = st.one_of(vectors, numbers, st.text(max_size=3), st.none())
         body = {"domain": draw(junk), "nodes": draw(junk),
                 "masses": draw(junk), "boundary": draw(junk)}
     body["theta"] = draw(st.sampled_from(THETAS))

@@ -6,7 +6,7 @@ from conftest import grid_problem
 from oracles import cell_masses
 from ovaloid import ma_solver as ma
 from ovaloid import planar
-from ovaloid.errors import Infeasible, IncomparableProblems
+from ovaloid.errors import Infeasible, IncomparableProblems, MaxIterExceeded
 
 
 def random_forward_instance(seed, n_side=6, extent=6.0):
@@ -141,8 +141,8 @@ def test_uniqueness_under_restarts():
 
 
 def test_z_decreasing_weight_uniqueness():
-    # theta strictly decreasing in z: sweeps from any start above the
-    # solution land on the same values
+    # theta strictly decreasing in z: a solve from a start above the
+    # solution lands on the same values
     theta = lambda p1, p2, z, x1, x2: np.exp(-0.3 * z) * np.exp(-(p1**2 + p2**2))
     problem = grid_problem(3, 3.0, theta=theta, theta_z_dependent=True)
     problem.masses[:] = 0.3
@@ -278,19 +278,6 @@ def test_sparse_jacobian_matches_finite_differences_z_dependent():
     assert np.abs(laplacian - fd).max() > 1e-3 * np.abs(fd).max()
 
 
-def _count_single_mass(monkeypatch):
-    """List that collects the node of every later ``_single_mass`` call."""
-    calls = []
-    single_mass = ma._single_mass
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return single_mass(*args, **kwargs)
-
-    monkeypatch.setattr(ma, "_single_mass", counted)
-    return calls
-
-
 def _z_dependent_problem():
     theta = lambda p1, p2, z, x1, x2: np.exp(-0.3 * z) * np.exp(-(p1**2 + p2**2))
     problem = grid_problem(3, 3.0, theta=theta, theta_z_dependent=True)
@@ -298,8 +285,7 @@ def _z_dependent_problem():
     return problem
 
 
-def test_z_dependent_solves_take_no_sweeps(monkeypatch):
-    calls = _count_single_mass(monkeypatch)
+def test_z_dependent_solves_take_no_sweeps():
     u = ma.solve_ma(_z_dependent_problem(), tol=1e-8)
     info = u.solve_info
     assert info["final_residual"] <= 1e-8
@@ -307,33 +293,9 @@ def test_z_dependent_solves_take_no_sweeps(monkeypatch):
     # with the theta_z diagonal the steps converge quadratically; without
     # it this solve takes 8 linearly converging steps
     assert info["newton_iters"] <= 4
-    assert calls == []
 
 
-def test_z_dependent_sweep_fallback_reaches_the_newton_solution(monkeypatch):
-    # with a zero Jacobian no Newton step is accepted; the sweeps only lower
-    # values, so from a start below the solution they must restart above it
-    # to land on the Newton solution
-    problem = _z_dependent_problem()
-    n = len(problem.interior_nodes)
-    u0 = ma.solve_ma(problem, tol=1e-8)
-    monkeypatch.setattr(
-        ma, "_mass_jacobian",
-        lambda nodes, values, idx, cells, theta: sparse.csc_matrix(
-            (len(idx), len(idx))
-        ),
-    )
-    monkeypatch.setattr(ma, "_theta_z_masses", lambda *args: np.zeros(len(args[2])))
-    calls = _count_single_mass(monkeypatch)
-    u1 = ma.solve_ma(problem, tol=1e-8, max_iter=80,
-                     init_values=u0.values[:n] - 0.3)
-    assert u1.solve_info["final_residual"] <= 1e-8
-    assert calls
-    assert np.abs(u1.values - u0.values).max() < 1e-6
-
-
-def test_z_independent_solves_take_no_sweeps(monkeypatch):
-    calls = _count_single_mass(monkeypatch)
+def test_z_independent_solves_take_no_sweeps():
     theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
     weighted = grid_problem(4, 3.0, theta=theta, mass_bound=np.pi)
     weighted.masses[:] = 0.5 * np.pi / len(weighted.masses)
@@ -342,7 +304,20 @@ def test_z_independent_solves_take_no_sweeps(monkeypatch):
         info = u.solve_info
         assert info["final_residual"] <= 1e-10
         assert info["sweeps"] == info["newton_iters"] > 0
-    assert calls == []
+
+
+def test_given_start_with_nonempty_cells_is_used_unchanged():
+    problem, v_int = random_forward_instance(4)
+    nodes = problem.all_nodes()
+    n = len(v_int)
+    init = v_int + np.random.default_rng(2).normal(0, 0.01, n)
+    masses = cell_masses(nodes, np.concatenate([init, problem.boundary_values]),
+                         np.arange(n), None)
+    assert masses.min() > 0
+    want = np.max(np.abs(masses - problem.masses) / problem.masses)
+    u = ma.solve_ma(problem, tol=1e-10, init_values=init)
+    assert u.solve_info["residual_history"][0] == pytest.approx(want, rel=1e-12)
+    assert u.solve_info["final_residual"] <= 1e-10
 
 
 def test_unweighted_newton_solve_clips_nothing(monkeypatch):
@@ -361,28 +336,31 @@ def test_unweighted_newton_solve_clips_nothing(monkeypatch):
     assert calls == []
 
 
-def test_sweeps_restart_above_the_solution_when_newton_fails(monkeypatch):
-    # the strictly convex start lies below this quadratic at every interior
-    # node, and sweeps only lower values; with a singular Jacobian no Newton
-    # step is accepted, and the sweeps alone must still reach the quadratic
+def test_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
+    # with a zero Jacobian no step is accepted, and the solve raises at once
     a, extent = 0.5, 3.0
     centre = np.full(2, 0.5 * extent)
     quad = lambda p: a * np.sum((p - centre) ** 2, axis=1)
-    problem = grid_problem(4, extent, boundary_fn=quad)
-    nodes = problem.all_nodes()
-    n = len(problem.interior_nodes)
-    problem.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
-    want = quad(problem.interior_nodes)
-    assert (ma._boundary_start_values(problem) < want).all()
-    monkeypatch.setattr(
-        ma, "_mass_jacobian",
-        lambda nodes, values, idx, cells, theta: sparse.csc_matrix(
-            (len(idx), len(idx))
-        ),
-    )
-    u = ma.solve_ma(problem, tol=1e-8)
-    assert u.solve_info["final_residual"] <= 1e-8
-    assert np.abs(u.values[:n] - want).max() < 1e-7
+    unweighted = grid_problem(4, extent, boundary_fn=quad)
+    nodes = unweighted.all_nodes()
+    n = len(unweighted.interior_nodes)
+    unweighted.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
+    calls = []
+
+    def zero_jacobian(nodes, values, idx, cells, theta):
+        calls.append(1)
+        return sparse.csc_matrix((len(idx), len(idx)))
+
+    monkeypatch.setattr(ma, "_mass_jacobian", zero_jacobian)
+    monkeypatch.setattr(ma, "_theta_z_masses", lambda *args: np.zeros(len(args[2])))
+    for problem in (unweighted, _z_dependent_problem()):
+        calls.clear()
+        with pytest.raises(MaxIterExceeded) as err:
+            ma.solve_ma(problem, tol=1e-8)
+        assert len(calls) == 1
+        info = err.value.best.solve_info
+        assert info["newton_iters"] == 0
+        assert info["converged"] is False
 
 
 @pytest.mark.parametrize("seed", range(6))
