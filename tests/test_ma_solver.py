@@ -336,15 +336,8 @@ def test_unweighted_newton_solve_clips_nothing(monkeypatch):
     assert calls == []
 
 
-def test_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
+def _assert_rejected_step_raises(monkeypatch, problem):
     # with a zero Jacobian no step is accepted, and the solve raises at once
-    a, extent = 0.5, 3.0
-    centre = np.full(2, 0.5 * extent)
-    quad = lambda p: a * np.sum((p - centre) ** 2, axis=1)
-    unweighted = grid_problem(4, extent, boundary_fn=quad)
-    nodes = unweighted.all_nodes()
-    n = len(unweighted.interior_nodes)
-    unweighted.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
     calls = []
 
     def zero_jacobian(nodes, values, idx, cells, theta):
@@ -353,14 +346,27 @@ def test_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
 
     monkeypatch.setattr(ma, "_mass_jacobian", zero_jacobian)
     monkeypatch.setattr(ma, "_theta_z_masses", lambda *args: np.zeros(len(args[2])))
-    for problem in (unweighted, _z_dependent_problem()):
-        calls.clear()
-        with pytest.raises(MaxIterExceeded) as err:
-            ma.solve_ma(problem, tol=1e-8)
-        assert len(calls) == 1
-        info = err.value.best.solve_info
-        assert info["newton_iters"] == 0
-        assert info["converged"] is False
+    with pytest.raises(MaxIterExceeded) as err:
+        ma.solve_ma(problem, tol=1e-8)
+    assert len(calls) == 1
+    info = err.value.best.solve_info
+    assert info["newton_iters"] == 0
+    assert info["converged"] is False
+
+
+def test_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
+    a, extent = 0.5, 3.0
+    centre = np.full(2, 0.5 * extent)
+    quad = lambda p: a * np.sum((p - centre) ** 2, axis=1)
+    problem = grid_problem(4, extent, boundary_fn=quad)
+    nodes = problem.all_nodes()
+    n = len(problem.interior_nodes)
+    problem.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
+    _assert_rejected_step_raises(monkeypatch, problem)
+
+
+def test_z_dependent_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
+    _assert_rejected_step_raises(monkeypatch, _z_dependent_problem())
 
 
 @pytest.mark.parametrize("seed", range(6))
