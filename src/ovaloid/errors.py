@@ -27,6 +27,10 @@ class DegenerateFace(OvaloidError):
     """A prescribed face vanished at the solver optimum."""
 
 
+class NegativeCurvature(OvaloidError, ValueError):
+    """Curvature samples must be strictly positive."""
+
+
 # --- file ingestion ---
 
 class ParseError(OvaloidError):

@@ -149,6 +149,8 @@ def compile_theta(expression):
 
 
 def _need(data, field, constraint):
+    if not isinstance(data, dict):
+        raise SchemaError(constraint, f"expected an object holding {field!r}")
     if field not in data:
         raise SchemaError(constraint, f"missing field {field!r}")
     return data[field]

@@ -7,13 +7,13 @@ weighted by a positive density theta(p, z, x).  The cells are the dual of
 the lower hull of the lifted nodes: every cell of an evaluation is read off
 one sort of that hull's (node, facet) incidences.
 
-Matching prescribed node masses is the inverse problem solved here, by a
-damped Newton iteration (Kitagawa-Merigot-Thibert) from a strictly convex
-start, on the sparse Jacobian read from the same cells as the masses.  For
-a weight that depends on z, the Jacobian's diagonal also carries each
-cell's integral of d theta / dz.  A given start with an empty cell is
-blended toward the strictly convex one, and a solve in which no damped
-step is accepted raises MaxIterExceeded.
+Matching prescribed node masses is the inverse problem solved here, by the
+damped Newton loop of ``newton`` (Kitagawa-Merigot-Thibert) from a strictly
+convex start, on the sparse Jacobian read from the same cells as the
+masses.  For a weight that depends on z, the Jacobian's diagonal also
+carries each cell's integral of d theta / dz.  A given start with an empty
+cell is blended toward the strictly convex one, and a solve in which no
+damped step is accepted raises MaxIterExceeded.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from . import planar
+from . import newton, planar
 from .errors import (
     DegenerateInput,
     DuplicateNodes,
@@ -568,23 +568,21 @@ def _boundary_start_values(problem):
 def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
     """Solve for a PL convex function with prescribed node masses.
 
-    Damped Newton steps (Kitagawa-Merigot-Thibert) on the value vector run
-    from a start where every cell is nonempty.  That is the strictly convex
-    default start, or init_values as given when all their cells have
-    positive mass.  Otherwise init_values are blended toward the default
-    start, halving their difference until every cell is nonempty: node i has
-    a nonempty cell iff v_i lies below the lower envelope of the other
-    lifted nodes at B_i, which is concave in the values, so those starts
-    form a convex set holding the default one.  A step is halved until it
-    lowers the residual and keeps every cell above half the smallest of the
-    starting and target masses, and the Jacobian comes from the cells of
-    the last accepted evaluation.  A z-dependent weight is taken at the
-    node's own value, so its Jacobian adds each cell's integral of
-    d theta / dz to the diagonal; under theta_z <= 0 that only makes the
-    diagonal more negative.  Returns a PLConvexFunction whose solve_info
-    records the residual after the start and after each accepted step, and
-    the number of accepted steps as ``newton_iters`` (and, with the same
-    value, as ``sweeps``).
+    ``newton.damped_newton`` (Kitagawa-Merigot-Thibert steps) on the
+    interior values, from the strictly convex default start or from
+    init_values.  Where init_values leave a cell empty they are blended
+    toward the default start until every cell is nonempty: node i has a
+    nonempty cell iff v_i lies below the lower envelope of the other lifted
+    nodes at B_i, which is concave in the values, so those starts form a
+    convex set holding the default one.  An accepted step keeps every cell
+    above half the smallest of the starting and target masses, and the
+    Jacobian comes from the cells of the last accepted evaluation.  A
+    z-dependent weight is taken at the node's own value, so its Jacobian
+    adds each cell's integral of d theta / dz to the diagonal; under
+    theta_z <= 0 that only makes the diagonal more negative.  solve_info
+    records the residual after the start and after each accepted step, the
+    accepted steps as ``newton_iters`` (and as ``sweeps``) and the rejected
+    trials as ``backtracks``.
 
     Raises Infeasible when the targets exceed the attainable mass, and
     MaxIterExceeded, carrying the current iterate with ``converged`` False,
@@ -600,13 +598,12 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
         )
 
     nodes = problem.all_nodes()
-    n_int = len(problem.interior_nodes)
-    interior_idx = np.arange(n_int)
-    values = np.empty(len(nodes))
-    values[n_int:] = problem.boundary_values
-
+    interior_idx = np.arange(len(problem.interior_nodes))
     theta = problem.theta
     z_dependent = theta is not None and problem.theta_z_dependent
+
+    def full(x):
+        return np.concatenate([x, problem.boundary_values])
 
     # quadrature window: cells are intersected with a square outside which
     # theta carries negligible mass, keeping weighted quadratures bounded.
@@ -632,75 +629,47 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
         # inexact Newton: quadrature only needs to outpace the residual
         return float(np.clip(0.02 * res, quad_tol, 1e-6))
 
-    def evaluate(vals, qt):
+    def evaluate(x, res):
         # masses and the cells they came from, for the next Jacobian
+        vals = full(x)
         refresh_window(vals)
         cells = _cells(nodes, vals, interior_idx, window)
-        return _cell_masses(nodes, vals, interior_idx, cells, theta, qt), cells
+        m = _cell_masses(nodes, vals, interior_idx, cells, theta, quad_now(res))
+        return (m, cells), float(np.max(np.abs(m - mu) / mu))
 
-    def rel_residual(masses):
-        return float(np.max(np.abs(masses - mu) / mu))
+    def alive(x):
+        got = evaluate(x, 1.0)
+        return got if (got[0][0] > 0).all() else None
 
-    start = _boundary_start_values(problem)
-    init = start if init_values is None else np.asarray(init_values, dtype=float)
-    for _ in range(30):
-        values[:n_int] = init
-        m, cells = evaluate(values, quad_now(1.0))
-        if (m > 0).all():
-            break
-        init = start + 0.5 * (init - start)
-    residual = rel_residual(m)
-    floor = 0.5 * min(m.min(), mu.min())  # accepted steps keep every mass above it
-
-    def newton_step(qt):
-        """(values, masses, cells, residual) of the accepted damped Newton
-        trial from the current iterate, or None when no trial is accepted."""
-        jac = _mass_jacobian(nodes, values, interior_idx, cells, theta)
+    def step(x, state, res):
+        (m, cells), vals = state, full(x)
+        jac = _mass_jacobian(nodes, vals, interior_idx, cells, theta)
         if z_dependent:
             jac = jac + sparse.diags(
-                _theta_z_masses(nodes, values, interior_idx, cells, theta, qt),
+                _theta_z_masses(nodes, vals, interior_idx, cells, theta, quad_now(res)),
                 format="csc",
             )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
-            delta = sparse_linalg.spsolve(jac, mu - m)
-        if not np.isfinite(delta).all():
-            return None
-        alpha = 1.0
-        for _ in range(30):
-            trial = values.copy()
-            trial[:n_int] += alpha * delta
-            m_trial, cells_trial = evaluate(trial, qt)
-            r_trial = rel_residual(m_trial)
-            if m_trial.min() >= floor and r_trial < residual * (1 - 0.1 * alpha):
-                return trial, m_trial, cells_trial, r_trial
-            alpha *= 0.5
-        return None
+            return sparse_linalg.spsolve(jac, mu - m)
 
-    history = [residual]
-    newton_iters = 0
-    failure = None
-    while residual > tol:
-        if newton_iters == max_iter:
-            failure = f"residual {residual} after {max_iter} Newton steps"
-            break
-        step = newton_step(quad_now(residual))
-        if step is None:
-            failure = f"no damped Newton step lowers the residual {residual}"
-            break
-        values, m, cells, residual = step
-        newton_iters += 1
-        history.append(residual)
+    start = _boundary_start_values(problem)
+    init = start if init_values is None else np.asarray(init_values, dtype=float)
+    x, got = newton.blend_start(start, init, alive)
+    state, residual = got or evaluate(x, 1.0)
+    floor = 0.5 * min(state[0].min(), mu.min())
+    run = newton.damped_newton(x, state, residual, step, evaluate, tol, max_iter,
+                               lambda state: state[0].min() >= floor)
     u = PLConvexFunction(
-        nodes=nodes, values=values, domain=problem.domain,
+        nodes=nodes, values=full(run.x), domain=problem.domain,
         solve_info={
-            "residual_history": history, "sweeps": newton_iters,
-            "newton_iters": newton_iters, "final_residual": residual,
-            "converged": failure is None,
+            "residual_history": run.history, "sweeps": run.steps,
+            "newton_iters": run.steps, "backtracks": run.backtracks,
+            "final_residual": run.history[-1], "converged": run.failure is None,
         },
     )
-    if failure is not None:
-        raise MaxIterExceeded(failure, best=u, residual=residual)
+    if run.failure is not None:
+        raise MaxIterExceeded(run.failure, best=u, residual=run.history[-1])
     return u
 
 
@@ -752,11 +721,7 @@ def homotopy_solve(schedule: HomotopySchedule, tol=1e-10, min_step=1e-3,
             t_next = t_target
             while True:
                 problem = schedule.problem_at(t_next)
-                rel = float(
-                    np.max(np.abs(problem.masses - mu_good) / mu_good)
-                )
-                feasible_step = rel <= max_mass_step
-                if feasible_step:
+                if np.max(np.abs(problem.masses - mu_good) / mu_good) <= max_mass_step:
                     try:
                         u_try = solve_ma(
                             problem, tol=tol, max_iter=max_iter,

@@ -2,10 +2,11 @@
 
 Recover a convex polytope from prescribed outer unit normals and face areas
 (or from Gauss-curvature samples on the sphere, converted to per-cell areas).
-The solve runs a damped Newton iteration on the support vector: the area map
-is the gradient of the volume functional, its sparse Jacobian follows from
-the edge geometry, and the translation kernel is handled by a pinned sparse
-solve projected to the minimum-norm step, plus recentering.
+The solve runs the damped Newton loop of ``newton`` on the support vector,
+as the Monge-Ampere solver does: the area map is the gradient of the volume
+functional, its sparse Jacobian follows from the edge geometry, and the
+translation kernel is handled by a pinned sparse solve projected to the
+minimum-norm step, plus recentering.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ from .core import (
     polytope_from_support,
     unit_vectors,
 )
-from .errors import DegenerateFace, EmptyBody, MaxIterExceeded
-from . import shapes
-
-
-class NegativeCurvature(ValueError):
-    """Curvature samples must be strictly positive."""
+from .errors import DegenerateFace, EmptyBody, MaxIterExceeded, NegativeCurvature
+from . import newton, shapes
 
 
 @dataclasses.dataclass
@@ -162,8 +159,8 @@ def _pinned_step(jac, normals, rhs):
     The kernel of jac is the translations x_i = <n_i, t>.  Fixing x = 0 at
     three faces with independent normals removes it, leaving a nonsingular
     sparse system in the other m - 3 faces; projecting the translations out
-    of its solution gives the minimum-norm step.  Returns None when the
-    pinned system is singular.
+    of its solution gives the minimum-norm step.  When the pinned system
+    is singular, the step is not finite.
     """
     a = 0
     b = int(np.argmax(np.linalg.norm(np.cross(normals, normals[a]), axis=1)))
@@ -174,56 +171,23 @@ def _pinned_step(jac, normals, rhs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
         x[free] = sparse_linalg.spsolve(jac[free][:, free].tocsc(), rhs[free])
-    if not np.isfinite(x).all():
-        return None
     return x - normals @ np.linalg.solve(normals.T @ normals, normals.T @ x)
-
-
-def _activate_all_faces(n, h):
-    """Blend a requested start toward the round one until all faces are live.
-
-    A plane cut off from the body contributes a zero Jacobian row that the
-    Newton iteration can never repair, so starts must have every face
-    active; the round configuration h = const always is.
-    """
-    ones = np.full(len(h), float(np.abs(h).mean()) or 1.0)
-
-    def alive(hh):
-        try:
-            poly = polytope_from_support(n, hh)
-        except (EmptyBody, ValueError):
-            return None
-        if poly.areas.min() <= 1e-12 * poly.areas.max():
-            return None
-        return poly
-
-    poly = alive(h)
-    if poly is not None:
-        return h, poly
-    lo, hi = 0.0, 1.0  # beta = 1 is the requested start, beta = 0 is round
-    best = (ones, alive(ones))
-    for _ in range(25):
-        beta = 0.5 * (lo + hi)
-        hh = (1 - beta) * ones + beta * h
-        poly = alive(hh)
-        if poly is None:
-            hi = beta
-        else:
-            lo = beta
-            best = (hh, poly)
-    return best
 
 
 def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
                     init_support=None, full_output=False):
     """Polytope with the prescribed face normals and areas, centred at origin.
 
-    Newton steps h <- h + J^+ (A0 - A(h)) with the sparse symmetric area
-    Jacobian; the minimum-norm step stays orthogonal to the translation
-    kernel and the body is recentred after convergence.  Raises
-    DegenerateFace if some prescribed face vanishes at the optimum and
-    MaxIterExceeded with the residual history when the budget runs out or
-    the Jacobian is singular.
+    ``newton.damped_newton`` steps h <- h + alpha J^+ (A0 - A(h)) with the
+    sparse symmetric area Jacobian, keeping every face's area positive; the
+    minimum-norm step stays orthogonal to the translation kernel and the
+    body is recentred after convergence.  A plane cut off from the body has
+    a zero Jacobian row that no step repairs, so an init_support with a dead
+    face is blended toward the round start h = const, on which every plane
+    touches the body at its own normal.  max_iter counts accepted steps.
+    Raises DegenerateFace if some prescribed face vanishes at the optimum
+    and MaxIterExceeded, carrying the last iterate and its residual, when
+    the budget runs out or no step is accepted.
 
     Residuals below ~1e-10 relative are not reachable: the halfspace
     intersection quantises vertices at that scale.
@@ -231,70 +195,39 @@ def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
     problem.validate()
     n = problem.normals
     target = problem.target_areas
+    floor = 1e-14 * float(target.max())  # no accepted step takes a face below it
 
-    if init_support is None:
-        # every plane of the round start h = const is active (it touches the
-        # body at its own normal), so all faces begin with positive area
-        h = np.ones(len(n))
-        poly = polytope_from_support(n, h)
-    else:
-        h = np.asarray(init_support, dtype=float).copy()
-        h, poly = _activate_all_faces(n, h)
+    def residual(poly):
+        return float(np.max(np.abs(poly.areas - target) / target))
+
+    def evaluate(h, _):
+        try:
+            poly = polytope_from_support(n, h)
+        except (EmptyBody, ValueError):
+            return None
+        return poly, residual(poly)
+
+    def alive(h):
+        got = evaluate(h, None)
+        if got and got[0].areas.min() > 1e-12 * got[0].areas.max():
+            return got[0]
+
+    def step(h, poly, _):
+        return _pinned_step(area_jacobian(poly), n, target - poly.areas)
+
+    init = np.ones(len(n)) if init_support is None else np.asarray(init_support, float)
+    h, poly = newton.blend_start(np.full(len(n), float(np.abs(init).mean()) or 1.0),
+                                 init, alive)
+    poly = poly or polytope_from_support(n, h)
     scale = np.sqrt(target.sum() / poly.areas.sum())
-    h = h * scale
     poly = poly.scaled(scale)
+    run = newton.damped_newton(h * scale, poly, residual(poly), step, evaluate, tol,
+                               max_iter, lambda poly: poly.areas.min() > floor)
+    poly, history = run.state, run.history
+    if run.failure is not None:
+        raise MaxIterExceeded(run.failure, best=poly, residual=history[-1])
 
-    floor = 1e-14 * float(target.max())
-    trust = 0.25 * float(np.abs(h).mean())
-    history = []
-    for it in range(max_iter):
-        areas = poly.areas
-        resid = float(np.max(np.abs(areas - target) / target))
-        history.append(resid)
-        if resid <= tol:
-            break
-        full_step = _pinned_step(area_jacobian(poly), n, target - areas)
-        if full_step is None:
-            raise MaxIterExceeded(
-                f"singular area Jacobian at residual {resid}",
-                best=poly, residual=resid,
-            )
-        accepted = False
-        for _ in range(60):
-            step = full_step
-            norm = float(np.abs(step).max())
-            if norm > trust:
-                step = step * (trust / norm)
-            try:
-                trial = polytope_from_support(n, h + step)
-            except (EmptyBody, ValueError):
-                trust *= 0.25
-                continue
-            trial_resid = float(np.max(np.abs(trial.areas - target) / target))
-            # keep every face alive: a dead face has a zero Jacobian row
-            # and the iteration can never revive it
-            if trial_resid < resid and trial.areas.min() > floor:
-                h = h + step
-                poly = trial
-                trust = min(trust * 2.0, 10.0 * float(np.abs(h).mean()))
-                accepted = True
-                break
-            trust *= 0.25
-        if not accepted:
-            raise MaxIterExceeded(
-                f"trust region collapsed at residual {resid}",
-                best=poly, residual=resid,
-            )
-    else:
-        raise MaxIterExceeded(
-            f"residual {history[-1]} after {max_iter} iterations",
-            best=poly, residual=history[-1],
-        )
-
-    dead = [
-        i for i in range(len(n))
-        if target[i] > 0 and poly.areas[i] < 1e-12 * target.max()
-    ]
+    dead = np.flatnonzero(poly.areas < 1e-12 * target.max()).tolist()
     if dead:
         raise DegenerateFace(f"faces {dead} vanished at the optimum")
 
@@ -302,8 +235,9 @@ def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
     if full_output:
         report = {
             "iterations": len(history),
+            "backtracks": run.backtracks,
             "residual_history": history,
-            "final_residual": history[-1] if history else 0.0,
+            "final_residual": history[-1],
             "volume": centred.volume(),
             "support_numbers": centred.support_numbers.tolist(),
         }

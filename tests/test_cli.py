@@ -216,6 +216,24 @@ def test_top_level_json_non_object_is_schema_error(tmp_path, capsys, command, to
     assert captured.err.startswith("ovaloid: json.object:")
 
 
+@pytest.mark.parametrize("command, body, constraint", [
+    (["rigidity", "defo", "check"], {"kind": "rigidity-problem", "grid": 5},
+     "rigidity.grid.z"),
+    (["minkowski", "solve"], {"kind": "minkowski-problem", "curvature": 3},
+     "minkowski.centers"),
+    (["rigidity", "defo", "check"], {"kind": "rigidity-problem", "surface": "vertices"},
+     "rigidity.vertices"),
+], ids=["grid", "curvature", "surface"])
+def test_nested_non_object_is_schema_error(tmp_path, capsys, command, body, constraint):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(body))
+    code = cli.run(command + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"ovaloid: {constraint}:")
+
+
 def test_minkowski_roundtrip_cli(capsys):
     code, out = run_cli(
         ["minkowski", "roundtrip", "--faces", "20", "--seed", "7"], capsys

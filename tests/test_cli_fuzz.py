@@ -19,6 +19,9 @@ coordinate = st.one_of(
 vector = st.lists(coordinate, min_size=2, max_size=4)
 vectors = st.lists(vector, min_size=0, max_size=8)
 numbers = st.lists(coordinate, min_size=0, max_size=8)
+# what a field that should hold a JSON object may hold instead
+non_object = st.one_of(vectors, coordinate, st.text(max_size=8), st.booleans(),
+                       st.none())
 
 
 def _run(tmp_path, name, text, argv):
@@ -64,7 +67,7 @@ def test_off_meshes(tmp_path, text, command):
 
 @st.composite
 def minkowski_problems(draw):
-    shape = draw(st.sampled_from(["hull", "normals", "curvature"]))
+    shape = draw(st.sampled_from(["hull", "normals", "curvature", "junk"]))
     if shape == "hull":
         # a closed problem, its areas perhaps a little off
         hull = shapes.random_hull(draw(st.integers(4, 10)),
@@ -74,9 +77,11 @@ def minkowski_problems(draw):
         body = {"normals": hull.normals.tolist(), "areas": areas.tolist()}
     elif shape == "normals":
         body = {"normals": draw(vectors), "areas": draw(numbers)}
-    else:
+    elif shape == "curvature":
         body = {"curvature": {"centers": draw(vectors),
                               "cell_areas": draw(numbers), "K": draw(numbers)}}
+    else:
+        body = {"curvature": draw(non_object)}
     return json.dumps({"kind": "minkowski-problem", **body})
 
 
@@ -88,7 +93,9 @@ def test_minkowski_problems(tmp_path, text, action):
 
 @st.composite
 def rigidity_problems(draw):
-    if draw(st.booleans()):
+    if draw(st.integers(0, 4)) == 0:
+        body = {draw(st.sampled_from(["grid", "surface"])): draw(non_object)}
+    elif draw(st.booleans()):
         ny, nx = draw(st.integers(2, 5)), draw(st.integers(2, 5))
         grid = st.lists(st.lists(coordinate, min_size=nx, max_size=nx),
                         min_size=ny, max_size=ny)

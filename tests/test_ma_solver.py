@@ -394,3 +394,25 @@ def test_strictly_convex_start_has_positive_cells(seed):
     )(problem.interior_nodes)
     values[:n] = env
     assert cell_masses(nodes, values, np.arange(n), None).min() == 0.0
+
+
+def test_backtracks_count_rejected_trials(monkeypatch):
+    # masses spread over three decades: some full steps are halved
+    problem, _ = random_forward_instance(1, n_side=5)
+    rng = np.random.default_rng(0)
+    problem.masses = problem.masses * np.exp(
+        rng.uniform(np.log(1e-3), 0.0, len(problem.masses)))
+    calls = []
+    cells = ma._cells
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cells(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "_cells", counted)
+    u = ma.solve_ma(problem, tol=1e-11)
+    info = u.solve_info
+    assert info["final_residual"] <= 1e-11
+    assert info["backtracks"] > 0
+    # one evaluation of the start, then one per accepted or rejected trial
+    assert len(calls) == 1 + info["newton_iters"] + info["backtracks"]

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import support_cases
 from oracles import pair_scan_area_jacobian
-from ovaloid import core, shapes
+from ovaloid import core, errors, shapes
 from ovaloid import minkowski_solver as mk
 from ovaloid.errors import MaxIterExceeded
 
@@ -183,3 +183,53 @@ def test_solver_reports_budget_exhaustion():
         mk.solve_minkowski(prob, tol=1e-9, max_iter=2)
     assert err.value.best is not None
     assert err.value.residual > 0
+
+
+def test_negative_curvature_is_a_named_value_error():
+    assert mk.NegativeCurvature is errors.NegativeCurvature
+    assert issubclass(mk.NegativeCurvature, errors.OvaloidError)
+    assert issubclass(mk.NegativeCurvature, ValueError)
+
+
+def _residual(poly, prob):
+    return float(np.max(np.abs(poly.areas - prob.target_areas) / prob.target_areas))
+
+
+def test_budget_counts_accepted_steps():
+    src = shapes.random_hull(20, seed=9).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    _, rep = mk.solve_minkowski(prob, tol=1e-9, full_output=True)
+    steps = rep["iterations"] - 1
+    assert len(rep["residual_history"]) == rep["iterations"]
+    # a solve that reaches tol on its last allowed step returns
+    body, last = mk.solve_minkowski(prob, tol=1e-9, max_iter=steps, full_output=True)
+    assert last["iterations"] == steps + 1 and last["final_residual"] <= 1e-9
+    # one step fewer raises, with the residual of the iterate it carries
+    with pytest.raises(MaxIterExceeded) as err:
+        mk.solve_minkowski(prob, tol=1e-9, max_iter=steps - 1)
+    assert err.value.residual > 1e-9
+    assert err.value.residual == pytest.approx(_residual(err.value.best, prob),
+                                               rel=1e-12)
+    assert err.value.residual == pytest.approx(rep["residual_history"][steps - 1],
+                                               rel=1e-12)
+
+
+def test_start_with_a_dead_face_is_blended():
+    src = shapes.random_hull(18, seed=4).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    a = mk.solve_minkowski(prob, tol=1e-9)
+    h0 = src.support_numbers.copy()
+    h0[0] += 5.0 * h0.max()  # the plane of face 0 no longer touches the body
+    assert core.polytope_from_support(src.normals, h0).areas[0] == 0.0
+    b = mk.solve_minkowski(prob, tol=1e-9, init_support=h0)
+    rel = np.max(np.abs(a.support_numbers - b.support_numbers)
+                 / np.abs(a.support_numbers))
+    assert rel < 1e-6
+
+
+def test_backtracks_are_reported():
+    src = shapes.random_hull(10, seed=9).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    _, rep = mk.solve_minkowski(prob, tol=1e-9, full_output=True)
+    assert rep["backtracks"] > 0
+    assert rep["final_residual"] <= 1e-9
