@@ -15,7 +15,14 @@ import numpy as np
 
 from . import core, intrinsic_metric as im, io, ma_solver as ma
 from . import minkowski_solver as mk, rigidity_lab as rl, shapes
-from .errors import OvaloidError, ParseError, SchemaError, UnknownDemo
+from .errors import (
+    CoincidentPoints,
+    OvaloidError,
+    ParseError,
+    PointOutsidePolygon,
+    SchemaError,
+    UnknownDemo,
+)
 
 
 def _common_flags(parser):
@@ -91,12 +98,11 @@ def build_parser():
 
 def _check_closed(faces):
     """SchemaError mesh.closed unless every edge borders exactly two faces."""
-    counts = {}
-    for cyc in faces:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    bad = sum(k != 2 for k in counts.values())
+    _, tail, head, _ = core.half_edges(faces)
+    nv = int(tail.max(initial=-1)) + 1
+    _, counts = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head),
+                          return_counts=True)
+    bad = int((counts != 2).sum())
     if bad:
         raise SchemaError(
             "mesh.closed", f"{bad} edges do not border exactly 2 faces"
@@ -117,19 +123,28 @@ def _load_net(path):
 
 
 def _parse_surface_point(net, text):
+    try:
+        if text.startswith("v"):
+            vid = int(text[1:])
+        else:
+            f, x, y = text.split(":")
+            f, x, y = int(f), float(x), float(y)
+    except ValueError as exc:
+        raise SchemaError("point.format", f"expected POLY:X:Y or vN, got {text!r}") from exc
     if text.startswith("v"):
         if not net.corner_labels:
             raise SchemaError("point.vertex", "vertex points need a mesh input")
-        vid = int(text[1:])
         for (f, c), lab in net.corner_labels.items():
             if lab == vid:
                 xy = net.polygons[f][c]
                 return im.SurfacePoint(f, (float(xy[0]), float(xy[1])))
         raise SchemaError("point.vertex", f"no corner labelled {vid}")
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SchemaError("point.format", "expected POLY:X:Y or vN")
-    return im.surface_point(net, int(parts[0]), float(parts[1]), float(parts[2]))
+    if not 0 <= f < len(net.polygons):
+        raise SchemaError("point.polygon", f"no polygon {f} in the net")
+    try:
+        return im.surface_point(net, f, x, y)
+    except PointOutsidePolygon as exc:
+        raise SchemaError("point.outside", str(exc)) from exc
 
 
 def _cmd_net(args):
@@ -144,7 +159,10 @@ def _cmd_net(args):
     src = _parse_surface_point(net, args.src)
     dst = _parse_surface_point(net, args.dst)
     max_faces = args.max_iter if args.max_iter is not None else 32
-    path = im.shortest_path(net, src, dst, max_faces=max_faces)
+    try:
+        path = im.shortest_path(net, src, dst, max_faces=max_faces)
+    except CoincidentPoints as exc:
+        raise SchemaError("point.distinct", str(exc)) from exc
     return 0, {
         "length": path.length,
         "face_sequence": list(path.face_sequence),

@@ -12,8 +12,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
@@ -62,25 +65,16 @@ class ConvexPolytope:
         hi = self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def edges(self):
-        """Sorted vertex-index pairs of all edges."""
-        seen = set()
-        for cyc in self.faces:
-            for k in range(len(cyc)):
-                a, b = cyc[k], cyc[(k + 1) % len(cyc)]
-                seen.add((min(a, b), max(a, b)))
-        return sorted(seen)
-
-    def faces_at_vertex(self, vi):
-        return [f for f, cyc in enumerate(self.faces) if vi in cyc]
+    @cached_property
+    def _half_edges(self):
+        """``half_edges(self.faces)``, built once per polytope."""
+        return half_edges(self.faces)
 
     def _fan_tetrahedra(self):
         """Every face fanned into triangles (v0, v1, v2) from its first
         vertex: six times the signed volume of each triangle's tetrahedron
         against the origin, and the sum of its three vertices."""
-        tri = [(cyc[0], cyc[k], cyc[k + 1])
-               for cyc in self.faces for k in range(1, len(cyc) - 1)]
-        v0, v1, v2 = self.vertices[np.array(tri, dtype=int).reshape(-1, 3).T]
+        v0, v1, v2 = self.vertices[fan_triangles(self.faces).T]
         return np.einsum("ij,ij->i", v0, np.cross(v1, v2)), v0 + v1 + v2
 
     def volume(self):
@@ -128,19 +122,19 @@ class ConvexPolytope:
         if slack.max() > tol * scale:
             raise ValueError("a vertex lies outside a face halfspace")
         active = slack > -tol * scale  # vertex on face plane
-        ok_faces = [len(f) >= 3 for f in self.faces]
-        counts = active[:, np.array(ok_faces, dtype=bool)].sum(axis=1)
+        ok_faces = np.array([len(f) >= 3 for f in self.faces], dtype=bool)
+        counts = active[:, ok_faces].sum(axis=1)
         if (counts < 3).any():
             raise ValueError("a vertex touches fewer than 3 face planes")
         defect = np.linalg.norm(closing_defect(self.normals, self.areas))
         if defect > tol * max(self.areas.sum(), 1.0):
             raise ValueError(f"closing defect too large: {defect}")
-        for f, cyc in enumerate(self.faces):
-            if len(cyc) < 3:
-                continue
-            pts = self.vertices[list(cyc)]
-            if np.abs(pts @ self.normals[f] - self.support_numbers[f]).max() > 10 * tol * scale:
-                raise ValueError(f"face {f} is not planar")
+        face, tail, _, _ = self._half_edges
+        off = np.einsum("ij,ij->i", self.vertices[tail], self.normals[face]) \
+            - self.support_numbers[face]
+        bad = face[ok_faces[face] & (np.abs(off) > 10 * tol * scale)]
+        if len(bad):
+            raise ValueError(f"face {bad[0]} is not planar")
         return self
 
 
@@ -153,12 +147,36 @@ def closing_defect(normals, areas):
     return n.T @ a
 
 
-def _newell(points):
-    """Plane normal and area of a 3-D planar polygon via the Newell sum."""
-    p = np.asarray(points, dtype=float)
-    s = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0) * 0.5
-    area = np.linalg.norm(s)
-    return (s / area if area > 0 else s), area
+def half_edges(faces):
+    """Flat half-edge layout of face cycles, as (face, tail, head, twin).
+
+    Half-edge k runs from vertex ``tail[k]`` to ``head[k]`` along face
+    ``face[k]``; each face's half-edges are contiguous and in cycle order,
+    and the faces follow in their given order.  ``twin[k]`` is the
+    half-edge running head -> tail, matched by one sort of the packed
+    (tail, head) keys, or -1 where no face has it.  Vertex ids are
+    non-negative.
+    """
+    sizes = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+    tail = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.intp,
+                       count=int(sizes.sum()))
+    face = np.repeat(np.arange(len(faces)), sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    head = tail[start + (np.arange(len(tail)) - start + 1) % sizes[face]]
+    nv = int(tail.max(initial=-1)) + 1
+    key, rev = tail * nv + head, head * nv + tail
+    order = np.argsort(key)
+    at = order[np.minimum(np.searchsorted(key, rev, sorter=order), len(key) - 1)]
+    return face, tail, head, np.where(key[at] == rev, at, -1)
+
+
+def fan_triangles(faces):
+    """Every face cycle fanned into triangles (first, tail, head) from its
+    first vertex, one per half-edge that does not touch it, in face order;
+    each triangle keeps the orientation of its face."""
+    face, tail, head, _ = half_edges(faces)
+    first = tail[np.searchsorted(face, face)]
+    return np.stack([first, tail, head], axis=1)[(tail != first) & (head != first)]
 
 
 def convex_hull(points, tol=DEFAULT_TOL, merge_tol=1e-7):
@@ -179,77 +197,28 @@ def convex_hull(points, tol=DEFAULT_TOL, merge_tol=1e-7):
     eq = hull.equations  # rows (n, d): n.x + d <= 0, |n| = 1
     nsimp = len(hull.simplices)
 
-    # union-find merge of coplanar neighbours
-    parent = list(range(nsimp))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in range(nsimp):
-        for t in hull.neighbors[s]:
-            if t < 0:
-                continue
-            if (
-                np.abs(eq[s, :3] - eq[t, :3]).max() <= merge_tol
-                and abs(eq[s, 3] - eq[t, 3]) <= merge_tol * max(scale, 1.0)
-            ):
-                ra, rb = find(s), find(int(t))
-                if ra != rb:
-                    parent[rb] = ra
-
-    groups = {}
-    for s in range(nsimp):
-        groups.setdefault(find(s), []).append(s)
+    # coplanar neighbouring triangles form one face; components are numbered
+    # in the order of their first triangle
+    s, t = np.repeat(np.arange(nsimp), 3), hull.neighbors.ravel()
+    same = (t >= 0) & (np.abs(eq[s, :3] - eq[t, :3]).max(axis=1) <= merge_tol) \
+        & (np.abs(eq[s, 3] - eq[t, 3]) <= merge_tol * max(scale, 1.0))
+    graph = sparse.coo_matrix((np.ones(int(same.sum())), (s[same], t[same])),
+                              shape=(nsimp, nsimp))
+    _, label = connected_components(graph, directed=False)
+    first = np.unique(label, return_index=True)[1]
 
     # reindex hull vertices
-    vmap = {int(v): k for k, v in enumerate(hull.vertices)}
-    verts = pts[hull.vertices]
-
-    faces, normals, areas, supports = [], [], [], []
-    for simps in groups.values():
-        n_out = eq[simps[0], :3]
-        # orient every triangle CCW w.r.t. the outward normal, then cancel
-        # interior directed edges; the survivors chain into the face cycle
-        edge_next = {}
-        edges = set()
-        for s in simps:
-            a, b, c = (vmap[int(v)] for v in hull.simplices[s])
-            if np.dot(np.cross(verts[b] - verts[a], verts[c] - verts[a]), n_out) < 0:
-                b, c = c, b
-            for u, w in ((a, b), (b, c), (c, a)):
-                if (w, u) in edges:
-                    edges.remove((w, u))
-                else:
-                    edges.add((u, w))
-        for u, w in edges:
-            edge_next[u] = w
-        start = next(iter(edge_next))
-        cyc = [start]
-        while True:
-            nxt = edge_next[cyc[-1]]
-            if nxt == start:
-                break
-            cyc.append(nxt)
-            if len(cyc) > len(edge_next):
-                raise DegenerateInput("face boundary did not close into one cycle")
-        nvec, area = _newell(verts[cyc])
-        if np.dot(nvec, n_out) < 0:
-            cyc.reverse()
-            nvec = -nvec
-        faces.append(tuple(cyc))
-        normals.append(nvec)
-        areas.append(area)
-        supports.append(float((verts @ nvec).max()))
-
+    ids, vert = np.unique(hull.simplices.ravel(), return_inverse=True)
+    verts = pts[ids]
+    faces, newell = _face_cycles(verts, np.repeat(label, 3), vert, eq[first, :3])
+    areas = np.linalg.norm(newell, axis=1)
+    normals = newell / areas[:, None]
     poly = ConvexPolytope(
         vertices=verts,
-        faces=tuple(faces),
-        normals=np.array(normals),
-        areas=np.array(areas),
-        support_numbers=np.array(supports),
+        faces=faces,
+        normals=normals,
+        areas=areas,
+        support_numbers=(verts @ normals.T).max(axis=0),
     )
     return poly.validate(tol)
 
@@ -287,32 +256,34 @@ def polytope_from_support(normals, support_numbers, tol=DEFAULT_TOL):
 
     hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), interior)
     verts = hsi.intersections
-    faces, areas = _face_cycles(verts, hsi.dual_facets, n)
+    # dual_facets[k] lists the halfspaces meeting at vertex k
+    sizes = np.fromiter(map(len, hsi.dual_facets), dtype=np.intp, count=len(verts))
+    face = np.fromiter(itertools.chain.from_iterable(hsi.dual_facets),
+                       dtype=np.intp, count=int(sizes.sum()))
+    faces, newell = _face_cycles(verts, face, np.repeat(np.arange(len(verts)), sizes), n)
     return ConvexPolytope(
         vertices=verts,
         faces=faces,
         normals=n,
-        areas=areas,
+        areas=np.linalg.norm(newell, axis=1),
         support_numbers=(verts @ n.T).max(axis=0),
     )
 
 
-def _face_cycles(verts, dual_facets, normals):
-    """CCW vertex cycles and Newell areas of every face, in one pass.
+def _face_cycles(verts, face, vert, normals):
+    """CCW vertex cycles and Newell vectors of every face, in one pass.
 
-    ``dual_facets[k]`` lists the halfspaces meeting at vertex k, so the
-    (face, vertex) incidence is combinatorial (no tolerance tests).  Each
-    face's vertices are sorted by angle about their centroid in a frame of
-    the face plane; the Newell sum then tells whether that order runs
-    clockwise, and flipped faces are reversed.  A face with fewer than 3
-    vertices gets the cycle () and area 0.
+    ``face[k]`` and ``vert[k]`` are (face, vertex) incidences, repeats
+    allowed, so the faces come from combinatorics (no tolerance tests).
+    ``normals`` need only point roughly along each face's outer normal.
+    Each face's vertices are sorted by angle about their centroid in a
+    frame of the face plane; the Newell sum then tells whether that order
+    runs clockwise, and flipped faces are reversed.  A face with fewer than
+    3 vertices gets the cycle () and a zero Newell vector.
     """
     m = len(normals)
     nv = len(verts)
-    sizes = np.fromiter(map(len, dual_facets), dtype=np.intp, count=nv)
-    face_of = np.fromiter(itertools.chain.from_iterable(dual_facets),
-                          dtype=np.intp, count=int(sizes.sum()))
-    pair = np.unique(face_of * nv + np.repeat(np.arange(nv), sizes))
+    pair = np.unique(face * nv + vert)
     face, vert = np.divmod(pair, nv)  # sorted by face, then vertex
     count = np.bincount(face, minlength=m)
     live = count[face] >= 3
@@ -345,58 +316,53 @@ def _face_cycles(verts, dual_facets, normals):
     pos = np.where(flip[face], count[face] - 1 - pos, pos)
     cyc = vert[order][start[face] + pos].tolist()
     faces = tuple(tuple(cyc[a:a + c]) for a, c in zip(start.tolist(), count.tolist()))
-    return faces, np.linalg.norm(newell, axis=1)
+    newell[flip] *= -1.0
+    return faces, newell
 
 
 def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):
     """ConvexPolytope from explicit vertex coordinates and CCW face cycles.
 
-    Normals and areas come from the Newell sum per face; the boundary-complex
-    invariants are checked, so non-convex or open meshes are rejected.
+    Normals and areas come from one Newell sum over the half-edges; the
+    boundary-complex invariants are checked, so non-convex or open meshes are rejected.
     """
     verts = as_points(vertices)
-    normals, areas, supports, cycles = [], [], [], []
-    for cyc in faces:
-        cyc = tuple(int(i) for i in cyc)
-        if len(cyc) < 3:
-            raise ValueError("face with fewer than 3 vertices")
-        nvec, area = _newell(verts[list(cyc)])
-        cycles.append(cyc)
-        normals.append(nvec)
-        areas.append(area)
-        supports.append(float((verts @ nvec).max()))
+    cycles = tuple(tuple(int(i) for i in cyc) for cyc in faces)
+    if any(len(cyc) < 3 for cyc in cycles):
+        raise ValueError("face with fewer than 3 vertices")
+    face, tail, head, _ = half_edges(cycles)
+    newell = np.zeros((len(cycles), 3))
+    np.add.at(newell, face, np.cross(verts[tail], verts[head]))
+    newell *= 0.5
+    areas = np.linalg.norm(newell, axis=1)
+    normals = newell / np.where(areas > 0, areas, 1.0)[:, None]
     poly = ConvexPolytope(
         vertices=verts,
-        faces=tuple(cycles),
-        normals=np.array(normals),
-        areas=np.array(areas),
-        support_numbers=np.array(supports),
+        faces=cycles,
+        normals=normals,
+        areas=areas,
+        support_numbers=(verts @ normals.T).max(axis=0),
     )
     return poly.validate(tol)
 
 
 def _face_cycle_around_vertex(poly, vi):
-    """Incident faces of vertex vi in cyclic order (CCW seen from outside)."""
-    incident = poly.faces_at_vertex(vi)
-    if len(incident) < 3:
-        raise DegenerateVertex(f"vertex {vi} has {len(incident)} incident faces")
-    nxt, prv = {}, {}
-    for f in incident:
-        cyc = poly.faces[f]
-        k = cyc.index(vi)
-        nxt[f] = cyc[(k + 1) % len(cyc)]
-        prv[cyc[(k - 1) % len(cyc)]] = f
-    order = [incident[0]]
-    while True:
-        g = prv.get(nxt[order[-1]])
-        if g is None:
-            raise DegenerateVertex(f"open fan of faces at vertex {vi}")
-        if g == order[0]:
-            break
-        order.append(g)
-        if len(order) > len(incident):
-            raise DegenerateVertex(f"faces at vertex {vi} do not form one cycle")
-    if len(order) != len(incident):
+    """Incident faces of vertex vi in cyclic order (CCW seen from outside).
+
+    The face after f is the one across the twin of vi's outgoing half-edge
+    in f.
+    """
+    face, tail, _, twin = poly._half_edges
+    out = np.flatnonzero(tail == vi)
+    if len(out) < 3:
+        raise DegenerateVertex(f"vertex {vi} has {len(out)} incident faces")
+    if (twin[out] < 0).any():
+        raise DegenerateVertex(f"open fan of faces at vertex {vi}")
+    after = dict(zip(face[out].tolist(), face[twin[out]].tolist()))
+    order = [int(face[out[0]])]
+    while len(order) <= len(out) and after[order[-1]] != order[0]:
+        order.append(after[order[-1]])
+    if len(order) != len(out):
         raise DegenerateVertex(f"faces at vertex {vi} do not form one cycle")
     return order
 

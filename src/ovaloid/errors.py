@@ -65,6 +65,14 @@ class InvalidNet(OvaloidError):
     """Net fails the closedness or edge-length gluing conditions."""
 
 
+class PointOutsidePolygon(OvaloidError, ValueError):
+    """A surface point does not lie in the polygon that names it."""
+
+
+class CoincidentPoints(OvaloidError, ValueError):
+    """The two ends of a geodesic query are one surface point."""
+
+
 class SearchBudgetExceeded(OvaloidError):
     """Geodesic search hit the face-sequence or state budget."""
 

@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
-from . import planar
-from .errors import InvalidNet, SearchBudgetExceeded, TriangleInequalityViolated
+from . import core, planar
+from .errors import (
+    CoincidentPoints,
+    InvalidNet,
+    PointOutsidePolygon,
+    SearchBudgetExceeded,
+    TriangleInequalityViolated,
+)
 
 
 def _rot(angle):
@@ -45,16 +54,28 @@ class MetricNet:
 
     def __post_init__(self):
         polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
+        if not polys:
+            raise ValueError("a net needs at least one polygon")
         for k, p in enumerate(polys):
-            if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3:
-                raise ValueError(f"polygon {k} is not an (n>=3, 2) array")
-            if planar.polygon_area(p) <= 0:
-                raise ValueError(f"polygon {k} must be CCW with positive area")
+            if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3 or not np.isfinite(p).all():
+                raise ValueError(f"polygon {k} is not a finite (n>=3, 2) array")
+        # twice the signed area of every polygon, by one shoelace sum
+        sizes = [len(p) for p in polys]
+        pts = np.concatenate(polys)
+        nxt = np.roll(pts, -1, axis=0)
+        nxt[np.cumsum(sizes) - 1] = [p[0] for p in polys]
+        area = np.bincount(np.repeat(np.arange(len(polys)), sizes),
+                           pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1])
+        if not (area > 0).all():
+            raise ValueError(f"polygon {np.argmin(area > 0)} must be CCW with positive area")
         object.__setattr__(self, "polygons", polys)
         ids = tuple(
             ((int(a), int(ea)), (int(b), int(eb)))
             for (a, ea), (b, eb) in self.identifications
         )
+        for f, e in itertools.chain.from_iterable(ids):
+            if not (0 <= f < len(polys) and 0 <= e < len(polys[f])):
+                raise ValueError(f"edge {e} of polygon {f} is not in the net")
         object.__setattr__(self, "identifications", ids)
 
     @property
@@ -77,28 +98,23 @@ class MetricNet:
 
     @cached_property
     def vertex_classes(self):
-        """Corner classes induced by the identifications (union-find)."""
-        parent = {c: c for c in self.corners()}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for (a, ea), (b, eb) in self.identifications:
-            na, nb = len(self.polygons[a]), len(self.polygons[b])
-            union((a, ea), (b, (eb + 1) % nb))
-            union((a, (ea + 1) % na), (b, eb))
-        groups = {}
-        for c in self.corners():
-            groups.setdefault(find(c), []).append(c)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        """Corner classes induced by the identifications, each sorted, in
+        the order of their first corner: the connected components of the
+        graph that glues corner ea of a to eb+1 of b, and ea+1 to eb."""
+        sizes = np.array([len(p) for p in self.polygons])
+        start = np.cumsum(sizes) - sizes
+        a, ea, b, eb = np.array(self.identifications, dtype=np.intp).reshape(-1, 4).T
+        u = np.concatenate([start[a] + ea, start[a] + (ea + 1) % sizes[a]])
+        w = np.concatenate([start[b] + (eb + 1) % sizes[b], start[b] + eb])
+        n = int(sizes.sum())
+        # connected_components numbers the components in the order of their
+        # first node, so the classes come out sorted
+        count, label = connected_components(
+            sparse.coo_matrix((np.ones(len(u)), (u, w)), shape=(n, n)), directed=False)
+        classes = [[] for _ in range(count)]
+        for corner, k in zip(self.corners(), label.tolist()):
+            classes[k].append(corner)
+        return tuple(map(tuple, classes))
 
     def corner_class_of(self, f, c):
         for k, cls in enumerate(self.vertex_classes):
@@ -128,7 +144,7 @@ class SurfacePoint:
 def surface_point(net, polygon, x, y, tol=1e-9):
     p = np.array([float(x), float(y)])
     if not planar.point_in_polygon(net.polygons[polygon], p, tol=max(tol, 1e-12)):
-        raise ValueError(f"point {p} is outside polygon {polygon}")
+        raise PointOutsidePolygon(f"point {p} is outside polygon {polygon}")
     return SurfacePoint(polygon=int(polygon), xy=(float(x), float(y)))
 
 
@@ -174,29 +190,24 @@ def net_from_polytope(poly):
     Returns a MetricNet with one congruent polygon per face, identifications
     along the original edges, and corner labels mapping back to vertex ids.
     """
-    polygons = []
-    labels = {}
-    directed = {}
-    for f, cyc in enumerate(poly.faces):
-        pts = poly.vertices[list(cyc)]
-        n = poly.normals[f]
-        e1 = pts[1] - pts[0]
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        local = np.stack([(pts - pts[0]) @ e1, (pts - pts[0]) @ e2], axis=1)
-        polygons.append(local)
-        for k, v in enumerate(cyc):
-            labels[(f, k)] = int(v)
-            directed[(cyc[k], cyc[(k + 1) % len(cyc)])] = (f, k)
-    idents = []
-    for (u, w), (f, k) in directed.items():
-        if u < w:
-            g, j = directed[(w, u)]
-            idents.append(((f, k), (g, j)))
+    face, tail, head, twin = core.half_edges(poly.faces)
+    start = np.searchsorted(face, np.arange(len(poly.faces)))
+    pos = np.arange(len(face)) - start[face]
+    origin = poly.vertices[tail[start]]
+    e1 = poly.vertices[head[start]] - origin
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(poly.normals, e1)
+    d = poly.vertices[tail] - origin[face]
+    local = np.stack([np.einsum("ij,ij->i", d, e1[face]),
+                      np.einsum("ij,ij->i", d, e2[face])], axis=1)
+    # each edge once, from its tail < head side, in face order
+    glued = np.flatnonzero((tail < head) & (twin >= 0))
+    face, pos = face.tolist(), pos.tolist()
     return MetricNet(
-        polygons=tuple(polygons),
-        identifications=tuple(idents),
-        corner_labels=labels,
+        polygons=tuple(np.split(local, start[1:])),
+        identifications=tuple(((face[k], pos[k]), (face[t], pos[t]))
+                              for k, t in zip(glued.tolist(), twin[glued].tolist())),
+        corner_labels=dict(zip(zip(face, pos), tail.tolist())),
     )
 
 
@@ -223,30 +234,21 @@ def validate_net(net, tol=1e-9):
     scale = max(net.scale, 1.0)
 
     # closedness: every edge in exactly one identification
-    used = set()
-    dup = False
-    for (a, b) in net.identifications:
-        for key in (a, b):
-            if key in used:
-                dup = True
-            used.add(key)
-    unmatched = [c for c in net.corners() if c not in used]
-    closed = not dup and not unmatched
+    sizes = np.array([len(p) for p in net.polygons])
+    start = np.cumsum(sizes) - sizes
+    glued = np.array(net.identifications, dtype=np.intp).reshape(-1, 2, 2)
+    hits = np.bincount((start[glued[..., 0]] + glued[..., 1]).ravel(),
+                       minlength=int(sizes.sum()))
+    unmatched = [c for c, h in zip(net.corners(), hits.tolist()) if h == 0]
+    closed = not unmatched and int(hits.max()) <= 1
 
     # connectivity over polygons
     n_poly = len(net.polygons)
-    adj = {i: set() for i in range(n_poly)}
-    for (a, ea), (b, eb) in net.identifications:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0} if n_poly else set()
-    stack = [0] if n_poly else []
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    connected = len(seen) == n_poly
+    parts, _ = connected_components(
+        sparse.coo_matrix((np.ones(len(glued)), (glued[:, 0, 0], glued[:, 1, 0])),
+                          shape=(n_poly, n_poly)),
+        directed=False)
+    connected = parts == 1
 
     v = len(net.vertex_classes)
     e = len(net.identifications)
@@ -261,12 +263,13 @@ def validate_net(net, tol=1e-9):
             mismatches.append((k, la, lb))
     lengths_ok = not mismatches
 
+    angles = [planar.interior_angles(p) for p in net.polygons]
     sums = []
     violations = []
     for ci, cls in enumerate(net.vertex_classes):
         theta = 0.0
         for (pf, pc) in cls:
-            theta += float(planar.interior_angles(net.polygons[pf])[pc])
+            theta += float(angles[pf][pc])
         sums.append(theta)
         if theta > 2 * np.pi + tol:
             violations.append((ci, theta))
@@ -309,18 +312,9 @@ def vertex_curvatures(net, tol=1e-9):
     rep = validate_net(net, tol=tol)
     if not (rep.closed and rep.edge_lengths_ok):
         raise InvalidNet("net fails the closedness or edge-length conditions")
-    thetas = []
-    labels = []
-    for cls in net.vertex_classes:
-        theta = sum(
-            float(planar.interior_angles(net.polygons[pf])[pc]) for pf, pc in cls
-        )
-        thetas.append(theta)
-        if net.corner_labels:
-            labels.append(net.corner_labels.get(cls[0]))
-        else:
-            labels.append(None)
-    thetas = np.array(thetas)
+    thetas = np.array(rep.angle_sums)
+    labels = [net.corner_labels.get(cls[0]) if net.corner_labels else None
+              for cls in net.vertex_classes]
     curv = 2 * np.pi - thetas
     return CurvatureReport(
         classes=net.vertex_classes,
@@ -464,7 +458,7 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
                 best_len = d
                 best = (None, pl, ql, ql, f)
     if best is not None and best_len <= slack:
-        raise ValueError("p and q coincide")
+        raise CoincidentPoints("p and q coincide")
 
     heap = []
     counter = 0

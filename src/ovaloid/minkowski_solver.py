@@ -12,7 +12,6 @@ minimum-norm step, plus recentering.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -23,6 +22,7 @@ from scipy.spatial import SphericalVoronoi
 from .core import (
     ConvexPolytope,
     closing_defect,
+    half_edges,
     polytope_from_support,
     unit_vectors,
 )
@@ -124,23 +124,14 @@ def area_jacobian(poly: ConvexPolytope):
     """d(area_i)/d(h_j) as a sparse CSR matrix: edge/sin for neighbours,
     -sum edge*cot on the diagonal.
 
-    Every directed edge u -> w of a face cycle meets its twin w -> u in the
+    Every half-edge u -> w of a face cycle meets its twin w -> u in the
     neighbouring face, so the face pairs and their edge lengths come from
-    matching the two directions of each edge.
+    the twins of ``core.half_edges``.
     """
     m = len(poly.faces)
-    nv = len(poly.vertices)
-    sizes = np.fromiter(map(len, poly.faces), dtype=np.intp, count=m)
-    u = np.fromiter(itertools.chain.from_iterable(poly.faces), dtype=np.intp,
-                    count=int(sizes.sum()))
-    face = np.repeat(np.arange(m), sizes)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    w = u[start + (np.arange(len(u)) - start + 1) % sizes[face]]
-    key, twin = u * nv + w, w * nv + u
-    order = np.argsort(key)
-    at = order[np.minimum(np.searchsorted(key, twin, sorter=order), len(u) - 1)]
-    hit = key[at] == twin
-    i, j, tail, head = face[hit], face[at[hit]], u[hit], w[hit]
+    face, tail, head, twin = half_edges(poly.faces)
+    hit = twin >= 0
+    i, j, tail, head = face[hit], face[twin[hit]], tail[hit], head[hit]
     sin = np.linalg.norm(np.cross(poly.normals[i], poly.normals[j]), axis=1)
     keep = sin >= 1e-14
     i, j, tail, head, sin = (x[keep] for x in (i, j, tail, head, sin))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .core import ConvexPolytope, convex_hull
+from .core import convex_hull, half_edges
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -56,15 +56,6 @@ def random_hull(n, seed=None, radius=1.0):
     return convex_hull(random_sphere_points(n, seed=seed, radius=radius))
 
 
-def oriented_triangles(poly: ConvexPolytope):
-    """Fan-triangulate every face, preserving the outward orientation."""
-    tris = []
-    for cyc in poly.faces:
-        for k in range(1, len(cyc) - 1):
-            tris.append((cyc[0], cyc[k], cyc[k + 1]))
-    return np.array(tris, dtype=int)
-
-
 def cube_with_face_centers(edge=1.0):
     """Cube boundary with each square face triangulated through its centre.
 
@@ -73,15 +64,10 @@ def cube_with_face_centers(edge=1.0):
     Returns (vertices, triangles).
     """
     p = cube(edge)
-    verts = [v for v in p.vertices]
-    tris = []
-    for f, cyc in enumerate(p.faces):
-        c = p.vertices[list(cyc)].mean(axis=0)
-        ci = len(verts)
-        verts.append(c)
-        for k in range(len(cyc)):
-            tris.append((ci, cyc[k], cyc[(k + 1) % len(cyc)]))
-    return np.array(verts), np.array(tris, dtype=int)
+    face, tail, head, _ = half_edges(p.faces)
+    centres = [p.vertices[list(cyc)].mean(axis=0) for cyc in p.faces]
+    tris = np.stack([len(p.vertices) + face, tail, head], axis=1)
+    return np.vstack([p.vertices, centres]), tris
 
 
 def doubled_polygon(poly):

@@ -72,3 +72,15 @@ def support_cases():
     for src in (shapes.cube(), shapes.octahedron()):
         cases.append((src.normals, src.support_numbers))
     return cases
+
+
+def hull_point_sets():
+    """Random points on the sphere (seeds 0-7, 20 to 400 points), the
+    cube, octahedron and icosahedron, and a cube whose corners are jittered
+    by 1e-10, so that its hull merges qhull triangles into squares."""
+    sets = [shapes.random_sphere_points(n, seed=seed)
+            for seed, n in enumerate(np.linspace(20, 400, 8).astype(int))]
+    cube = shapes.cube().vertices
+    jitter = np.random.default_rng(0).uniform(-1e-10, 1e-10, cube.shape)
+    return sets + [cube, shapes.octahedron().vertices,
+                   shapes.icosahedron_vertices(), cube + jitter]

@@ -3,10 +3,10 @@
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from ovaloid import core, ma_solver, planar, rigidity_lab
-from ovaloid.intrinsic_metric import _glue_transform, _point_representations
+from ovaloid.intrinsic_metric import MetricNet, _glue_transform, _point_representations
 
 
 def _cross(u, v):
@@ -185,6 +185,144 @@ def per_triangle_quad(f, poly, rel_tol=1e-3, max_depth=30):
     return total
 
 
+def newell(points):
+    """Plane normal and area of a 3-D planar polygon via the Newell sum."""
+    p = np.asarray(points, dtype=float)
+    s = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0) * 0.5
+    area = np.linalg.norm(s)
+    return (s / area if area > 0 else s), area
+
+
+def union_find_convex_hull(points, tol=core.DEFAULT_TOL, merge_tol=1e-7):
+    """``core.convex_hull`` with a union-find merge of coplanar qhull
+    triangles and each face cycle chained from the directed edges that
+    survive cancelling every interior edge against its reverse.  The
+    reference for the component-labelled hull."""
+    pts = core.as_points(points)
+    hull = ConvexHull(pts)
+    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    eq = hull.equations
+    parent = list(range(len(hull.simplices)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for s in range(len(hull.simplices)):
+        for t in hull.neighbors[s]:
+            if (
+                t >= 0
+                and np.abs(eq[s, :3] - eq[t, :3]).max() <= merge_tol
+                and abs(eq[s, 3] - eq[t, 3]) <= merge_tol * max(scale, 1.0)
+            ):
+                ra, rb = find(s), find(int(t))
+                if ra != rb:
+                    parent[rb] = ra
+    groups = {}
+    for s in range(len(hull.simplices)):
+        groups.setdefault(find(s), []).append(s)
+    vmap = {int(v): k for k, v in enumerate(hull.vertices)}
+    verts = pts[hull.vertices]
+    faces, normals, areas, supports = [], [], [], []
+    for simps in groups.values():
+        n_out = eq[simps[0], :3]
+        edges = set()
+        for s in simps:
+            a, b, c = (vmap[int(v)] for v in hull.simplices[s])
+            if np.dot(np.cross(verts[b] - verts[a], verts[c] - verts[a]), n_out) < 0:
+                b, c = c, b
+            for u, w in ((a, b), (b, c), (c, a)):
+                if (w, u) in edges:
+                    edges.remove((w, u))
+                else:
+                    edges.add((u, w))
+        edge_next = dict(edges)
+        cyc = [next(iter(edge_next))]
+        while edge_next[cyc[-1]] != cyc[0]:
+            cyc.append(edge_next[cyc[-1]])
+        nvec, area = newell(verts[cyc])
+        if np.dot(nvec, n_out) < 0:
+            cyc.reverse()
+            nvec = -nvec
+        faces.append(tuple(cyc))
+        normals.append(nvec)
+        areas.append(area)
+        supports.append(float((verts @ nvec).max()))
+    return core.ConvexPolytope(
+        vertices=verts,
+        faces=tuple(faces),
+        normals=np.array(normals),
+        areas=np.array(areas),
+        support_numbers=np.array(supports),
+    ).validate(tol)
+
+
+def per_face_polytope_from_mesh(vertices, faces, tol=core.DEFAULT_TOL):
+    """``core.polytope_from_mesh`` with one Newell sum per face.  The
+    reference for the half-edge sum."""
+    verts = core.as_points(vertices)
+    normals, areas, supports, cycles = [], [], [], []
+    for cyc in faces:
+        cyc = tuple(int(i) for i in cyc)
+        nvec, area = newell(verts[list(cyc)])
+        cycles.append(cyc)
+        normals.append(nvec)
+        areas.append(area)
+        supports.append(float((verts @ nvec).max()))
+    return core.ConvexPolytope(
+        vertices=verts,
+        faces=tuple(cycles),
+        normals=np.array(normals),
+        areas=np.array(areas),
+        support_numbers=np.array(supports),
+    ).validate(tol)
+
+
+def per_face_net_from_polytope(poly):
+    """``intrinsic_metric.net_from_polytope`` one face at a time, with the
+    identifications read from a dict of directed edges.  The reference for
+    the half-edge net."""
+    polygons, labels, directed = [], {}, {}
+    for f, cyc in enumerate(poly.faces):
+        pts = poly.vertices[list(cyc)]
+        e1 = pts[1] - pts[0]
+        e1 = e1 / np.linalg.norm(e1)
+        e2 = np.cross(poly.normals[f], e1)
+        polygons.append(np.stack([(pts - pts[0]) @ e1, (pts - pts[0]) @ e2], axis=1))
+        for k, v in enumerate(cyc):
+            labels[(f, k)] = int(v)
+            directed[(cyc[k], cyc[(k + 1) % len(cyc)])] = (f, k)
+    idents = [((f, k), directed[(w, u)])
+              for (u, w), (f, k) in directed.items() if u < w]
+    return MetricNet(polygons=tuple(polygons), identifications=tuple(idents),
+                     corner_labels=labels)
+
+
+def union_find_vertex_classes(net):
+    """``MetricNet.vertex_classes`` by union-find over the glued corners.
+    The reference for the connected-components classes."""
+    parent = {c: c for c in net.corners()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (a, ea), (b, eb) in net.identifications:
+        na, nb = len(net.polygons[a]), len(net.polygons[b])
+        for x, y in (((a, ea), (b, (eb + 1) % nb)), ((a, (ea + 1) % na), (b, eb))):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+    groups = {}
+    for c in net.corners():
+        groups.setdefault(find(c), []).append(c)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+
+
 def _order_cycle_ccw(points, idx, normal):
     """Order vertex indices CCW (seen from the normal side) around their centroid."""
     pts = points[idx]
@@ -195,7 +333,7 @@ def _order_cycle_ccw(points, idx, normal):
     e2 = np.cross(normal, e1)
     ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
     cyc = [idx[k] for k in np.argsort(-ang)]
-    nvec, _ = core._newell(points[cyc])
+    nvec, _ = newell(points[cyc])
     if np.dot(nvec, normal) < 0:
         cyc.reverse()
     return tuple(cyc)
@@ -230,7 +368,7 @@ def per_face_polytope_from_support(normals, support_numbers):
             continue
         cyc = _order_cycle_ccw(verts, face_verts[i], n[i])
         faces.append(cyc)
-        areas.append(core._newell(verts[list(cyc)])[1])
+        areas.append(newell(verts[list(cyc)])[1])
     return core.ConvexPolytope(
         vertices=verts,
         faces=tuple(faces),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ovaloid
-from ovaloid import cli, io, shapes
+from ovaloid import cli, core, io, shapes
 
 
 def run_cli(argv, capsys):
@@ -91,6 +91,21 @@ def test_open_mesh_is_schema_error(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("ovaloid: mesh.closed:")
     assert "Traceback" not in captured.err
+
+
+def test_closed_mesh_with_spread_vertex_ids(tmp_path, capsys):
+    # an octahedron among 96 unused vertex lines, its ids up to 101, beyond
+    # its 24 half-edges; packed as min * 24 + max, its edges (0, 30) and
+    # (1, 6) would share a key
+    octa = shapes.octahedron()
+    ids = np.array([0, 1, 6, 100, 30, 101])  # opposite corners: 0-3, 1-4, 2-5
+    verts = np.repeat(octa.vertices[:1], 102, axis=0)
+    verts[ids] = octa.vertices
+    path = tmp_path / "octa.off"
+    io.write_off(path, verts, [ids[list(f)] for f in octa.faces])
+    code, out = run_cli(["net", "curvature", str(path)], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["metrics"]["total"] - 4 * np.pi) < 1e-12
 
 
 def test_inside_out_mesh_is_not_convex(tmp_path, capsys):
@@ -234,6 +249,45 @@ def test_nested_non_object_is_schema_error(tmp_path, capsys, command, body, cons
     assert captured.err.startswith(f"ovaloid: {constraint}:")
 
 
+TRIANGLES = [[[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize("glued", [[[0, 0], [5, 0]], [[0, 7], [1, 0]],
+                                   [[0, -1], [1, 0]]], ids=["polygon", "edge", "negative"])
+@pytest.mark.parametrize("extra", [["validate"], ["curvature"],
+                                   ["geodesic", "--src", "0:0.2:0.2",
+                                    "--dst", "1:0.3:0.3"]])
+def test_net_out_of_range_edge_is_schema_error(tmp_path, capsys, glued, extra):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"polygons": TRIANGLES, "identifications": [
+        glued, [[0, 1], [1, 1]], [[0, 2], [1, 0]]]}))
+    code = cli.run(["net", extra[0], str(path), *extra[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: net.valid:")
+
+
+@pytest.mark.parametrize("points, constraint", [
+    (["--src", "vx", "--dst", "v1"], "point.format"),
+    (["--src", "0:0.2:abc", "--dst", "v1"], "point.format"),
+    (["--src", "0:0.2", "--dst", "v1"], "point.format"),
+    (["--src", "99:0.2:0.2", "--dst", "v1"], "point.polygon"),
+    (["--src=-1:0.2:0.2", "--dst", "v1"], "point.polygon"),
+    (["--src", "0:5:5", "--dst", "v1"], "point.outside"),
+    (["--src", "v0", "--dst", "v0"], "point.distinct"),
+])
+def test_bad_geodesic_point_is_schema_error(tmp_path, capsys, cube, points,
+                                            constraint):
+    path = tmp_path / "cube.off"
+    io.write_off(path, cube.vertices, core.fan_triangles(cube.faces))
+    code = cli.run(["net", "geodesic", str(path), *points])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"ovaloid: {constraint}:")
+
+
 def test_minkowski_roundtrip_cli(capsys):
     code, out = run_cli(
         ["minkowski", "roundtrip", "--faces", "20", "--seed", "7"], capsys
@@ -288,7 +342,7 @@ def test_bad_curvature_sample_is_schema_error(tmp_path, capsys, action,
 def test_rigidity_cli(tmp_path, capsys):
     ico = shapes.icosahedron()
     path = tmp_path / "ico.off"
-    io.write_off(path, ico.vertices, shapes.oriented_triangles(ico))
+    io.write_off(path, ico.vertices, core.fan_triangles(ico.faces))
     code, out = run_cli(["rigidity", "analyze", str(path)], capsys)
     assert code == 0
     rep = json.loads(out)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ovaloid import cli, shapes
+from ovaloid import cli, core, intrinsic_metric as im, shapes
 
 FUZZ = settings(max_examples=30, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -24,10 +24,10 @@ non_object = st.one_of(vectors, coordinate, st.text(max_size=8), st.booleans(),
                        st.none())
 
 
-def _run(tmp_path, name, text, argv):
+def _run(tmp_path, name, text, argv, extra=()):
     path = tmp_path / name
     path.write_text(text)
-    code = cli.run(argv + [str(path), "--max-iter", "8",
+    code = cli.run(argv + [str(path), *extra, "--max-iter", "8",
                            "--out", str(tmp_path / "report.json")])
     assert code in (0, 1, 2)
 
@@ -45,7 +45,7 @@ def off_meshes(draw):
         # a closed triangulated hull, perhaps with one triangle turned over
         hull = shapes.random_hull(draw(st.integers(4, 10)),
                                   seed=draw(st.integers(0, 2**16)))
-        tris = shapes.oriented_triangles(hull)
+        tris = core.fan_triangles(hull.faces)
         if draw(st.booleans()):
             tris[0] = tris[0][::-1]
         return _off_text(hull.vertices, tris)
@@ -63,6 +63,42 @@ def off_meshes(draw):
                                 ["rigidity", "analyze"]]))
 def test_off_meshes(tmp_path, text, command):
     _run(tmp_path, "mesh.off", text, command)
+
+
+@st.composite
+def nets(draw):
+    index = st.integers(-1, 6)
+    if draw(st.integers(0, 4)) == 0:
+        body = {"polygons": draw(non_object), "identifications": draw(non_object)}
+    elif draw(st.booleans()):
+        # the net of a small hull, one identification perhaps pointed elsewhere
+        hull = shapes.random_hull(draw(st.integers(4, 8)),
+                                  seed=draw(st.integers(0, 2**16)))
+        net = im.net_from_polytope(hull)
+        glued = [[list(a), list(b)] for a, b in net.identifications]
+        if draw(st.booleans()):
+            glued[0][draw(st.integers(0, 1))] = [draw(index), draw(index)]
+        body = {"polygons": [p.tolist() for p in net.polygons],
+                "identifications": glued}
+    else:
+        body = {"polygons": draw(st.lists(st.lists(st.tuples(coordinate, coordinate),
+                                                   min_size=2, max_size=5),
+                                          max_size=3)),
+                "identifications": draw(st.lists(
+                    st.tuples(st.tuples(index, index), st.tuples(index, index)),
+                    max_size=6))}
+    return json.dumps(body)
+
+
+POINTS = ["0:0.1:0.05", "1:0.2:0.1", "0:0:0", "7:0.1:0.1", "0:9:9", "v0", "x"]
+
+
+@FUZZ
+@given(text=nets(), action=st.sampled_from(["validate", "curvature", "geodesic"]),
+       src=st.sampled_from(POINTS), dst=st.sampled_from(POINTS))
+def test_nets(tmp_path, text, action, src, dst):
+    extra = ["--src", src, "--dst", dst] if action == "geodesic" else []
+    _run(tmp_path, "net.json", text, ["net", action], extra)
 
 
 @st.composite

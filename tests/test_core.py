@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import support_cases
-from oracles import per_face_polytope_from_support, solid_angle_monte_carlo
+from conftest import hull_point_sets, support_cases
+from oracles import (
+    newell,
+    per_face_polytope_from_mesh,
+    per_face_polytope_from_support,
+    solid_angle_monte_carlo,
+    union_find_convex_hull,
+)
 from ovaloid import core, shapes
 from ovaloid.errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
 
@@ -82,6 +88,53 @@ def test_from_support_matches_per_face_reference():
     assert dead > 100  # the perturbed supports do cut faces off
 
 
+def _same_cycle(a, b):
+    return len(a) == len(b) and a[0] in b and b[b.index(a[0]):] + b[:b.index(a[0])] == a
+
+
+def _assert_same_geometry(fast, ref):
+    assert np.abs(fast.normals - ref.normals).max() <= 1e-14
+    assert np.abs(fast.areas - ref.areas).max() <= 1e-14 * ref.areas.max()
+    assert np.abs(fast.support_numbers - ref.support_numbers).max() \
+        <= 1e-14 * np.abs(ref.support_numbers).max()
+
+
+def test_hull_matches_union_find_reference():
+    merged = 0
+    for pts in hull_point_sets():
+        fast = core.convex_hull(pts)
+        ref = union_find_convex_hull(pts)
+        assert len(fast.faces) == len(ref.faces)
+        assert all(_same_cycle(a, b) for a, b in zip(fast.faces, ref.faces))
+        merged += sum(len(f) > 3 for f in fast.faces)
+        _assert_same_geometry(fast, ref)
+    assert merged == 12  # the squares of the cube and of its jittered copy
+
+
+def test_mesh_matches_per_face_reference():
+    for pts in hull_point_sets():
+        hull = core.convex_hull(pts)
+        fast = core.polytope_from_mesh(hull.vertices, hull.faces)
+        ref = per_face_polytope_from_mesh(hull.vertices, hull.faces)
+        assert fast.faces == ref.faces
+        _assert_same_geometry(fast, ref)
+
+
+def test_half_edges_pair_each_edge_with_its_reverse():
+    # a tetrahedron with one face missing: its three rim edges have no twin
+    faces = ((0, 2, 1), (0, 1, 3), (1, 2, 3))
+    face, tail, head, twin = core.half_edges(faces)
+    assert face.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert tail.tolist() == [0, 2, 1, 0, 1, 3, 1, 2, 3]
+    assert head.tolist() == [2, 1, 0, 1, 3, 0, 2, 3, 1]
+    glued = twin >= 0
+    assert glued.sum() == 6
+    assert (tail[twin[glued]] == head[glued]).all()
+    assert (head[twin[glued]] == tail[glued]).all()
+    assert sorted(zip(tail[~glued], head[~glued])) == [(0, 2), (2, 3), (3, 0)]
+    assert all(len(a) == 0 for a in core.half_edges(()))
+
+
 def test_from_support_unbounded_and_empty():
     up = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [0.6, 0.8, 0]])
     with pytest.raises(UnboundedBody):
@@ -137,7 +190,7 @@ def test_normal_cone_flat_vertex_rejected():
     verts, tris = shapes.cube_with_face_centers()
     normals, areas, supports = [], [], []
     for t in tris:
-        nvec, area = core._newell(verts[list(t)])
+        nvec, area = newell(verts[list(t)])
         normals.append(nvec)
         areas.append(area)
         supports.append(float((verts @ nvec).max()))

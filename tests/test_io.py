@@ -183,7 +183,7 @@ def test_rigidity_problem_parse(tmp_path):
         "kind": "rigidity-problem",
         "surface": {
             "vertices": ico.vertices.tolist(),
-            "triangles": shapes.oriented_triangles(ico).tolist(),
+            "triangles": core.fan_triangles(ico.faces).tolist(),
         },
     }))
     pf = io.parse_problem(path)

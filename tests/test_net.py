@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ovaloid import intrinsic_metric as im
+from conftest import hull_point_sets
+from oracles import per_face_net_from_polytope, union_find_vertex_classes
+from ovaloid import core, intrinsic_metric as im
 from ovaloid import shapes
 from ovaloid.errors import InvalidNet
 
@@ -137,3 +139,39 @@ def test_ccw_enforced():
             polygons=(np.array([[0, 0], [0, 1], [1, 0]]),),  # clockwise
             identifications=(),
         )
+
+
+def test_net_matches_per_face_reference():
+    for pts in hull_point_sets():
+        poly = core.convex_hull(pts)
+        fast = im.net_from_polytope(poly)
+        ref = per_face_net_from_polytope(poly)
+        assert fast.identifications == ref.identifications
+        assert fast.corner_labels == ref.corner_labels
+        assert len(fast.polygons) == len(ref.polygons)
+        scale = ref.scale
+        for a, b in zip(fast.polygons, ref.polygons):
+            assert np.abs(a - b).max() <= 1e-14 * scale
+        assert fast.vertex_classes == union_find_vertex_classes(ref)
+
+
+def test_vertex_classes_match_union_find_reference():
+    quad = np.array([[0, 0], [1, 0], [1.4, 1.2], [-0.9, 1.1]])
+    nets = [equilateral_double(), im.MetricNet(*shapes.doubled_polygon(quad))]
+    # an open net: corners on unglued edges stay in classes of their own
+    nets.append(im.MetricNet(nets[1].polygons, nets[1].identifications[:2]))
+    for net in nets:
+        assert net.vertex_classes == union_find_vertex_classes(net)
+
+
+@pytest.mark.parametrize("glued", [((0, 0), (5, 0)), ((0, 7), (1, 0)),
+                                   ((0, -1), (1, 0)), ((-1, 0), (1, 0))])
+def test_identification_out_of_range_rejected(glued):
+    net = equilateral_double()
+    with pytest.raises(ValueError, match="is not in the net"):
+        im.MetricNet(net.polygons, (glued,) + net.identifications[1:])
+
+
+def test_empty_net_rejected():
+    with pytest.raises(ValueError, match="at least one polygon"):
+        im.MetricNet(polygons=(), identifications=())

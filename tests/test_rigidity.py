@@ -3,13 +3,13 @@ import pytest
 
 from oracles import full_svd_bending_space, lil_flex_system, loop_isometry_constraints
 from ovaloid import rigidity_lab as rl
-from ovaloid import shapes
+from ovaloid import core, shapes
 from ovaloid.errors import DegenerateGeometry, NotStrictlyConvex, PrecisionWarning
 
 
 def surface_of(poly):
     return rl.TriangulatedSurface(
-        vertices=poly.vertices, triangles=shapes.oriented_triangles(poly)
+        vertices=poly.vertices, triangles=core.fan_triangles(poly.faces)
     )
 
 
