@@ -17,6 +17,7 @@ from . import core, intrinsic_metric as im, io, ma_solver as ma
 from . import minkowski_solver as mk, rigidity_lab as rl, shapes
 from .errors import (
     CoincidentPoints,
+    OpenSurface,
     OvaloidError,
     ParseError,
     PointOutsidePolygon,
@@ -98,11 +99,7 @@ def build_parser():
 
 def _check_closed(faces):
     """SchemaError mesh.closed unless every edge borders exactly two faces."""
-    _, tail, head, _ = core.half_edges(faces)
-    nv = int(tail.max(initial=-1)) + 1
-    _, counts = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head),
-                          return_counts=True)
-    bad = int((counts != 2).sum())
+    bad = int((core.undirected_edges(faces)[1] != 2).sum())
     if bad:
         raise SchemaError(
             "mesh.closed", f"{bad} edges do not border exactly 2 faces"
@@ -257,13 +254,14 @@ def _cmd_rigidity(args):
     tol = args.tol if args.tol is not None else 1e-10
     if args.action == "analyze":
         pf = io.parse_problem(args.path, kind="mesh")
-        if any(len(f) != 3 for f in pf.payload["faces"]):
+        faces = pf.payload["faces"]
+        if not faces or any(len(f) != 3 for f in faces):
             raise SchemaError("mesh.triangles", "the surface must be triangulated")
-        _check_closed(pf.payload["faces"])
-        surf = rl.TriangulatedSurface(
-            vertices=pf.payload["vertices"],
-            triangles=np.array([list(f) for f in pf.payload["faces"]]),
-        )
+        surf = rl.TriangulatedSurface(vertices=pf.payload["vertices"], triangles=faces)
+        try:
+            surf.validate()
+        except OpenSurface as exc:
+            raise SchemaError("mesh.closed", str(exc)) from exc
         rep = rl.bending_space(surf, tol=tol)
         return (0 if rep.nontrivial_dim == 0 else 1), rep.as_dict()
     patch = io.parse_problem(args.path, kind="rigidity-problem").payload

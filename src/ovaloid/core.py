@@ -116,9 +116,12 @@ class ConvexPolytope:
         )
 
     def validate(self, tol=DEFAULT_TOL):
-        """Check the boundary-complex invariants; raises ValueError on failure."""
+        """Check the boundary-complex invariants on the vertices the faces
+        use; raises ValueError on failure."""
+        face, tail, _, _ = self._half_edges
         scale = max(self.diameter, 1e-300)
-        slack = self.vertices @ self.normals.T - self.support_numbers[None, :]
+        slack = self.vertices[np.unique(tail)] @ self.normals.T \
+            - self.support_numbers[None, :]
         if slack.max() > tol * scale:
             raise ValueError("a vertex lies outside a face halfspace")
         active = slack > -tol * scale  # vertex on face plane
@@ -129,7 +132,6 @@ class ConvexPolytope:
         defect = np.linalg.norm(closing_defect(self.normals, self.areas))
         if defect > tol * max(self.areas.sum(), 1.0):
             raise ValueError(f"closing defect too large: {defect}")
-        face, tail, _, _ = self._half_edges
         off = np.einsum("ij,ij->i", self.vertices[tail], self.normals[face]) \
             - self.support_numbers[face]
         bad = face[ok_faces[face] & (np.abs(off) > 10 * tol * scale)]
@@ -168,6 +170,18 @@ def half_edges(faces):
     order = np.argsort(key)
     at = order[np.minimum(np.searchsorted(key, rev, sorter=order), len(key) - 1)]
     return face, tail, head, np.where(key[at] == rev, at, -1)
+
+
+def undirected_edges(faces):
+    """The undirected edges of face cycles as vertex pairs (i, j), i < j, in
+    lexicographic order, and the number of face sides along each (2 on
+    every edge of a closed surface), from one sort of the half-edges'
+    packed (min, max) keys."""
+    _, tail, head, _ = half_edges(faces)
+    nv = int(tail.max(initial=-1)) + 1
+    keys, sides = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head),
+                            return_counts=True)
+    return np.stack([keys // nv, keys % nv], axis=1), sides
 
 
 def fan_triangles(faces):
@@ -341,7 +355,7 @@ def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):
         faces=cycles,
         normals=normals,
         areas=areas,
-        support_numbers=(verts @ normals.T).max(axis=0),
+        support_numbers=(verts[np.unique(tail)] @ normals.T).max(axis=0),
     )
     return poly.validate(tol)
 

@@ -131,6 +131,18 @@ class DegenerateGeometry(OvaloidError):
     """Vertex set too degenerate to span the trivial motion space."""
 
 
+class MalformedSurface(OvaloidError, ValueError):
+    """Surface arrays have the wrong shape or name a vertex that is not there."""
+
+
+class OpenSurface(OvaloidError, ValueError):
+    """An edge of a surface meant to be closed does not border exactly two triangles."""
+
+
+class MalformedGrid(OvaloidError, ValueError):
+    """Grid patch arrays differ in shape or have fewer than 3 nodes per axis."""
+
+
 class NotStrictlyConvex(OvaloidError):
     """Discrete Hessian fails positive definiteness; carries node list."""
 

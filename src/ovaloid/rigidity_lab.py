@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh, onenormest, splu,
+                                 spsolve)
 
-from .errors import DegenerateGeometry, NotStrictlyConvex, PrecisionWarning
+from . import core
+from .errors import (DegenerateGeometry, MalformedGrid, MalformedSurface, NotStrictlyConvex,
+                     OpenSurface, PrecisionWarning)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,28 +36,26 @@ class TriangulatedSurface:
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=int))
 
-    def _sides(self):
-        """Every triangle side as a sorted vertex-index pair, (3T, 2)."""
-        t = self.triangles
-        return np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
-                       axis=1)
+    @cached_property
+    def _edge_sides(self):
+        """``core.undirected_edges(self.triangles)``, counted once per surface."""
+        return core.undirected_edges(self.triangles)
 
     def edges(self):
         """Sorted vertex-index pairs of all edges, as an (E, 2) array."""
-        return np.unique(self._sides(), axis=0)
+        return self._edge_sides[0]
 
     def validate(self):
         t, v = self.triangles, self.vertices
         if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError("vertices must be rows of 3 coordinates")
+            raise MalformedSurface("vertices must be rows of 3 coordinates")
         if t.ndim != 2 or t.shape[1] != 3:
-            raise ValueError("triangles must be rows of 3 vertex indices")
+            raise MalformedSurface("triangles must be rows of 3 vertex indices")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
-            raise ValueError("triangle vertex index out of range")
-        _, counts = np.unique(self._sides(), axis=0, return_counts=True)
-        bad = int((counts != 2).sum())
+            raise MalformedSurface("triangle vertex index out of range")
+        bad = int((self._edge_sides[1] != 2).sum())
         if bad and not self.with_boundary:
-            raise ValueError(f"{bad} edges are not shared by exactly 2 triangles")
+            raise OpenSurface(f"{bad} edges do not border exactly 2 faces")
         return self
 
 
@@ -113,23 +116,83 @@ class BendingReport:
         }
 
 
+# Below this many columns (3V) the dense SVD is as fast as the sparse path.
+# With one BLAS thread the two cross between V = 80 and 100 on random convex
+# spheres and between V = 100 and 120 on near-uniform ones, whose clustered
+# smallest singular values take ARPACK twice the iterations.  This also
+# keeps ARPACK away from tiny systems (k = 6 needs E > 12).
+SPARSE_MIN_COLUMNS = 330
+
+# Condition number of the square block P above which _rigid_spectrum_tail
+# leaves the decision to the dense SVD.  The LU solves are backward stable,
+# so the six singular values stay within about eps * sigma_max of the dense
+# ones while eps * cond(P) is small; at a nearly flat vertex the error first
+# reaches the 1e-13 * sigma_max accuracy asked of spectrum_tail near
+# cond(P) = 1e13, six orders above this bound.  At the bound sigma_min is
+# still about 1e-7 * sigma_max, where the dense SVD that takes over still
+# tells its singular vector from the rigid motions.
+MAX_BLOCK_COND = 1e7
+
+
+def _rigid_spectrum_tail(mat, q, tol):
+    """The 12 smallest singular values of the E x 3V constraint matrix of a
+    closed sphere (E = 3V - 6) that is rigid, six of them the zeros of the
+    rigid motions; None where this cannot be certified without a dense SVD.
+
+    Pinning the six columns where the orthonormal rigid motions ``q`` are
+    best conditioned (a column-pivoted QR of q^T) leaves a square block P,
+    and the minimum-norm solution of M x = b is M^+ b = (I - qq^T)[P^-1 b; 0].
+    The six largest eigenvalues of (M^+)^T M^+, applied through one sparse LU
+    of P, are 1/sigma^2 for the six smallest nonzero singular values of M.
+    The surface is rigid when the least of them exceeds ``tol`` times
+    sqrt(|M|_1 |M|_inf) >= sigma_max, so a surface called rigid here is
+    rigid by the dense rank test too.
+    """
+    n_edges, n = mat.shape
+    if n_edges != n - 6 or n < SPARSE_MIN_COLUMNS:
+        return None
+    _, pivots = scipy.linalg.qr(q.T, mode="r", pivoting=True)
+    free = np.sort(pivots[6:])
+    block = mat.tocsc()[:, free]
+    try:
+        lu = splu(block)
+    except RuntimeError:  # exactly singular
+        return None
+    inverse = LinearOperator(block.shape, matvec=lu.solve, dtype=float,
+                             rmatvec=lambda y: lu.solve(y, trans="T"))
+    if onenormest(inverse, t=1) * abs(block).sum(axis=0).max() > MAX_BLOCK_COND:
+        return None
+
+    def gram_inverse(y):
+        x = np.zeros(n)
+        x[free] = lu.solve(y)
+        x -= q @ (q.T @ x)
+        return lu.solve(x[free], trans="T")
+
+    try:
+        lam = eigsh(LinearOperator((n_edges, n_edges), matvec=gram_inverse, dtype=float),
+                    k=6, tol=0, return_eigenvectors=False,  # a fixed start: same report
+                    v0=np.random.default_rng(0).standard_normal(n_edges))
+    except ArpackError:
+        return None
+    svals = np.sort(1.0 / np.sqrt(lam))[::-1]
+    absmat = abs(mat)
+    if not svals[-1] > tol * np.sqrt(absmat.sum(axis=0).max() * absmat.sum(axis=1).max()):
+        return None
+    return np.concatenate([svals, np.zeros(6)])
+
+
 def bending_space(surface: TriangulatedSurface, tol=1e-10):
     """Kernel of the constraint system split into trivial and extra flexes.
 
     Singular values below tol * sigma_max count as zero; the span of the six
     rigid motions is projected out of the kernel and whatever remains is the
-    nontrivial flex space (empty exactly when the surface is rigid).
+    nontrivial flex space (empty exactly when the surface is rigid).  A rigid
+    closed sphere is decided by ``_rigid_spectrum_tail``; every other surface
+    takes the dense SVD.
     """
     surface.validate()
     mat = isometry_constraints(surface)
-    dense = mat.toarray()
-    svals = np.linalg.svd(dense, compute_uv=False)
-    smax = svals[0] if len(svals) else 1.0
-    rank = int(np.sum(svals > tol * smax))
-    kernel_dim = dense.shape[1] - rank
-    # pad with the structural zeros svd omits when E < 3V
-    svals = np.concatenate([svals, np.zeros(dense.shape[1] - len(svals))])
-
     triv = trivial_motion_basis(surface.vertices)
     qt, rt = np.linalg.qr(triv)
     if np.abs(np.diag(rt)).min() < 1e-12 * np.abs(np.diag(rt)).max():
@@ -137,6 +200,19 @@ def bending_space(surface: TriangulatedSurface, tol=1e-10):
     # residual of the trivial motions themselves (should be exactly flat);
     # the rows of mat are unit edge directions
     triv_resid = float(np.abs(mat @ qt).max(initial=0.0))
+    tail = _rigid_spectrum_tail(mat, qt, tol)
+    if tail is not None:
+        return BendingReport(kernel_dim=6, nontrivial_dim=0,
+                             basis=np.zeros((mat.shape[1], 0)),
+                             spectrum_tail=tail, trivial_residual=triv_resid)
+
+    dense = mat.toarray()
+    svals = np.linalg.svd(dense, compute_uv=False)
+    smax = svals[0] if len(svals) else 1.0
+    rank = int(np.sum(svals > tol * smax))
+    kernel_dim = dense.shape[1] - rank
+    # pad with the structural zeros svd omits when E < 3V
+    svals = np.concatenate([svals, np.zeros(dense.shape[1] - len(svals))])
 
     if kernel_dim == 6:
         # the six rigid motions already fill the kernel: no basis to report
@@ -184,9 +260,9 @@ class GridPatch:
         self.z = np.asarray(self.z, dtype=float)
         self.zeta = np.asarray(self.zeta, dtype=float)
         if self.z.shape != self.zeta.shape:
-            raise ValueError("z and zeta must share a shape")
+            raise MalformedGrid("z and zeta must share a shape")
         if min(self.z.shape) < 3:
-            raise ValueError("need at least 3 nodes per axis")
+            raise MalformedGrid("need at least 3 nodes per axis")
 
 
 def _second_diffs(a, h):

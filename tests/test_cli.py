@@ -108,6 +108,24 @@ def test_closed_mesh_with_spread_vertex_ids(tmp_path, capsys):
     assert abs(json.loads(out)["metrics"]["total"] - 4 * np.pi) < 1e-12
 
 
+def test_unused_vertex_line_inside_the_body(tmp_path, capsys):
+    # an octahedron OFF with one more vertex line, 0 0 0, that no face uses
+    octa = shapes.octahedron()
+    path = tmp_path / "octa.off"
+    io.write_off(path, np.vstack([octa.vertices, np.zeros(3)]), octa.faces)
+    code, out = run_cli(["net", "curvature", str(path)], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["metrics"]["total"] - 4 * np.pi) < 1e-12
+
+
+def test_rigidity_mesh_without_faces_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "empty.off"
+    path.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+    assert cli.run(["rigidity", "analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ovaloid: mesh.triangles:") and "Traceback" not in err
+
+
 def test_inside_out_mesh_is_not_convex(tmp_path, capsys):
     # a closed tetrahedron whose faces all wind clockwise seen from outside
     path = tmp_path / "inverted.off"

@@ -135,6 +135,21 @@ def test_half_edges_pair_each_edge_with_its_reverse():
     assert all(len(a) == 0 for a in core.half_edges(()))
 
 
+def test_undirected_edges_count_face_sides():
+    # the tetrahedron with one face missing, one face wound the wrong way and
+    # one extra triangle on the edge (0, 1): sides counted whatever the winding
+    faces = ((0, 2, 1), (1, 0, 3), (1, 2, 3), (0, 1, 4))
+    edges, sides = core.undirected_edges(faces)
+    count = {}
+    for cyc in faces:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            count[min(a, b), max(a, b)] = count.get((min(a, b), max(a, b)), 0) + 1
+    assert edges.tolist() == sorted(map(list, count))
+    assert sides.tolist() == [count[tuple(e)] for e in edges.tolist()]
+    assert sides.tolist() == [3, 1, 1, 1, 2, 2, 1, 1]
+    assert core.undirected_edges(())[0].shape == (0, 2)
+
+
 def test_from_support_unbounded_and_empty():
     up = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [0.6, 0.8, 0]])
     with pytest.raises(UnboundedBody):

@@ -4,7 +4,8 @@ import pytest
 from oracles import full_svd_bending_space, lil_flex_system, loop_isometry_constraints
 from ovaloid import rigidity_lab as rl
 from ovaloid import core, shapes
-from ovaloid.errors import DegenerateGeometry, NotStrictlyConvex, PrecisionWarning
+from ovaloid.errors import (DegenerateGeometry, MalformedGrid, MalformedSurface,
+                            NotStrictlyConvex, OpenSurface, PrecisionWarning)
 
 
 def surface_of(poly):
@@ -91,15 +92,50 @@ def test_random_convex_surfaces_rigid():
         assert rep.nontrivial_dim == 0, seed
 
 
-@pytest.mark.parametrize("builder", [
-    lambda: surface_of(shapes.octahedron()),
-    lambda: surface_of(shapes.icosahedron()),
-    lambda: rl.TriangulatedSurface(*shapes.cube_with_face_centers()),
-    *[lambda seed=seed: surface_of(shapes.random_hull(20, seed=seed))
-      for seed in (0, 1, 2, 3)],
-])
-def test_bending_space_matches_full_svd_reference(builder):
-    surf = builder()
+def geodesic_sphere(levels):
+    """The icosahedron with every triangle split into four ``levels`` times,
+    the new vertices pushed out to the unit sphere."""
+    ico = shapes.icosahedron()
+    verts, tris = list(ico.vertices), core.fan_triangles(ico.faces).tolist()
+    for _ in range(levels):
+        mids = {}
+
+        def mid(a, b):
+            key = min(a, b), max(a, b)
+            if key not in mids:
+                p = verts[a] + verts[b]
+                verts.append(p / np.linalg.norm(p))
+                mids[key] = len(verts) - 1
+            return mids[key]
+
+        tris = [t for a, b, c in tris for t in (
+            (a, mid(a, b), mid(c, a)), (b, mid(b, c), mid(a, b)),
+            (c, mid(c, a), mid(b, c)), (mid(a, b), mid(b, c), mid(c, a)))]
+    return rl.TriangulatedSurface(vertices=np.array(verts), triangles=tris)
+
+
+def with_flat_vertex(surf, height):
+    """``surf`` with a new vertex over the centroid of its first triangle, at
+    ``height`` along the normal, coned to that triangle's sides."""
+    (a, b, c), v = surf.triangles[0], surf.vertices
+    normal = np.cross(v[b] - v[a], v[c] - v[a])
+    apex = (v[a] + v[b] + v[c]) / 3 + height * normal / np.linalg.norm(normal)
+    k = len(v)
+    return rl.TriangulatedSurface(
+        vertices=np.vstack([v, apex]),
+        triangles=np.vstack([surf.triangles[1:], [[a, b, k], [b, c, k], [c, a, k]]]),
+    )
+
+
+def without_vertex(surf, vertex):
+    """``surf`` with ``vertex`` and its triangles removed: an open surface."""
+    keep = ~(surf.triangles == vertex).any(axis=1)
+    tris = surf.triangles[keep]
+    return rl.TriangulatedSurface(vertices=np.delete(surf.vertices, vertex, axis=0),
+                                  triangles=tris - (tris > vertex), with_boundary=True)
+
+
+def _check_against_full_svd(surf):
     mat = rl.isometry_constraints(surf)
     assert np.abs((mat - loop_isometry_constraints(surf)).toarray()).max() <= 1e-15
     rep = rl.bending_space(surf)
@@ -112,6 +148,88 @@ def test_bending_space_matches_full_svd_reference(builder):
     # the same flex space: equal orthogonal projectors
     np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T,
                                rtol=0, atol=1e-10)
+    return rep
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: surface_of(shapes.octahedron()),
+    lambda: surface_of(shapes.icosahedron()),
+    lambda: rl.TriangulatedSurface(*shapes.cube_with_face_centers()),
+    *[lambda seed=seed: surface_of(shapes.random_hull(20, seed=seed))
+      for seed in (0, 1, 2, 3)],
+    lambda: geodesic_sphere(2),  # five-fold singular values in the tail
+    lambda: surface_of(shapes.random_hull(400, seed=1)),
+])
+def test_bending_space_matches_full_svd_reference(builder):
+    _check_against_full_svd(builder())
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the calls of ``numpy.linalg.svd``."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: surface_of(shapes.random_hull(200, seed=2)),
+    lambda: geodesic_sphere(2),
+])
+def test_rigid_sphere_takes_the_sparse_path(builder, svd_calls):
+    surf = builder()
+    assert 3 * len(surf.vertices) >= rl.SPARSE_MIN_COLUMNS
+    rep = rl.bending_space(surf)
+    assert not svd_calls
+    assert (rep.kernel_dim, rep.nontrivial_dim, rep.basis.shape[1]) == (6, 0, 0)
+    assert len(rep.spectrum_tail) == 12 and not rep.spectrum_tail[6:].any()
+
+
+@pytest.mark.parametrize("builder, nontrivial", [
+    (lambda: surface_of(shapes.octahedron()), 0),
+    (lambda: rl.TriangulatedSurface(*shapes.cube_with_face_centers()), 6),
+    # a hole where a vertex of degree 4 was: E = 3V - 7, one flex
+    (lambda: without_vertex(surface_of(shapes.random_hull(150, seed=1)), 0), 1),
+    # a coned triangle, exactly flat, and so near flat that cond(P) > 1e7
+    (lambda: with_flat_vertex(surface_of(shapes.random_hull(150, seed=1)), 0.0), 1),
+    (lambda: with_flat_vertex(surface_of(shapes.random_hull(150, seed=1)), 5e-8), 0),
+], ids=["octahedron", "cube-centres", "with-boundary", "flat-vertex", "near-flat-vertex"])
+def test_dense_path_answers_where_sparse_cannot(builder, nontrivial, svd_calls):
+    surf = builder()
+    rl.bending_space(surf)
+    assert svd_calls
+    assert _check_against_full_svd(surf).nontrivial_dim == nontrivial
+
+
+def test_rank_test_not_clear_cut_takes_the_dense_path(svd_calls):
+    # a coarse tol puts the smallest singular values of a rigid sphere under
+    # tol * sqrt(|M|_1 |M|_inf) but some of them above tol * sigma_max
+    surf = surface_of(shapes.random_hull(200, seed=2))
+    rep = rl.bending_space(surf, tol=0.05)
+    assert svd_calls
+    kernel_dim, extra, basis, _, _ = full_svd_bending_space(surf, tol=0.05)
+    assert rep.kernel_dim == kernel_dim > 6 and rep.nontrivial_dim == extra
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T,
+                               rtol=0, atol=1e-10)
+
+
+def test_condition_guard_routes_the_near_flat_vertex(monkeypatch, svd_calls):
+    # its smallest singular value, 2.5e-7, clears the rank test 500 times
+    # over: only the condition estimate of P sends it to the dense SVD
+    surf = with_flat_vertex(surface_of(shapes.random_hull(150, seed=1)), 5e-8)
+    monkeypatch.setattr(rl, "MAX_BLOCK_COND", 1e10)
+    rep = rl.bending_space(surf)
+    assert not svd_calls
+    kernel_dim, extra, _, svals, _ = full_svd_bending_space(surf)
+    assert (rep.kernel_dim, rep.nontrivial_dim) == (kernel_dim, extra) == (6, 0)
+    np.testing.assert_allclose(rep.spectrum_tail, svals[-12:], rtol=0,
+                               atol=1e-13 * svals[0])
 
 
 def test_degenerate_geometry_rejected():
@@ -235,3 +353,15 @@ def test_grid_patch_validation():
         rl.GridPatch(h=0.1, z=np.zeros((2, 5)), zeta=np.zeros((2, 5)))
     with pytest.raises(ValueError):
         rl.GridPatch(h=0.1, z=np.zeros((5, 5)), zeta=np.zeros((4, 5)))
+
+
+def test_surface_and_grid_errors_are_named():
+    for vertices, triangles in ((np.eye(3)[:, :2], [[0, 1, 2]]), (np.eye(3), [[0, 1]]),
+                                (np.eye(3), [[0, 1, 3]])):
+        with pytest.raises(MalformedSurface):
+            rl.TriangulatedSurface(vertices=vertices, triangles=triangles).validate()
+    with pytest.raises(OpenSurface, match="3 edges"):
+        rl.TriangulatedSurface(vertices=np.eye(3), triangles=[[0, 1, 2]]).validate()
+    for z, zeta in ((np.zeros((2, 5)), np.zeros((2, 5))), (np.zeros((5, 5)), np.zeros((4, 5)))):
+        with pytest.raises(MalformedGrid):
+            rl.GridPatch(h=0.1, z=z, zeta=zeta)
