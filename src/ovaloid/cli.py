@@ -257,7 +257,10 @@ def _cmd_rigidity(args):
         faces = pf.payload["faces"]
         if not faces or any(len(f) != 3 for f in faces):
             raise SchemaError("mesh.triangles", "the surface must be triangulated")
-        surf = rl.TriangulatedSurface(vertices=pf.payload["vertices"], triangles=faces)
+        # vertex lines that no face uses are not part of the surface
+        used, faces = np.unique(np.ravel(faces), return_inverse=True)
+        surf = rl.TriangulatedSurface(vertices=pf.payload["vertices"][used],
+                                      triangles=faces.reshape(-1, 3))
         try:
             surf.validate()
         except OpenSurface as exc:

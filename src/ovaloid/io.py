@@ -337,13 +337,3 @@ def _plain(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
-
-
-def write_report(path, report):
-    """Write a report dict as canonical JSON (sorted keys, repr floats)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report))
-
-
-def read_report(path):
-    return _load_json(path)

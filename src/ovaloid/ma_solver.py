@@ -385,7 +385,8 @@ def conditional_curvature(u: PLConvexFunction, node, theta=None, clip=None,
     only its p-dependence is integrated (adaptive degree-5 quadrature).
     """
     cell = ma_measure(u, node, clip=clip)
-    return _cell_mass(cell.polygon, theta, u.values[node], u.nodes[node], rel_tol)
+    one = _Cells(cell.polygon, np.zeros(len(cell.polygon), np.intp), None, 1)
+    return float(_cell_masses(u.nodes, u.values, [node], one, theta, rel_tol)[0])
 
 
 def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
@@ -408,26 +409,22 @@ def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
 # forward masses and Jacobian
 
 
-def _cell_mass(verts, theta, z, x, rel_tol, max_depth=30):
-    """theta-weighted area of a cell, theta taken at z = u(B_i) and x = B_i."""
-    if len(verts) < 3:
-        return 0.0
-    if theta is None:
-        return abs(planar.polygon_area(verts))
-    z, x1, x2 = float(z), float(x[0]), float(x[1])
-    return planar.polygon_quad(lambda p: theta(p[:, 0], p[:, 1], z, x1, x2), verts,
-                               rel_tol=rel_tol, max_depth=max_depth)
-
-
 def _cell_masses(nodes, values, which, cells, theta, rel_tol, max_depth=30):
-    """Masses of the cells of ``_cells(nodes, values, which, ...)``."""
+    """Masses of the cells of ``_cells(nodes, values, which, ...)``.
+
+    The weight of cell k is taken at z = u(B_i) and x = B_i of its node
+    i = which[k]; one adaptive quadrature covers every cell, with one
+    weight call per refinement level.
+    """
     if theta is None:  # one shoelace sum
         v, w = cells.verts, cells.verts[cells.next_vertex()]
         cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
         return np.abs(0.5 * np.bincount(cells.owner, cross, cells.n))
-    return np.array([_cell_mass(cells.cell(k)[0], theta, values[i], nodes[i], rel_tol,
-                                max_depth)
-                     for k, i in enumerate(which)])
+    which = np.asarray(which, dtype=np.intp)
+    z, x = values[which], nodes[which]
+    return planar.polygons_quad(
+        lambda p, k: theta(p[:, 0], p[:, 1], z[k], x[k, 0], x[k, 1]),
+        cells.verts, cells.owner, cells.n, rel_tol, max_depth)
 
 
 def _mass_jacobian(nodes, values, interior_idx, cells, theta):
@@ -446,15 +443,12 @@ def _mass_jacobian(nodes, values, interior_idx, cells, theta):
     a, b = cells.verts[carved], cells.verts[cells.next_vertex()[carved]]
     rows, carvers = cells.owner[carved], cells.label[carved]
     flux = np.linalg.norm(b - a, axis=1)
-    if theta is not None:
-        # Gauss points on the edges, one weight call per cell
-        pts = a[:, None, :] + _GL_T[None, :, None] * (b - a)[:, None, :]
-        cut = np.searchsorted(rows, np.arange(n + 1))
-        for k in np.flatnonzero(np.diff(cut)):
-            s, i = slice(cut[k], cut[k + 1]), idx[k]
-            p = pts[s].reshape(-1, 2)
-            vals = theta(p[:, 0], p[:, 1], float(values[i]), nodes[i][0], nodes[i][1])
-            flux[s] *= np.asarray(vals, float).reshape(-1, 4) @ _GL_W
+    if theta is not None and len(flux):
+        # Gauss points on every edge, one weight call for all of them
+        p = (a[:, None, :] + _GL_T[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
+        i = np.repeat(idx[rows], len(_GL_T))
+        vals = theta(p[:, 0], p[:, 1], values[i], nodes[i, 0], nodes[i, 1])
+        flux *= np.asarray(vals, float).reshape(-1, len(_GL_T)) @ _GL_W
     w = flux / np.linalg.norm(nodes[carvers] - nodes[idx[rows]], axis=1)
     pos = np.full(len(nodes), -1)
     pos[idx] = np.arange(n)
@@ -479,7 +473,7 @@ def _theta_z_masses(nodes, values, which, cells, theta, rel_tol):
     Jacobian only steers a damped step.
     """
     def theta_z(p1, p2, z, x1, x2):
-        h = 1e-4 * max(1.0, abs(z))
+        h = 1e-4 * np.maximum(1.0, np.abs(z))
         return (theta(p1, p2, z + h, x1, x2) - theta(p1, p2, z - h, x1, x2)) / (2.0 * h)
 
     return _cell_masses(nodes, values, which, cells, theta_z, max(rel_tol, 1e-9),

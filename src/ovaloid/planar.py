@@ -35,26 +35,6 @@ def polygon_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _rounding_area(poly):
-    """Area below which a polygon of this size is rounding noise."""
-    diam = float(np.ptp(poly, axis=0).max())
-    return 16.0 * np.finfo(float).eps * diam * diam
-
-
-def polygon_centroid(poly):
-    p = np.asarray(poly, dtype=float)
-    a = polygon_area(p)
-    if abs(a) <= _rounding_area(p):
-        # the area formula would divide rounding noise by rounding noise
-        return p.mean(axis=0)
-    x, y = p[:, 0], p[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    cx = np.sum((x + xn) * cross) / (6.0 * a)
-    cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
-
-
 def interior_angles(poly):
     """Interior angle at every corner of a simple CCW polygon, in (0, 2*pi)."""
     p = np.asarray(poly, dtype=float)
@@ -149,11 +129,37 @@ def box_polygon(cx, cy, half):
     )
 
 
-def _fan(poly):
-    """(k, 3, 2) array of the fan triangles (centroid, p_k, p_k+1)."""
-    p = np.asarray(poly, dtype=float)
-    c = np.broadcast_to(polygon_centroid(p), p.shape)
-    return np.stack([c, p, np.roll(p, -1, axis=0)], axis=1)
+def _fans(verts, owner):
+    """Fan triangles (apex, p_k, p_k+1) of the polygons of a flat layout.
+
+    ``owner`` (nondecreasing) names the polygon of each vertex; a polygon
+    with fewer than 3 vertices has no fan.  The apex is the polygon's
+    centroid, or its vertex mean where its area is rounding noise for its
+    size: the area formula would divide noise by noise there.  Returns the
+    (T, 3, 2) triangles, the polygon of each and that rounding-noise area
+    of its polygon.
+    """
+    verts = np.asarray(verts, dtype=float)
+    owner = np.asarray(owner, dtype=np.intp)
+    keep = np.bincount(owner)[owner] >= 3
+    p, tag = verts[keep], owner[keep]
+    if not len(p):
+        return np.empty((0, 3, 2)), tag, np.empty(0)
+    starts = np.r_[True, tag[1:] != tag[:-1]]
+    first = np.flatnonzero(starts)
+    nxt = np.arange(1, len(p) + 1)
+    nxt[np.r_[first[1:], len(p)] - 1] = first
+    q = p[nxt]
+    cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    area = 0.5 * np.add.reduceat(cross, first)
+    moment = np.add.reduceat((p + q) * cross[:, None], first) / 6.0
+    mean = np.add.reduceat(p, first) / np.diff(np.r_[first, len(p)])[:, None]
+    diam = (np.maximum.reduceat(p, first) - np.minimum.reduceat(p, first)).max(axis=1)
+    noise = 16.0 * np.finfo(float).eps * diam * diam
+    flat = np.abs(area) <= noise
+    apex = np.where(flat[:, None], mean, moment / np.where(flat, 1.0, area)[:, None])
+    poly = np.cumsum(starts) - 1
+    return np.stack([apex[poly], p, q], axis=1), tag, noise[poly]
 
 
 def _triangle_areas(tris):
@@ -165,7 +171,7 @@ def _triangle_areas(tris):
 def _triangle_quads(f, tris):
     """Degree-5 quadrature of f over every triangle of a (T, 3, 2) array,
     from a single call of f on all T * 7 points."""
-    pts = np.einsum("qk,tkd->tqd", _TRI_BARY, tris).reshape(-1, 2)
+    pts = (_TRI_BARY @ tris).reshape(-1, 2)
     vals = np.asarray(f(pts), dtype=float).reshape(len(tris), len(_TRI_W))
     return _triangle_areas(tris) * (vals @ _TRI_W)
 
@@ -182,38 +188,61 @@ def _subdivide(tris):
     ], axis=1)
 
 
-def polygon_quad(f, poly, rel_tol=1e-3, max_depth=30):
-    """Adaptive degree-5 quadrature of f over a convex polygon.
+def polygons_quad(f, verts, owner, n, rel_tol=1e-3, max_depth=30):
+    """Adaptive degree-5 quadrature of f over each of n convex polygons.
 
-    Fan triangles are compared against their 4-way subdivision; a triangle is
-    refined while its disagreement exceeds its share of the global error
-    budget rel_tol * |coarse total| (split 4 ways at each level), so
+    The polygons come as one flat layout: ``verts`` lists them one after
+    another and ``owner`` (nondecreasing, in range(n)) names the polygon of
+    each vertex.  f maps (m, 2) points and the polygon of each point to m
+    values.  Returns the n integrals; a polygon with fewer than 3 vertices
+    has 0.
+
+    Fan triangles are compared against their 4-way subdivision; a triangle
+    is refined while its disagreement exceeds its share of its polygon's
+    error budget rel_tol * |coarse total| (split 4 ways at each level), so
     near-zero regions of a peaked integrand settle immediately.  A fan
-    triangle whose area is at rounding level for the polygon's size is
+    triangle whose area is at rounding level for its polygon's size is
     settled at once: on a zero-area polygon its disagreement is rounding
     noise, which no refinement brings under a budget made of that noise.
-    Each refinement level evaluates f once, on all of its triangles.
+    Each refinement level evaluates f once, on the triangles of all
+    polygons, so there are at most max_depth + 2 calls.
     """
-    poly = np.asarray(poly, dtype=float)
-    tris = _fan(poly)
-    ests = _triangle_quads(f, tris)
+    tris, tag, noise = _fans(verts, owner)
+    total = np.zeros(n)
+    if not len(tris):
+        return total
+
+    def quads(tris, tag):
+        return _triangle_quads(lambda p: f(p, np.repeat(tag, len(_TRI_W))), tris)
+
+    ests = quads(tris, tag)
     if not np.isfinite(ests).all():
         raise QuadratureFailure("non-finite weight value inside cell")
-    tau = rel_tol * max(abs(ests.sum()), 1e-300) / len(tris)
-    settled = _triangle_areas(tris) <= _rounding_area(poly)
-    total = float(ests[settled].sum())
-    tris, coarse = tris[~settled], ests[~settled]
+    coarse_total = np.abs(np.bincount(tag, ests, n))
+    tau = rel_tol * np.maximum(coarse_total, 1e-300)[tag] / np.bincount(tag, minlength=n)[tag]
+    settled = _triangle_areas(tris) <= noise
+    total += np.bincount(tag[settled], ests[settled], n)
+    live = ~settled
+    tris, tag, coarse, tau = tris[live], tag[live], ests[live], tau[live]
     for depth in range(max_depth + 1):
         if len(tris) == 0:
             break
-        kids = _subdivide(tris)
-        parts = _triangle_quads(f, kids.reshape(-1, 3, 2)).reshape(-1, 4)
+        kids, kid_tag = _subdivide(tris).reshape(-1, 3, 2), np.repeat(tag, 4)
+        parts = quads(kids, kid_tag).reshape(-1, 4)
         fine = parts.sum(axis=1)
         if not np.isfinite(fine).all():
             raise QuadratureFailure("non-finite weight value inside cell")
         done = (np.abs(fine - coarse) <= tau) | (depth == max_depth)
-        total += float(fine[done].sum())
-        tris = kids[~done].reshape(-1, 3, 2)
-        coarse = parts[~done].reshape(-1)
-        tau /= 4.0
+        total += np.bincount(tag[done], fine[done], n)
+        live = np.repeat(~done, 4)
+        tris, tag, coarse = kids[live], kid_tag[live], parts.reshape(-1)[live]
+        tau = np.repeat(tau[~done] / 4.0, 4)
     return total
+
+
+def polygon_quad(f, poly, rel_tol=1e-3, max_depth=30):
+    """``polygons_quad`` over one convex polygon, f mapping (m, 2) points
+    to m values."""
+    poly = np.asarray(poly, dtype=float).reshape(-1, 2)
+    return float(polygons_quad(lambda p, _: f(p), poly, np.zeros(len(poly), np.intp), 1,
+                               rel_tol, max_depth)[0])

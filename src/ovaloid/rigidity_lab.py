@@ -308,7 +308,9 @@ def solve_defo(z, h, zeta_boundary):
 
     mat, rhs = _flex_system(zxx, zyy, zxy, zb)
     zeta = zb.copy()
-    zeta[1:-1, 1:-1] = spsolve(mat, rhs).reshape(ny - 2, nx - 2)
+    # the 9-point stencil is structurally symmetric: order by minimum degree
+    # on A^T + A, which fills in less than the default COLAMD here
+    zeta[1:-1, 1:-1] = spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A").reshape(ny - 2, nx - 2)
     return GridPatch(h=h, z=z, zeta=zeta)
 
 

@@ -103,6 +103,25 @@ def cell_masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
                                   rel_tol)
 
 
+def per_cell_masses(nodes, values, which, cells, theta, rel_tol, max_depth=30):
+    """Masses of the cells of ``ma_solver._cells(nodes, values, which, ...)``,
+    one cell at a time: each cell's weight taken at its node's value and
+    position, one ``planar.polygon_quad`` per cell.  The reference for the
+    batched quadrature of ``ma_solver._cell_masses``."""
+    out = []
+    for k, i in enumerate(which):
+        verts = cells.cell(k)[0]
+        if len(verts) < 3:
+            out.append(0.0)
+        elif theta is None:
+            out.append(abs(planar.polygon_area(verts)))
+        else:
+            z, x1, x2 = float(values[i]), float(nodes[i][0]), float(nodes[i][1])
+            out.append(planar.polygon_quad(lambda p: theta(p[:, 0], p[:, 1], z, x1, x2),
+                                           verts, rel_tol=rel_tol, max_depth=max_depth))
+    return np.array(out)
+
+
 def monte_carlo_cell_areas(u, samples=1_000_000, seed=0, box=None):
     """Monte-Carlo estimate of every cell area of the PL convex function u.
 
@@ -157,7 +176,7 @@ def per_triangle_quad(f, poly, rel_tol=1e-3, max_depth=30):
         return float(planar._triangle_quads(f, tri[None])[0])
 
     poly = np.asarray(poly, dtype=float)
-    tris = list(planar._fan(poly))
+    tris = list(planar._fans(poly, np.zeros(len(poly), dtype=np.intp))[0])
     ests = [triangle_quad(t) for t in tris]
     budget = rel_tol * max(abs(sum(ests)), 1e-300) / len(tris)
     diam = float(np.ptp(poly, axis=0).max())

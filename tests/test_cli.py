@@ -118,6 +118,20 @@ def test_unused_vertex_line_inside_the_body(tmp_path, capsys):
     assert abs(json.loads(out)["metrics"]["total"] - 4 * np.pi) < 1e-12
 
 
+def test_rigidity_ignores_unused_vertex_lines(tmp_path, capsys):
+    # the octahedron with a vertex line, 0 0 0, that no face uses put
+    # between its own: the surface is rigid with the six trivial motions
+    octa = shapes.octahedron()
+    verts = np.insert(octa.vertices, 3, np.zeros(3), axis=0)
+    faces = [[i + (i >= 3) for i in f] for f in octa.faces]
+    path = tmp_path / "octa.off"
+    io.write_off(path, verts, faces)
+    code, out = run_cli(["rigidity", "analyze", str(path)], capsys)
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    assert metrics["kernel_dim"] == 6 and metrics["nontrivial_dim"] == 0
+
+
 def test_rigidity_mesh_without_faces_is_schema_error(tmp_path, capsys):
     path = tmp_path / "empty.off"
     path.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")

@@ -3,7 +3,12 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from conftest import grid_problem
-from oracles import clipped_cell, monte_carlo_cell_areas, per_triangle_quad
+from oracles import (
+    clipped_cell,
+    monte_carlo_cell_areas,
+    per_cell_masses,
+    per_triangle_quad,
+)
 from ovaloid import ma_solver as ma
 from ovaloid import planar
 from ovaloid.errors import (
@@ -334,6 +339,66 @@ def test_quadrature_failure_on_nonfinite():
 
     with pytest.raises(QuadratureFailure):
         ma.conditional_curvature(u, 0, theta=bad_theta)
+
+
+def _weight_of_all(p1, p2, z, x1, x2):
+    """A weight that reads its node's value and position at every point."""
+    return np.exp(-0.3 * z - (p1 - 0.2 * x1) ** 2 - (p2 + 0.1 * x2) ** 2)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_masses_match_per_cell(seed, rel_tol):
+    u = random_pl(seed)
+    which = np.arange(len(u.nodes))
+    cells = ma._cells(u.nodes, u.values, which, planar.box_polygon(0.0, 0.0, 3.0))
+    got = ma._cell_masses(u.nodes, u.values, which, cells, _weight_of_all, rel_tol)
+    want = per_cell_masses(u.nodes, u.values, which, cells, _weight_of_all, rel_tol)
+    assert (np.abs(got - want) <= rel_tol * np.abs(want)).all(), (got, want)
+
+
+def test_batched_masses_of_degenerate_cells():
+    # an empty cell, a 2-vertex cell and a rounding-noise sliver among
+    # whole ones, each with its own node value and position
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=2), rng.normal(size=2)
+    along = a + np.sort(rng.random(4))[:, None] * (b - a)
+    polys = {
+        0: planar.box_polygon(0.2, -0.1, 0.5),
+        2: np.array([[0.1, 0.1], [0.4, -0.3]]),
+        3: np.vstack([along, along[::-1] + rng.normal(size=(4, 2)) * 1e-17]),
+        4: np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]]),
+    }
+    verts = np.vstack(list(polys.values()))
+    owner = np.concatenate([np.full(len(p), k) for k, p in polys.items()])
+    cells = ma._Cells(verts, owner, np.full(len(owner), -1), 5)
+    nodes, values, which = rng.normal(size=(5, 2)), rng.normal(size=5), np.arange(5)
+    for rel_tol in (1e-3, 1e-6, 1e-9):
+        got = ma._cell_masses(nodes, values, which, cells, _weight_of_all, rel_tol)
+        want = per_cell_masses(nodes, values, which, cells, _weight_of_all, rel_tol)
+        assert got[1] == got[2] == 0.0 and abs(got[3]) < 1e-14
+        assert (np.abs(got - want) <= rel_tol * np.abs(want) + 1e-14).all(), (got, want)
+
+
+def test_one_weight_call_per_level_for_the_grid():
+    calls = []
+
+    def theta(p1, p2, z, x1, x2):
+        calls.append(len(p1))
+        return _weight_of_all(p1, p2, z, x1, x2)
+
+    for n_side in (4, 16):
+        grid = grid_problem(n_side, 3.0)
+        nodes, idx = grid.all_nodes(), np.arange(len(grid.interior_nodes))
+        values = 0.2 * np.sum((nodes - 1.5) ** 2, axis=1)
+        cells = ma._cells(nodes, values, idx)
+        for max_depth in (2, 30):
+            calls.clear()
+            ma._cell_masses(nodes, values, idx, cells, theta, 1e-12, max_depth)
+            assert 2 <= len(calls) <= max_depth + 2
+        calls.clear()
+        ma._mass_jacobian(nodes, values, idx, cells, theta)
+        assert len(calls) == 1
 
 
 def test_forward_monotonicity_single_move():

@@ -294,6 +294,20 @@ def test_solve_defo_convergence_order_two():
         assert abs(o - 2.0) <= 0.3
 
 
+def test_solve_defo_ordering_matches_default_solve():
+    # the minimum-degree ordering changes the factorization, not the answer
+    from scipy.sparse.linalg import spsolve
+
+    X, Y, h = grid(129)
+    z = 0.5 * (X**2 + Y**2) + 0.2 * X * Y
+    zb = np.exp(X + 0.2 * Y) * np.cos(0.9 * Y)
+    sol = rl.solve_defo(z, h, zb)
+    mat, rhs = rl._flex_system(*rl._second_diffs(z, h), zb)
+    want = spsolve(mat, rhs)
+    got = sol.zeta[1:-1, 1:-1].ravel()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_flex_system_matches_lil_reference():
     rng = np.random.default_rng(4)
     for ny, nx, gamma in ((9, 9, 0.0), (17, 17, 0.2), (33, 33, -0.25), (9, 14, 0.1)):
