@@ -26,10 +26,24 @@ from .errors import (
 )
 
 
+def _non_negative(parse):
+    """An argparse type: ``parse`` of the text, a usage error unless it is
+    finite and >= 0."""
+    def check(text):
+        value = parse(text)
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        return value
+
+    check.__name__ = parse.__name__  # "invalid float value" on bad text
+    return check
+
+
 def _common_flags(parser):
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol", type=_non_negative(float), default=None,
+                        help="tolerance override")
+    parser.add_argument("--max-iter", type=_non_negative(int), default=None)
+    parser.add_argument("--seed", type=_non_negative(int), default=0)
     parser.add_argument("--out", default=None, help="report output path")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -60,7 +74,7 @@ def build_parser():
     masub = map_.add_subparsers(dest="action", required=True)
     solve = masub.add_parser("solve")
     solve.add_argument("path")
-    solve.add_argument("--homotopy", type=int, default=0, metavar="K",
+    solve.add_argument("--homotopy", type=_non_negative(int), default=0, metavar="K",
                        help="continuation from uniform masses over K steps")
     _common_flags(solve)
 

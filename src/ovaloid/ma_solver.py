@@ -68,20 +68,6 @@ class PLConvexFunction:
         if len(self.nodes) != len(self.values):
             raise ValueError("one value per node required")
 
-    @property
-    def boundary_mask(self):
-        return _on_polygon_boundary(self.domain, self.nodes)
-
-    @property
-    def interior_indices(self):
-        return np.nonzero(~self.boundary_mask)[0]
-
-    def envelope_flags(self, tol=1e-9):
-        """True where the node is on the lower envelope."""
-        scale = max(np.ptp(self.values), 1.0)
-        env = lower_envelope_evaluator(self.nodes, self.values)(self.nodes)
-        return self.values <= env + tol * scale
-
 
 @dataclasses.dataclass
 class SubgradientCell:
@@ -282,6 +268,26 @@ class _Cells(NamedTuple):
         labels = self.label[lo:hi].tolist()
         return self.verts[lo:hi], [None if lab < 0 else lab for lab in labels]
 
+    def clip(self, normal, offset, cut):
+        """Every cell k cut by {p : normal[k] . p <= offset[k]} at once.
+
+        One Sutherland-Hodgman pass: each vertex yields itself when inside
+        and then the crossing of its edge with the line, which starts an
+        edge labelled cut[k] when the vertex is inside.  A zero half-plane
+        leaves its cell as it was.
+        """
+        nxt = self.next_vertex()
+        d = np.einsum("ij,ij->i", self.verts, normal[self.owner]) - offset[self.owner]
+        inside = d <= 0.0
+        cross = inside != inside[nxt]
+        t = d / np.where(cross, d - d[nxt], 1.0)
+        x = self.verts + t[:, None] * (self.verts[nxt] - self.verts)
+        keep = np.column_stack([inside, cross]).ravel()
+        label = np.where(inside, cut[self.owner], self.label)
+        return _Cells(np.stack([self.verts, x], axis=1).reshape(-1, 2)[keep],
+                      np.repeat(self.owner, 2)[keep],
+                      np.column_stack([self.label, label]).ravel()[keep], self.n)
+
 
 def _cells(nodes, values, which, clip=None):
     """Subgradient cells of the nodes ``which``, as one ``_Cells`` layout.
@@ -294,17 +300,19 @@ def _cells(nodes, values, which, clip=None):
     facets share besides it.  A node off the lower hull has an empty cell.
 
     A node on the boundary of the nodes' hull has an open fan and an
-    unbounded cell.  Without a ``clip`` window (a convex CCW polygon) that
+    unbounded cell.  Without a ``clip`` window (a convex polygon) that
     raises UnboundedCell; with one, the cell is the window cut by the
     node's lower-hull neighbours, and so is a closed cell with a vertex
     outside the window.  If the lower hull is one plane, all other nodes
-    are neighbours.  Duplicate nodes raise DuplicateNodes.
+    are neighbours.  A window given clockwise is reversed first.  Each
+    round of ``_Cells.clip`` cuts every recut cell by one neighbour, in
+    ascending node order.  Duplicate nodes raise DuplicateNodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     which = np.asarray(which, dtype=np.intp)
-    n = len(which)
-    if len(np.unique(nodes, axis=0)) < len(nodes):
+    n, size = len(which), len(nodes)
+    if len(np.unique(nodes, axis=0)) < size:
         raise DuplicateNodes("two nodes share a position")
     facets, planes = _lower_hull(nodes, values)
     a, b, c = (nodes[facets[:, k]] for k in range(3))
@@ -312,7 +320,7 @@ def _cells(nodes, values, which, clip=None):
     facets = np.where(cw[:, None], facets[:, [0, 2, 1]], facets)
     # incidences of the wanted nodes, each with the vertices after and
     # before the node in its facet
-    pos = np.full(len(nodes), -1)
+    pos = np.full(size, -1)
     pos[which] = np.arange(n)
     facet, j = np.divmod(np.flatnonzero(pos[facets.ravel()] >= 0), 3)
     node, after, before = (facets[facet, (j + s) % 3] for s in range(3))
@@ -328,33 +336,46 @@ def _cells(nodes, values, which, clip=None):
                                 "is unbounded; pass a clip window")
         return cells
     window = np.asarray(clip, dtype=float)
+    if planar.polygon_area(window) < 0:
+        window = window[::-1]
     normal = (np.roll(window, -1, axis=0) - window) @ np.array([[0, -1], [1, 0]])
     outside = (cells.verts @ normal.T > (normal * window).sum(axis=1)).any(axis=1)
     flat = bool((planes == planes[0]).all())
     recut = fan_open | (np.bincount(owner, outside, n) > 0) | flat
+    if not recut.any():
+        return cells
+    # (recut cell, neighbour) pairs, each cell's neighbours in ascending order
     kept = ~recut[owner]
-    parts = [(cells.verts[kept], owner[kept], before[kept])]
-    bounds = cells.bounds()
-    for k in np.flatnonzero(recut):
-        i, s = which[k], slice(bounds[k], bounds[k + 1])
-        nbrs = (np.delete(np.arange(len(nodes)), i) if flat
-                else np.unique(np.concatenate([after[s], before[s]])))
-        v, lab = planar.convex_clip(
-            window, np.column_stack([nodes[nbrs] - nodes[i], values[nbrs] - values[i]]),
-            labels=nbrs.tolist(),
-        )
-        parts.append((v, np.full(len(v), k),
-                      np.array([-1 if e is None else e for e in lab], dtype=np.intp)))
-    verts, owner, label = (np.concatenate(p) for p in zip(*parts))
+    if flat:
+        cell, nbr = np.divmod(np.arange(n * size), size)
+        other = nbr != which[cell]
+        cell, nbr = cell[other], nbr[other]
+    else:
+        pairs = owner * size + np.stack([after, before])
+        cell, nbr = np.divmod(np.unique(pairs[:, ~kept]), size)
+    # every recut cell restarts as the window; round r cuts it by its r-th
+    # neighbour, and the other cells by the zero half-plane
+    k = np.flatnonzero(recut)
+    owner = np.concatenate([owner[kept], np.repeat(k, len(window))])
+    verts = np.concatenate([cells.verts[kept], np.tile(window, (len(k), 1))])
+    label = np.concatenate([before[kept], np.full(len(k) * len(window), -1)])
     order = np.argsort(owner, kind="stable")
-    return _Cells(verts[order], owner[order], label[order], n)
+    cells = _Cells(verts[order], owner[order], label[order], n)
+    rank = np.arange(len(cell)) - np.searchsorted(cell, cell)
+    for s in np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1]):
+        normal, offset, cut = np.zeros((n, 2)), np.zeros(n), np.zeros(n, np.intp)
+        i, cut[cell[s]] = which[cell[s]], nbr[s]
+        normal[cell[s]] = nodes[nbr[s]] - nodes[i]
+        offset[cell[s]] = values[nbr[s]] - values[i]
+        cells = cells.clip(normal, offset, cut)
+    return cells
 
 
 def subgradient_cell_polygon(nodes, values, i, clip=None):
     """Cell {p : p . (B_k - B_i) <= v_k - v_i for all k} as a polygon.
 
     Interior cells are bounded.  For boundary nodes the cell is unbounded
-    and ``clip`` (a convex CCW window polygon) is required.  Returns
+    and ``clip`` (a convex window polygon) is required.  Returns
     (vertices, edge_labels), edge label k marking the edge carved by node k
     and None a window edge; empty vertices mean the node is not a vertex of
     the envelope.

@@ -1,4 +1,4 @@
-"""Small 2-D helpers: polygon measures, convex clipping, triangle quadrature."""
+"""Small 2-D helpers: polygon measures and triangle quadrature."""
 
 import numpy as np
 
@@ -70,52 +70,6 @@ def point_in_polygon(poly, point, tol=1e-12):
             if xint > q[0]:
                 wind += 1 if b[1] > a[1] else -1
     return wind != 0
-
-
-def clip_halfplane(verts, labels, normal, offset, label):
-    """Clip a convex polygon against {x : normal . x <= offset} (Sutherland-Hodgman).
-
-    ``labels[k]`` tags the edge from vertex k to k+1.  Returns the clipped
-    (vertices, edge_labels): an edge along the clipping line gets
-    ``label``, the others keep theirs.
-    """
-    n = len(verts)
-    if n == 0:
-        return verts, []
-    d = verts @ np.asarray(normal, dtype=float) - offset
-    inside = d <= 0.0
-    if inside.all():
-        return verts, labels
-    if not inside.any():
-        return verts[:0], []
-    out_v, out_l = [], []
-    for k in range(n):
-        k2 = (k + 1) % n
-        if inside[k]:
-            out_v.append(verts[k])
-            out_l.append(labels[k])
-        if inside[k] != inside[k2]:
-            t = d[k] / (d[k] - d[k2])
-            out_v.append(verts[k] + t * (verts[k2] - verts[k]))
-            out_l.append(label if inside[k] else labels[k])
-    return np.array(out_v), out_l
-
-
-def convex_clip(poly, halfplanes, labels):
-    """Intersect a convex polygon with halfplanes {n_k . x <= c_k}.
-
-    ``halfplanes`` is an (m, 3) array of rows (nx, ny, c).  Returns
-    (vertices, edge_labels); edges carved by halfplane k are labelled
-    ``labels[k]``, the polygon's own edges None.
-    """
-    verts = np.asarray(poly, dtype=float)
-    elabels = [None] * len(verts)
-    hp = np.asarray(halfplanes, dtype=float)
-    for k in range(len(hp)):
-        verts, elabels = clip_halfplane(verts, elabels, hp[k, :2], hp[k, 2], labels[k])
-        if len(verts) == 0:
-            break
-    return verts, elabels
 
 
 def box_polygon(cx, cy, half):

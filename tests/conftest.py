@@ -35,6 +35,22 @@ def random_face_point(net, rng, margin=0.15):
     return im.SurfacePoint(f, (float(p[0]), float(p[1])))
 
 
+def interior_indices(u):
+    """Indices of the nodes of a PLConvexFunction off its domain's boundary."""
+    from ovaloid import ma_solver as ma
+
+    return np.nonzero(~ma._on_polygon_boundary(u.domain, u.nodes))[0]
+
+
+def envelope_flags(u):
+    """True where a node of a PLConvexFunction is on its lower envelope."""
+    from ovaloid import ma_solver as ma
+
+    scale = max(np.ptp(u.values), 1.0)
+    env = ma.lower_envelope_evaluator(u.nodes, u.values)(u.nodes)
+    return u.values <= env + 1e-9 * scale
+
+
 def grid_problem(n_side, extent, mass_fn=None, boundary_fn=None, **kw):
     """Uniform grid MAProblem on [0, extent]^2 with n_side+1 nodes per axis."""
     from ovaloid import ma_solver as ma

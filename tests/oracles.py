@@ -75,6 +75,52 @@ def brute_force_distance(net, p, q, max_faces=5, tol=1e-12):
     return best[0]
 
 
+def clip_halfplane(verts, labels, normal, offset, label):
+    """Clip a convex polygon against {x : normal . x <= offset} (Sutherland-Hodgman).
+
+    ``labels[k]`` tags the edge from vertex k to k+1.  Returns the clipped
+    (vertices, edge_labels): an edge along the clipping line gets
+    ``label``, the others keep theirs.
+    """
+    n = len(verts)
+    if n == 0:
+        return verts, []
+    d = verts @ np.asarray(normal, dtype=float) - offset
+    inside = d <= 0.0
+    if inside.all():
+        return verts, labels
+    if not inside.any():
+        return verts[:0], []
+    out_v, out_l = [], []
+    for k in range(n):
+        k2 = (k + 1) % n
+        if inside[k]:
+            out_v.append(verts[k])
+            out_l.append(labels[k])
+        if inside[k] != inside[k2]:
+            t = d[k] / (d[k] - d[k2])
+            out_v.append(verts[k] + t * (verts[k2] - verts[k]))
+            out_l.append(label if inside[k] else labels[k])
+    return np.array(out_v), out_l
+
+
+def convex_clip(poly, halfplanes, labels):
+    """Intersect a convex polygon with halfplanes {n_k . x <= c_k}.
+
+    ``halfplanes`` is an (m, 3) array of rows (nx, ny, c).  Returns
+    (vertices, edge_labels); edges carved by halfplane k are labelled
+    ``labels[k]``, the polygon's own edges None.
+    """
+    verts = np.asarray(poly, dtype=float)
+    elabels = [None] * len(verts)
+    hp = np.asarray(halfplanes, dtype=float)
+    for k in range(len(hp)):
+        verts, elabels = clip_halfplane(verts, elabels, hp[k, :2], hp[k, 2], labels[k])
+        if len(verts) == 0:
+            break
+    return verts, elabels
+
+
 def clipped_cell(nodes, values, i, window=None, half=100.0):
     """Subgradient cell of node i by its definition: ``window`` (or a box of
     half-width ``half`` around the origin) clipped by the halfplanes
@@ -88,7 +134,7 @@ def clipped_cell(nodes, values, i, window=None, half=100.0):
     values = np.asarray(values, dtype=float)
     others = np.delete(np.arange(len(nodes)), i)
     start = planar.box_polygon(0.0, 0.0, half) if window is None else window
-    return planar.convex_clip(
+    return convex_clip(
         start,
         np.column_stack([nodes[others] - nodes[i], values[others] - values[i]]),
         labels=[int(k) for k in others],

@@ -180,6 +180,33 @@ def test_bad_subcommand_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ma", "solve", "P", "--tol", "nan"], "--tol"),
+    (["ma", "solve", "P", "--tol", "inf"], "--tol"),
+    (["ma", "solve", "P", "--tol", "-1e-9"], "--tol"),
+    (["ma", "solve", "P", "--max-iter", "-3"], "--max-iter"),
+    (["ma", "solve", "P", "--homotopy", "-1"], "--homotopy"),
+    (["minkowski", "roundtrip", "--seed", "-1"], "--seed"),
+    (["demo", "egregium", "--seed", "-1"], "--seed"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "max-iter-negative",
+        "homotopy-negative", "roundtrip-seed-negative", "demo-seed-negative"])
+def test_bad_shared_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_ma_payload()))
+    code = cli.run([str(path) if a == "P" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: expected" in captured.err
+
+
+def test_zero_shared_flags_are_accepted():
+    args = cli.build_parser().parse_args(
+        ["ma", "solve", "P", "--tol", "0", "--max-iter", "0", "--homotopy", "0",
+         "--seed", "0"])
+    assert (args.tol, args.max_iter, args.homotopy, args.seed) == (0.0, 0, 0, 0)
+
+
 def test_ma_solve_cli(tmp_path, capsys):
     data = {
         "kind": "ma-problem",

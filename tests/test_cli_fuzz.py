@@ -189,3 +189,50 @@ def ma_problems(draw):
 @given(text=ma_problems())
 def test_ma_problems(tmp_path, text):
     _run(tmp_path, "ma.json", text, ["ma", "solve"])
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def shared_flags(draw, homotopy):
+    """(argv, valid): --tol, --max-iter, --seed and perhaps --homotopy, each
+    left out or set to a number, valid or not."""
+    tol = draw(st.one_of(st.floats(), st.sampled_from(
+        [0.0, -0.0, -1.0, 1e-8, float("nan"), float("inf"), float("-inf")])))
+    count = st.integers(-3, 4)
+    argv = draw(_flag("--tol", st.just(repr(tol))))
+    argv += draw(_flag("--max-iter", count.map(str)))
+    argv += draw(_flag("--seed", count.map(str)))
+    if homotopy:
+        argv += draw(_flag("--homotopy", count.map(str)))
+    values = [float(v) for v in argv[1::2]]
+    return argv, all(np.isfinite(v) and v >= 0 for v in values)
+
+
+MA_TEXT = json.dumps({
+    "kind": "ma-problem", "domain": [[0, 0], [2, 0], [2, 2], [0, 2]],
+    "nodes": [[1.0, 1.0], [0.8, 1.2]], "masses": [0.7, 0.5],
+    "boundary": [[0, 0, 0.0], [2, 0, 0.0], [2, 2, 0.0], [0, 2, 0.0]],
+})
+
+
+@FUZZ
+@given(flags=shared_flags(homotopy=True))
+def test_ma_solve_shared_flags(tmp_path, flags):
+    argv, valid = flags
+    path = tmp_path / "ma.json"
+    path.write_text(MA_TEXT)
+    code = cli.run(["ma", "solve", str(path), *argv,
+                    "--out", str(tmp_path / "report.json")])
+    assert code in ((0, 1) if valid else (2,))
+
+
+@FUZZ
+@given(flags=shared_flags(homotopy=False))
+def test_minkowski_roundtrip_shared_flags(tmp_path, flags):
+    argv, valid = flags
+    code = cli.run(["minkowski", "roundtrip", "--faces", "8", *argv,
+                    "--out", str(tmp_path / "report.json")])
+    assert code in ((0, 1) if valid else (2,))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from conftest import grid_problem
+from conftest import envelope_flags, grid_problem, interior_indices
 from oracles import (
+    clip_halfplane,
     clipped_cell,
+    convex_clip,
     monte_carlo_cell_areas,
     per_cell_masses,
     per_triangle_quad,
@@ -77,7 +79,7 @@ def test_hull_cells_match_reference_random(seed):
     window = planar.box_polygon(0.0, 0.0, 6.0)
     for i in range(len(u.nodes)):
         _assert_same_cell(u.nodes, u.values, i, window)
-    for i in u.interior_indices:
+    for i in interior_indices(u):
         _assert_same_cell(u.nodes, u.values, int(i))
 
 
@@ -139,7 +141,7 @@ def _cell_cases():
     for seed in range(8):
         u = random_pl(seed)
         yield pytest.param(f"random{seed}", u.nodes, u.values,
-                           u.interior_indices, planar.box_polygon(0.0, 0.0, 6.0),
+                           interior_indices(u), planar.box_polygon(0.0, 0.0, 6.0),
                            id=f"random{seed}")
     grid = grid_problem(4, 4.0)
     nodes = grid.all_nodes()
@@ -166,6 +168,87 @@ def test_all_cells_at_once_match_reference(name, nodes, values, inner, window):
             assert len(verts) >= 3 and np.abs(verts - [0.3, -0.2]).max() < 1e-12
         else:
             _assert_cell_equal(cells.cell(k), clipped_cell(nodes, values, i), i)
+
+
+def _convex_layout(rng, sizes):
+    """A _Cells layout of random convex polygons with the given vertex
+    counts, each edge labelled by its index in the layout, and the polygons."""
+    polys = []
+    for size in sizes:
+        pts = rng.normal(size=(size + 8, 2)) * rng.uniform(0.2, 2.0) + rng.normal(size=2)
+        polys.append(pts[ConvexHull(pts).vertices])
+    verts = np.vstack(polys)
+    owner = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
+    return ma._Cells(verts, owner, np.arange(len(verts)), len(polys)), polys
+
+
+def _assert_same_cut(got, want, k):
+    (got_v, got_l), (want_v, want_l) = got, want
+    assert len(got_v) == len(want_v), k
+    np.testing.assert_allclose(got_v, np.reshape(want_v, (-1, 2)), rtol=0, atol=1e-14)
+    assert got_l == list(want_l), k
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clip_matches_one_halfplane_oracle(seed):
+    rng = np.random.default_rng(seed)
+    cells, polys = _convex_layout(rng, rng.integers(3, 9, 12))
+    normal = rng.normal(size=(12, 2))
+    offset = np.einsum("ij,ij->i", normal, [p.mean(axis=0) for p in polys])
+    offset += rng.normal(0, 0.3, 12)
+    # wholly inside, wholly outside, the zero half-plane, and lines through
+    # a vertex, along x and along y
+    offset[0], offset[1] = 1e6, -1e6
+    normal[2], offset[2] = 0.0, 0.0
+    normal[3], offset[3] = [1.0, 0.0], polys[3][1, 0]
+    normal[4], offset[4] = [0.0, -1.0], -polys[4][0, 1]
+    cut = np.arange(100, 112)
+    got = cells.clip(normal, offset, cut)
+    assert (np.diff(got.owner) >= 0).all()
+    assert got.cell(1)[0].shape == (0, 2)
+    for k in (0, 2):
+        _assert_same_cut(got.cell(k), cells.cell(k), k)
+    for k, poly in enumerate(polys):
+        labels = cells.cell(k)[1]
+        want = clip_halfplane(poly, labels, normal[k], offset[k], int(cut[k]))
+        _assert_same_cut(got.cell(k), want, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clip_rounds_match_convex_clip(seed):
+    # each polygon cut by its own number of half-planes, the missing rounds
+    # zero half-planes
+    rng = np.random.default_rng(seed)
+    cells, polys = _convex_layout(rng, rng.integers(3, 9, 10))
+    cells = ma._Cells(cells.verts, cells.owner, np.full(len(cells.owner), -1), cells.n)
+    counts = rng.integers(0, 7, len(polys))
+    planes = []
+    for poly, m in zip(polys, counts):
+        normal = rng.normal(size=(m, 2))
+        planes.append(np.column_stack(
+            [normal, normal @ poly.mean(axis=0) + rng.uniform(-0.2, 0.6, m)]))
+    for r in range(counts.max()):
+        hp = np.array([p[r] if r < len(p) else np.zeros(3) for p in planes])
+        cells = cells.clip(hp[:, :2], hp[:, 2], np.full(len(polys), r))
+    for k, (poly, hp) in enumerate(zip(polys, planes)):
+        want = convex_clip(poly, hp, labels=list(range(len(hp))))
+        _assert_same_cut(cells.cell(k), want, k)
+
+
+def test_clockwise_window_gives_the_same_cells():
+    nodes, values, _ = jittered_grid(8, seed=3)
+    window = planar.box_polygon(0.0, 0.0, 0.25)
+    ccw = ma._cells(nodes, values, range(len(nodes)), window)
+    cw = ma._cells(nodes, values, range(len(nodes)), window[::-1])
+    for i in range(len(nodes)):
+        _assert_cell_equal(cw.cell(i), ccw.cell(i), i)
+    grid = grid_problem(4, 4.0)
+    phi = lambda p: np.exp(-np.sum((p - 1.5) ** 2, axis=1))
+    want = ma.masses_from_density(grid.domain, grid.interior_nodes,
+                                  grid.boundary_nodes, phi)
+    got = ma.masses_from_density(grid.domain[::-1], grid.interior_nodes,
+                                 grid.boundary_nodes, phi)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_cell_errors_are_named():
@@ -218,7 +301,7 @@ def test_cells_tile_any_window():
 
 def test_monte_carlo_oracle():
     u = random_pl(4)
-    interior = u.interior_indices
+    interior = interior_indices(u)
     box = planar.box_polygon(0.0, 0.0, 4.0)
     mc = monte_carlo_cell_areas(u, samples=400_000, seed=0, box=box)
     for i in interior:
@@ -237,7 +320,7 @@ def test_off_envelope_node_flagged():
         values=np.concatenate([u.values, [0.9]]),  # strictly above the cone
         domain=u.domain,
     )
-    flags = lifted.envelope_flags()
+    flags = envelope_flags(lifted)
     assert not flags[-1]
     with pytest.raises(NotEnvelopeVertex):
         ma.ma_measure(lifted, len(lifted.nodes) - 1)
@@ -257,7 +340,7 @@ def test_translation_covariance():
     shifted = ma.PLConvexFunction(
         nodes=u.nodes, values=u.values + u.nodes @ a + 1.7, domain=u.domain
     )
-    for i in u.interior_indices:
+    for i in interior_indices(u):
         try:
             c0 = ma.ma_measure(u, int(i))
         except NotEnvelopeVertex:
@@ -403,8 +486,8 @@ def test_one_weight_call_per_level_for_the_grid():
 
 def test_forward_monotonicity_single_move():
     u = random_pl(8)
-    i = int(u.interior_indices[0])
-    j = int(u.interior_indices[1])
+    i = int(interior_indices(u)[0])
+    j = int(interior_indices(u)[1])
     try:
         m_i0 = ma.conditional_curvature(u, i)
     except NotEnvelopeVertex:

@@ -323,13 +323,13 @@ def test_given_start_with_nonempty_cells_is_used_unchanged():
 def test_unweighted_newton_solve_clips_nothing(monkeypatch):
     # every interior cell is read off a closed fan of lower-hull facets
     calls = []
-    clip = planar.clip_halfplane
+    clip = ma._Cells.clip
 
     def counted(*args, **kwargs):
         calls.append(1)
         return clip(*args, **kwargs)
 
-    monkeypatch.setattr(planar, "clip_halfplane", counted)
+    monkeypatch.setattr(ma._Cells, "clip", counted)
     u = ma.solve_ma(random_forward_instance(2)[0], tol=1e-10)
     assert u.solve_info["final_residual"] <= 1e-10
     assert u.solve_info["newton_iters"] > 0
