@@ -7,6 +7,7 @@ fixed seed; the wall-clock timestamp is isolated under its own key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -48,7 +49,9 @@ def _common_flags(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ovaloid",
         description="Convex-geometry toolkit: nets, Monge-Ampere solves, "

@@ -26,7 +26,10 @@ DEFAULT_TOL = 1e-9
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use: importing
-    ``scipy.optimize`` would add about 0.08 s to every CLI start."""
+    ``scipy.optimize`` would add about 0.08 s to every CLI start.  Only
+    ``polytope_from_support``'s Chebyshev centre calls it; the Minkowski
+    solver intersects its iterates about the origin and falls back to that
+    LP only when the origin is not well inside every halfspace."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -266,9 +269,20 @@ def polytope_from_support(normals, support_numbers, tol=DEFAULT_TOL):
     scale = max(np.abs(h).max(), 1.0)
     if r <= tol * scale:
         raise EmptyBody("halfspace intersection has empty interior")
-    interior = res.x[:3]
+    return _intersect_about(n, h, res.x[:3])
 
+
+def _intersect_about(n, h, interior):
+    """``polytope_from_support`` of unit normals ``n`` and support numbers
+    ``h`` about a given point strictly inside every halfspace.
+
+    Raises UnboundedBody when the halfspaces leave the body unbounded: the
+    dual hull then fails to enclose the origin, and qhull's intersections
+    are no body's vertices.
+    """
     hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), interior)
+    if not (hsi.dual_equations[:, -1] < 0).all():
+        raise UnboundedBody("normals do not positively span space")
     verts = hsi.intersections
     # dual_facets[k] lists the halfspaces meeting at vertex k
     sizes = np.fromiter(map(len, hsi.dual_facets), dtype=np.intp, count=len(verts))

@@ -31,6 +31,21 @@ class NegativeCurvature(OvaloidError, ValueError):
     """Curvature samples must be strictly positive."""
 
 
+# --- Minkowski problem ---
+
+class MalformedMinkowskiData(OvaloidError, ValueError):
+    """Normals, face areas or sphere cells have the wrong count, sign or total."""
+
+
+class DegenerateNormals(OvaloidError, ValueError):
+    """Face normals repeat or do not span space."""
+
+
+class OpenAreaVector(OvaloidError, ValueError):
+    """The area-weighted normals do not sum to zero, and no positive areas
+    that do were found."""
+
+
 # --- file ingestion ---
 
 class ParseError(OvaloidError):

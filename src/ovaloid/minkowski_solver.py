@@ -21,18 +21,35 @@ from scipy.spatial import SphericalVoronoi
 
 from .core import (
     ConvexPolytope,
+    _intersect_about,
     closing_defect,
     half_edges,
     polytope_from_support,
     unit_vectors,
 )
-from .errors import DegenerateFace, EmptyBody, MaxIterExceeded, NegativeCurvature
+from .errors import (
+    DegenerateFace,
+    DegenerateNormals,
+    EmptyBody,
+    MalformedMinkowskiData,
+    MaxIterExceeded,
+    NegativeCurvature,
+    OpenAreaVector,
+)
 from . import newton, shapes
+
+# NᵀN of unit normals has trace m; below this fraction of m its smallest
+# eigenvalue counts as zero, and the normals as confined to a plane
+SPAN_TOL = 1e-10
+
+# an iterate is intersected about the origin when min(h) exceeds this
+# fraction of max|h|; otherwise the Chebyshev LP finds an interior point
+ORIGIN_MARGIN = 1e-2
 
 
 @dataclasses.dataclass
 class MinkowskiProblem:
-    normals: np.ndarray        # (m, 3) distinct unit vectors, positively spanning
+    normals: np.ndarray        # (m, 3) distinct unit vectors, spanning space
     target_areas: np.ndarray   # (m,) positive
     metadata: dict = dataclasses.field(default_factory=dict)
 
@@ -41,19 +58,24 @@ class MinkowskiProblem:
         self.target_areas = np.asarray(self.target_areas, dtype=float)
 
     def validate(self, closing_tol=1e-8):
-        if len(self.normals) < 4:
-            raise ValueError("need at least 4 normals")
-        if len(self.normals) != len(self.target_areas):
-            raise ValueError("one target area per normal required")
+        """Self, or a named ValueError.  Positive areas, a zero closing
+        defect and spanning normals make the normals span space positively,
+        so every support vector bounds a body."""
+        m = len(self.normals)
+        if m < 4:
+            raise MalformedMinkowskiData("need at least 4 normals")
+        if m != len(self.target_areas):
+            raise MalformedMinkowskiData("one target area per normal required")
         if (self.target_areas <= 0).any():
-            raise ValueError("target areas must be positive")
+            raise MalformedMinkowskiData("target areas must be positive")
         gram = self.normals @ self.normals.T
         np.fill_diagonal(gram, 0.0)
         if gram.max() > 1.0 - 1e-12:
-            raise ValueError("normals must be pairwise distinct")
+            raise DegenerateNormals("normals must be pairwise distinct")
+        _require_spanning(self.normals)
         defect = np.linalg.norm(check_closing(self))
         if defect > closing_tol * self.target_areas.sum():
-            raise ValueError(f"closing defect {defect} exceeds tolerance")
+            raise OpenAreaVector(f"closing defect {defect} exceeds tolerance")
         return self
 
 
@@ -72,10 +94,16 @@ class CurvatureSample:
 
     def validate(self, tol=1e-6):
         if abs(self.cell_areas.sum() - 4 * np.pi) > tol * 4 * np.pi:
-            raise ValueError("cell areas must sum to the full sphere")
+            raise MalformedMinkowskiData("cell areas must sum to the full sphere")
         if (self.curvature <= 0).any():
             raise NegativeCurvature("curvature values must be positive")
         return self
+
+
+def _require_spanning(normals):
+    """DegenerateNormals unless the unit ``normals`` span space."""
+    if np.linalg.eigvalsh(normals.T @ normals)[0] <= SPAN_TOL * len(normals):
+        raise DegenerateNormals("normals must span space (they lie in a plane)")
 
 
 def check_closing(problem: MinkowskiProblem):
@@ -98,13 +126,14 @@ def discretize_curvature(sample: CurvatureSample):
     problem's metadata.
     """
     sample.validate()
+    _require_spanning(sample.centers)
     areas = sample.cell_areas / sample.curvature
     defect = closing_defect(sample.centers, areas)
     gram = sample.centers.T @ sample.centers  # sum of n n^T
     lam = np.linalg.solve(gram, defect)
     corrected = areas - sample.centers @ lam
     if (corrected <= 0).any():
-        raise ValueError("closing repair produced non-positive areas")
+        raise OpenAreaVector("closing repair produced non-positive areas")
     return MinkowskiProblem(
         normals=sample.centers,
         target_areas=corrected,
@@ -193,7 +222,11 @@ def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
 
     def evaluate(h, _):
         try:
-            poly = polytope_from_support(n, h)
+            if h.min() > ORIGIN_MARGIN * np.abs(h).max():
+                # the origin is inside the body, at least min(h) from its faces
+                poly = _intersect_about(n, h, np.zeros(3))
+            else:
+                poly = polytope_from_support(n, h)
         except (EmptyBody, ValueError):
             return None
         return poly, residual(poly)

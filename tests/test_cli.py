@@ -25,6 +25,37 @@ def test_cli_import_leaves_out_scipy_optimize():
                    env={"PYTHONPATH": src})
 
 
+def test_minkowski_solve_leaves_out_scipy_optimize(tmp_path):
+    # the solver intersects its iterates about the origin, with no LP
+    src = shapes.random_hull(30, seed=2)
+    path = tmp_path / "mk.json"
+    path.write_text(json.dumps({"kind": "minkowski-problem",
+                                "normals": src.normals.tolist(),
+                                "areas": src.areas.tolist()}))
+    code = ("import sys, ovaloid.cli; "
+            f"assert ovaloid.cli.run(['minkowski', 'solve', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'r.json')!r}]) == 0; "
+            "assert 'scipy.optimize' not in sys.modules")
+    src_dir = str(pathlib.Path(ovaloid.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": src_dir})
+
+
+def test_consecutive_runs_share_no_state(tmp_path):
+    # the parser is built once per process; each run parses afresh
+    argv = ["minkowski", "roundtrip", "--faces", "8", "--out"]
+    assert cli.run(argv + [str(tmp_path / "a"), "--tol", "1e-10", "--seed", "4"]) == 0
+    assert cli.run(argv + [str(tmp_path / "b")]) == 0
+    first = json.loads((tmp_path / "a").read_text())["config"]
+    assert (first["tol"], first["seed"]) == (1e-10, 4)
+    assert json.loads((tmp_path / "b").read_text())["config"] == {
+        "seed": 0, "tol": None, "max_iter": None}
+    assert cli.run(argv + [str(tmp_path / "c"), "--format", "csv"]) == 0
+    assert cli.run(argv + [str(tmp_path / "d")]) == 0
+    assert not (tmp_path / "c").read_text().startswith("{")
+    assert json.loads((tmp_path / "d").read_text())["exit_code"] == 0
+
+
 def test_net_curvature_cube(tmp_path, capsys, cube):
     path = tmp_path / "cube.off"
     io.write_off(path, cube.vertices, cube.faces)
@@ -381,6 +412,9 @@ def test_minkowski_solve_and_check_cli(tmp_path, capsys, cube):
     # the repair succeeds, but two normals coincide
     (np.vstack([np.eye(3), -np.eye(3), [[1.0, 0.0, 0.0]]]),
      np.full(7, 4 * np.pi / 7)),
+    # the centers lie on one great circle
+    (np.column_stack([np.cos(np.arange(6) * np.pi / 3), np.sin(np.arange(6) * np.pi / 3),
+                      np.zeros(6)]), np.full(6, 4 * np.pi / 6)),
 ])
 def test_bad_curvature_sample_is_schema_error(tmp_path, capsys, action,
                                               centers, cell_areas):

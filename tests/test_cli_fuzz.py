@@ -103,7 +103,7 @@ def test_nets(tmp_path, text, action, src, dst):
 
 @st.composite
 def minkowski_problems(draw):
-    shape = draw(st.sampled_from(["hull", "normals", "curvature", "junk"]))
+    shape = draw(st.sampled_from(["hull", "coplanar", "normals", "curvature", "junk"]))
     if shape == "hull":
         # a closed problem, its areas perhaps a little off
         hull = shapes.random_hull(draw(st.integers(4, 10)),
@@ -111,6 +111,15 @@ def minkowski_problems(draw):
         areas = hull.areas * (1.0 + draw(st.sampled_from([0.0, 1e-10, 1e-3]))
                               * (hull.normals[:, 0] > 0))
         body = {"normals": hull.normals.tolist(), "areas": areas.tolist()}
+    elif shape == "coplanar":
+        # balanced normals in one plane, tilted from the xy-plane: closed,
+        # but no support numbers bound a body with them
+        m = draw(st.integers(4, 8))
+        t = 2 * np.pi * np.arange(m) / m + draw(st.floats(0.0, 1.0))
+        tilt = draw(st.sampled_from([0.0, 0.3, np.pi / 2]))
+        normals = np.column_stack([np.cos(t), np.sin(t) * np.cos(tilt),
+                                   np.sin(t) * np.sin(tilt)])
+        body = {"normals": normals.tolist(), "areas": [1.0] * m}
     elif shape == "normals":
         body = {"normals": draw(vectors), "areas": draw(numbers)}
     elif shape == "curvature":

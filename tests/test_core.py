@@ -12,6 +12,7 @@ from oracles import (
 )
 from ovaloid import core, shapes
 from ovaloid.errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
+from ovaloid.minkowski_solver import ORIGIN_MARGIN
 
 
 def test_cube_hull_structure(cube):
@@ -158,6 +159,49 @@ def test_from_support_unbounded_and_empty():
     h = np.array([1.0, 1, 1, -2, 1, 1])  # x <= 1 and -x <= -2: empty
     with pytest.raises(EmptyBody):
         core.polytope_from_support(n, h)
+
+
+def _coordinate_ids(verts, ref, eps):
+    """For each vertex, the index of the first ``ref`` vertex within eps."""
+    near = np.linalg.norm(verts[:, None] - ref[None], axis=2) <= eps
+    assert near.any(axis=1).all()
+    return near.argmax(axis=1)
+
+
+def test_intersect_about_origin_matches_lp_path():
+    # qhull numbers the vertices by interior point, so faces are compared
+    # as sets of vertex positions; the worst area gap measured on these
+    # cases is 8.1e-14 of the largest area
+    cases = [(n, h) for n, h in support_cases()
+             if h.min() > ORIGIN_MARGIN * np.abs(h).max()]
+    assert len(cases) >= 10
+    for seed, size in enumerate(np.linspace(20, 400, 8).astype(int)):
+        src = shapes.random_hull(size, seed=seed)
+        cases.append((src.normals, src.support_numbers))
+    for n, h in cases:
+        lp = core.polytope_from_support(n, h)
+        origin = core._intersect_about(n, h, np.zeros(3))
+        scale = np.abs(h).max()
+        for poly in (lp, origin):
+            for i, f in enumerate(poly.faces):
+                assert np.abs(poly.vertices[list(f)] @ n[i] - h[i]).max(initial=0.0) \
+                    <= 1e-14 * scale
+        lp_ids = _coordinate_ids(lp.vertices, lp.vertices, 1e-12 * scale)
+        origin_ids = _coordinate_ids(origin.vertices, lp.vertices, 1e-12 * scale)
+        assert [set(lp_ids[list(f)]) for f in lp.faces] \
+            == [set(origin_ids[list(f)]) for f in origin.faces]
+        assert np.abs(origin.areas - lp.areas).max() <= 2e-13 * lp.areas.max()
+
+
+def test_intersect_about_rejects_unbounded_body():
+    # every normal has z > 0.3, so the body runs off toward z = -inf; qhull
+    # itself raises nothing and returns 12 intersections
+    t = 2 * np.pi * np.arange(8) / 8
+    z = np.linspace(0.35, 0.9, 8)
+    r = np.sqrt(1 - z**2)
+    n = np.column_stack([r * np.cos(t), r * np.sin(t), z])
+    with pytest.raises(UnboundedBody):
+        core._intersect_about(n, np.ones(8), np.zeros(3))
 
 
 def test_hull_support_roundtrip_reproduces_areas():

@@ -143,7 +143,10 @@ def test_minkowski_problem_parse(tmp_path, cube):
     ({"normals": [], "areas": []}, "minkowski.valid"),
     ({"curvature": {"centers": [[0.0, 0.0, 1.0], [1.0]], "cell_areas": [],
                     "K": []}}, "minkowski.curvature.valid"),
-], ids=["ragged", "not-unit", "empty", "ragged-centers"])
+    # balanced, so closed, but in one plane: no support numbers bound a body
+    ({"normals": [[np.cos(t), np.sin(t), 0.0] for t in np.arange(6) * np.pi / 3],
+      "areas": [1.0] * 6}, "minkowski.valid"),
+], ids=["ragged", "not-unit", "empty", "ragged-centers", "coplanar"])
 def test_malformed_minkowski_arrays_are_schema_errors(tmp_path, body, constraint):
     path = tmp_path / "mk.json"
     path.write_text(json.dumps({"kind": "minkowski-problem", **body}))

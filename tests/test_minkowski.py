@@ -233,3 +233,77 @@ def test_backtracks_are_reported():
     _, rep = mk.solve_minkowski(prob, tol=1e-9, full_output=True)
     assert rep["backtracks"] > 0
     assert rep["final_residual"] <= 1e-9
+
+
+def _count_lps(monkeypatch):
+    """The list that grows by one at each call of ``core.linprog``."""
+    calls = []
+    linprog = core.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(core, "linprog", counted)
+    return calls
+
+
+def test_solve_intersects_about_the_origin(monkeypatch):
+    src = shapes.random_hull(200, seed=5).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    calls = _count_lps(monkeypatch)
+    body, rep = mk.solve_minkowski(prob, tol=1e-9, full_output=True)
+    assert calls == []
+    assert rep["iterations"] > 1 and rep["final_residual"] <= 1e-9
+    rel = np.abs(body.support_numbers - src.support_numbers) / src.support_numbers
+    assert rel.max() < 1e-6
+
+
+def test_start_outside_the_origin_falls_back_to_the_lp(monkeypatch):
+    src = shapes.random_hull(18, seed=4).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    a = mk.solve_minkowski(prob, tol=1e-9)
+    # the round start moved by 3: the origin is outside it, and the steps,
+    # orthogonal to translations, keep every iterate there
+    h0 = 1.0 + src.normals @ [3.0, 0.0, 0.0]
+    assert h0.min() < 0
+    calls = _count_lps(monkeypatch)
+    b, rep = mk.solve_minkowski(prob, tol=1e-9, init_support=h0, full_output=True)
+    assert len(calls) >= rep["iterations"] > 1
+    assert np.abs(b.support_numbers - a.support_numbers).max() <= 1e-8
+
+
+def _coplanar(m):
+    t = 2 * np.pi * np.arange(m) / m
+    return np.column_stack([np.cos(t), np.sin(t), np.zeros(m)])
+
+
+OCTAHEDRON_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("normals, areas, error", [
+    (np.eye(3), np.ones(3), errors.MalformedMinkowskiData),
+    (OCTAHEDRON_NORMALS, np.ones(5), errors.MalformedMinkowskiData),
+    (OCTAHEDRON_NORMALS, [1, 1, 1, 1, 1, 0], errors.MalformedMinkowskiData),
+    (np.vstack([OCTAHEDRON_NORMALS, [[1, 0, 0]]]), np.ones(7), errors.DegenerateNormals),
+    (_coplanar(6), np.ones(6), errors.DegenerateNormals),
+    (OCTAHEDRON_NORMALS, [2, 1, 1, 1, 1, 1], errors.OpenAreaVector),
+], ids=["three", "lengths", "zero-area", "repeated", "coplanar", "open"])
+def test_invalid_problem_raises_named_value_error(normals, areas, error):
+    with pytest.raises(error) as err:
+        mk.MinkowskiProblem(normals=normals, target_areas=areas).validate()
+    assert isinstance(err.value, errors.OvaloidError)
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("centers, cell_areas, error", [
+    (OCTAHEDRON_NORMALS, np.ones(6), errors.MalformedMinkowskiData),
+    (_coplanar(6), np.full(6, 4 * np.pi / 6), errors.DegenerateNormals),
+    (np.eye(3), np.full(3, 4 * np.pi / 3), errors.OpenAreaVector),
+], ids=["sphere-total", "coplanar", "repair"])
+def test_invalid_curvature_sample_raises_named_value_error(centers, cell_areas, error):
+    sample = mk.CurvatureSample(centers=centers, cell_areas=cell_areas,
+                                curvature=np.ones(len(centers)))
+    with pytest.raises(error) as err:
+        mk.discretize_curvature(sample)
+    assert isinstance(err.value, ValueError)
