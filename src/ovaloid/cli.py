@@ -148,11 +148,11 @@ def _parse_surface_point(net, text):
     if text.startswith("v"):
         if not net.corner_labels:
             raise SchemaError("point.vertex", "vertex points need a mesh input")
-        for (f, c), lab in net.corner_labels.items():
-            if lab == vid:
-                xy = net.polygons[f][c]
-                return im.SurfacePoint(f, (float(xy[0]), float(xy[1])))
-        raise SchemaError("point.vertex", f"no corner labelled {vid}")
+        if vid not in net.labelled_corners:
+            raise SchemaError("point.vertex", f"no corner labelled {vid}")
+        f, c = net.labelled_corners[vid]
+        xy = net.polygons[f][c]
+        return im.SurfacePoint(f, (float(xy[0]), float(xy[1])))
     if not 0 <= f < len(net.polygons):
         raise SchemaError("point.polygon", f"no polygon {f} in the net")
     try:
@@ -319,11 +319,8 @@ def _demo_egregium(seed, tol):
 
 def _demo_cube_geodesic(seed, tol):
     net = im.net_from_polytope(shapes.cube())
-    inv = {}
-    for (f, c), vid in net.corner_labels.items():
-        inv.setdefault(vid, (f, c))
     def corner(vid):
-        f, c = inv[vid]
+        f, c = net.labelled_corners[vid]
         xy = net.polygons[f][c]
         return im.SurfacePoint(f, (float(xy[0]), float(xy[1])))
     d = im.shortest_path(net, corner(0), corner(7)).length

@@ -355,10 +355,10 @@ def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):
     boundary-complex invariants are checked, so non-convex or open meshes are rejected.
     """
     verts = as_points(vertices)
-    cycles = tuple(tuple(int(i) for i in cyc) for cyc in faces)
+    cycles = tuple(tuple(map(int, cyc)) for cyc in faces)
     if any(len(cyc) < 3 for cyc in cycles):
         raise ValueError("face with fewer than 3 vertices")
-    face, tail, head, _ = half_edges(cycles)
+    half = face, tail, head, _ = half_edges(cycles)
     newell = np.zeros((len(cycles), 3))
     np.add.at(newell, face, np.cross(verts[tail], verts[head]))
     newell *= 0.5
@@ -371,6 +371,7 @@ def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):
         areas=areas,
         support_numbers=(verts[np.unique(tail)] @ normals.T).max(axis=0),
     )
+    vars(poly)["_half_edges"] = half  # the cached property, already at hand
     return poly.validate(tol)
 
 

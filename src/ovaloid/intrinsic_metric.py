@@ -12,13 +12,15 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
+import typing
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from . import core, planar
+from . import planar
 from .errors import (
     CoincidentPoints,
     InvalidNet,
@@ -28,13 +30,8 @@ from .errors import (
 )
 
 
-def _rot(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _cross2(u, v):
-    return float(u[0] * v[1] - u[1] * v[0])
+def _well_shaped(p):
+    return p.ndim == 2 and p.shape[1] == 2 and len(p) >= 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,6 +43,10 @@ class MetricNet:
     two edges with reversed orientation: corner ea of a meets corner eb+1 of
     b, corner ea+1 meets corner eb.  ``corner_labels`` optionally tags corners
     (e.g. with source polytope vertex ids).
+
+    The derived data is computed once, from one flat corner layout: corner
+    c of polygon f is flat corner ``start[f] + c``, and edge e of f is
+    named by its first corner.
     """
 
     polygons: tuple
@@ -56,71 +57,116 @@ class MetricNet:
         polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
         if not polys:
             raise ValueError("a net needs at least one polygon")
-        for k, p in enumerate(polys):
-            if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3 or not np.isfinite(p).all():
-                raise ValueError(f"polygon {k} is not a finite (n>=3, 2) array")
+        shaped = all(map(_well_shaped, polys))
+        pts = np.concatenate(polys) if shaped else None
+        if not shaped or not np.isfinite(pts).all():
+            k = next(k for k, p in enumerate(polys)
+                     if not (_well_shaped(p) and np.isfinite(p).all()))
+            raise ValueError(f"polygon {k} is not a finite (n>=3, 2) array")
+        sizes = np.array([len(p) for p in polys])
+        start = np.cumsum(sizes) - sizes
+        nxt = np.arange(1, len(pts) + 1)
+        nxt[start + sizes - 1] = start
         # twice the signed area of every polygon, by one shoelace sum
-        sizes = [len(p) for p in polys]
-        pts = np.concatenate(polys)
-        nxt = np.roll(pts, -1, axis=0)
-        nxt[np.cumsum(sizes) - 1] = [p[0] for p in polys]
-        area = np.bincount(np.repeat(np.arange(len(polys)), sizes),
-                           pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1])
+        area = np.add.reduceat(pts[:, 0] * pts[nxt, 1] - pts[nxt, 0] * pts[:, 1], start)
         if not (area > 0).all():
             raise ValueError(f"polygon {np.argmin(area > 0)} must be CCW with positive area")
-        object.__setattr__(self, "polygons", polys)
         ids = tuple(
             ((int(a), int(ea)), (int(b), int(eb)))
             for (a, ea), (b, eb) in self.identifications
         )
-        for f, e in itertools.chain.from_iterable(ids):
-            if not (0 <= f < len(polys) and 0 <= e < len(polys[f])):
-                raise ValueError(f"edge {e} of polygon {f} is not in the net")
+        sides = tuple(itertools.chain.from_iterable(ids))
+        try:
+            f, e = np.fromiter(itertools.chain.from_iterable(sides), dtype=np.intp,
+                               count=2 * len(sides)).reshape(-1, 2).T
+        except OverflowError:  # an index beyond any array
+            f = e = np.array([-1])
+        inside = (f >= 0) & (f < len(polys)) & (e >= 0)
+        inside &= e < sizes[np.where(inside, f, 0)]
+        if not inside.all():
+            f, e = next((f, e) for f, e in sides
+                        if not (0 <= f < len(polys) and 0 <= e < len(polys[f])))
+            raise ValueError(f"edge {e} of polygon {f} is not in the net")
+        object.__setattr__(self, "polygons", polys)
         object.__setattr__(self, "identifications", ids)
+        object.__setattr__(self, "_pts", pts)
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_next", nxt)
+        # the flat first corners of the two glued edges, one row per pair
+        object.__setattr__(self, "_glued", (start[f] + e).reshape(-1, 2))
 
-    @property
+    @cached_property
     def scale(self):
-        return max(float(np.abs(p).max()) for p in self.polygons)
+        return float(np.abs(self._pts).max())
 
     def corners(self):
         return [(f, c) for f, poly in enumerate(self.polygons) for c in range(len(poly))]
 
     @cached_property
+    def _flat(self):
+        """The corner layout as Python lists for the geodesic search:
+        (x, y) pairs, the next corner of the same polygon, and the polygon
+        and position of every corner."""
+        sizes = [len(p) for p in self.polygons]
+        return _FlatNet(
+            xy=list(map(tuple, self._pts.tolist())),
+            next=self._next.tolist(),
+            face=np.repeat(np.arange(len(sizes)), sizes).tolist(),
+            pos=(np.arange(len(self._pts)) - np.repeat(self._start, sizes)).tolist(),
+            start=self._start.tolist(),
+        )
+
+    @cached_property
+    def _twin(self):
+        """Flat edge glued to each flat edge, -1 where none is: the layout
+        of ``core.half_edges``."""
+        a, b = self._glued.T
+        hits = np.bincount(np.concatenate([a, b[b != a]]), minlength=len(self._pts))
+        if hits.max(initial=0) > 1:
+            raise InvalidNet("an edge appears in more than one identification")
+        twin = np.full(len(self._pts), -1)
+        twin[a], twin[b] = b, a
+        return twin.tolist()
+
+    @cached_property
     def edge_partner(self):
         """Map (polygon, edge) -> (polygon, edge); None‑safe via .get."""
-        partner = {}
-        for (a, ea), (b, eb) in self.identifications:
-            if (a, ea) in partner or (b, eb) in partner:
-                raise InvalidNet("an edge appears in more than one identification")
-            partner[(a, ea)] = (b, eb)
-            partner[(b, eb)] = (a, ea)
-        return partner
+        face, pos = self._flat.face, self._flat.pos
+        return {(face[k], pos[k]): (face[t], pos[t])
+                for k, t in enumerate(self._twin) if t >= 0}
+
+    @cached_property
+    def _class_label(self):
+        """Corner class of every flat corner: the connected components of
+        the graph that glues corner ea of a to eb+1 of b, and ea+1 to eb,
+        numbered in the order of their first corner."""
+        a, b = self._glued.T
+        u = np.concatenate([a, self._next[a]])
+        w = np.concatenate([self._next[b], b])
+        n = len(self._pts)
+        return connected_components(
+            sparse.coo_matrix((np.ones(len(u)), (u, w)), shape=(n, n)), directed=False)[1]
 
     @cached_property
     def vertex_classes(self):
         """Corner classes induced by the identifications, each sorted, in
-        the order of their first corner: the connected components of the
-        graph that glues corner ea of a to eb+1 of b, and ea+1 to eb."""
-        sizes = np.array([len(p) for p in self.polygons])
-        start = np.cumsum(sizes) - sizes
-        a, ea, b, eb = np.array(self.identifications, dtype=np.intp).reshape(-1, 4).T
-        u = np.concatenate([start[a] + ea, start[a] + (ea + 1) % sizes[a]])
-        w = np.concatenate([start[b] + (eb + 1) % sizes[b], start[b] + eb])
-        n = int(sizes.sum())
-        # connected_components numbers the components in the order of their
-        # first node, so the classes come out sorted
-        count, label = connected_components(
-            sparse.coo_matrix((np.ones(len(u)), (u, w)), shape=(n, n)), directed=False)
-        classes = [[] for _ in range(count)]
+        the order of their first corner."""
+        label = self._class_label
+        classes = [[] for _ in range(int(label.max()) + 1)]
         for corner, k in zip(self.corners(), label.tolist()):
             classes[k].append(corner)
         return tuple(map(tuple, classes))
 
     def corner_class_of(self, f, c):
-        for k, cls in enumerate(self.vertex_classes):
-            if (f, c) in cls:
-                return k
-        raise KeyError((f, c))
+        if not (0 <= f < len(self.polygons) and 0 <= c < len(self.polygons[f])):
+            raise KeyError((f, c))
+        return int(self._class_label[self._start[f] + c])
+
+    @cached_property
+    def labelled_corners(self):
+        """Map corner label -> the first (polygon, corner) carrying it."""
+        labels = self.corner_labels or {}
+        return dict(zip(reversed(labels.values()), reversed(labels.keys())))
 
     def edge_points(self, f, e):
         poly = self.polygons[f]
@@ -129,6 +175,14 @@ class MetricNet:
     def edge_length(self, f, e):
         a, b = self.edge_points(f, e)
         return float(np.linalg.norm(b - a))
+
+
+class _FlatNet(typing.NamedTuple):
+    xy: list
+    next: list
+    face: list
+    pos: list
+    start: list
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,7 +244,7 @@ def net_from_polytope(poly):
     Returns a MetricNet with one congruent polygon per face, identifications
     along the original edges, and corner labels mapping back to vertex ids.
     """
-    face, tail, head, twin = core.half_edges(poly.faces)
+    face, tail, head, twin = poly._half_edges
     start = np.searchsorted(face, np.arange(len(poly.faces)))
     pos = np.arange(len(face)) - start[face]
     origin = poly.vertices[tail[start]]
@@ -202,9 +256,10 @@ def net_from_polytope(poly):
                       np.einsum("ij,ij->i", d, e2[face])], axis=1)
     # each edge once, from its tail < head side, in face order
     glued = np.flatnonzero((tail < head) & (twin >= 0))
+    bounds = [*start.tolist(), len(face)]
     face, pos = face.tolist(), pos.tolist()
     return MetricNet(
-        polygons=tuple(np.split(local, start[1:])),
+        polygons=tuple(local[a:b] for a, b in zip(bounds, bounds[1:])),
         identifications=tuple(((face[k], pos[k]), (face[t], pos[t]))
                               for k, t in zip(glued.tolist(), twin[glued].tolist())),
         corner_labels=dict(zip(zip(face, pos), tail.tolist())),
@@ -234,19 +289,15 @@ def validate_net(net, tol=1e-9):
     scale = max(net.scale, 1.0)
 
     # closedness: every edge in exactly one identification
-    sizes = np.array([len(p) for p in net.polygons])
-    start = np.cumsum(sizes) - sizes
-    glued = np.array(net.identifications, dtype=np.intp).reshape(-1, 2, 2)
-    hits = np.bincount((start[glued[..., 0]] + glued[..., 1]).ravel(),
-                       minlength=int(sizes.sum()))
+    hits = np.bincount(net._glued.ravel(), minlength=len(net._pts))
     unmatched = [c for c, h in zip(net.corners(), hits.tolist()) if h == 0]
     closed = not unmatched and int(hits.max()) <= 1
 
     # connectivity over polygons
     n_poly = len(net.polygons)
+    a, b = np.asarray(net._flat.face)[net._glued].T
     parts, _ = connected_components(
-        sparse.coo_matrix((np.ones(len(glued)), (glued[:, 0, 0], glued[:, 1, 0])),
-                          shape=(n_poly, n_poly)),
+        sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n_poly, n_poly)),
         directed=False)
     connected = parts == 1
 
@@ -330,53 +381,51 @@ def vertex_curvatures(net, tol=1e-9):
 
 
 def _point_representations(net, sp, tol=1e-9):
-    """All (face, local coords) descriptions of a surface point."""
-    scale = max(net.scale, 1.0)
+    """All (face, (x, y)) descriptions of a surface point."""
+    lim = tol * max(net.scale, 1.0)
+    xy, nxt, face = net._flat.xy, net._flat.next, net._flat.face
     f = sp.polygon
-    p = sp.coords
-    poly = net.polygons[f]
-    k = len(poly)
-    # corner?
-    for c in range(k):
-        if np.linalg.norm(p - poly[c]) <= tol * scale:
-            cls = net.vertex_classes[net.corner_class_of(f, c)]
-            return [(g, np.array(net.polygons[g][cc])) for g, cc in cls]
-    # on an edge?
-    reps = [(f, p)]
-    for e in range(k):
-        a, b = net.edge_points(f, e)
-        ab = b - a
-        t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-        if 0.0 < t < 1.0 and np.linalg.norm(a + t * ab - p) <= tol * scale:
-            partner = net.edge_partner.get((f, e))
-            if partner is not None:
-                g, eg = partner
-                qa, qb = net.edge_points(g, eg)
-                reps.append((g, qa + (1.0 - t) * (qb - qa)))
+    px, py = float(sp.xy[0]), float(sp.xy[1])
+    corners = range(net._flat.start[f], net._flat.start[f] + len(net.polygons[f]))
+    for k in corners:
+        if math.hypot(px - xy[k][0], py - xy[k][1]) <= lim:
+            label = net._class_label
+            return [(face[j], xy[j]) for j in np.flatnonzero(label == label[k]).tolist()]
+    reps = [(f, (px, py))]
+    for k in corners:
+        (ax, ay), (bx, by) = xy[k], xy[nxt[k]]
+        abx, aby = bx - ax, by - ay
+        length2 = abx * abx + aby * aby
+        t = ((px - ax) * abx + (py - ay) * aby) / length2 if length2 else 0.0
+        if 0.0 < t < 1.0 and math.hypot(ax + t * abx - px, ay + t * aby - py) <= lim:
+            j = net._twin[k]
+            if j >= 0:
+                (qx, qy), (rx, ry) = xy[j], xy[nxt[j]]
+                reps.append((face[j], (qx + (1.0 - t) * (rx - qx), qy + (1.0 - t) * (ry - qy))))
             break
     return reps
 
 
-def _glue_transform(net, g, eg, A, B):
-    """Rigid motion placing polygon g so its edge eg lands on segment B->A.
+def _glue_transform(q0, q1, A, B):
+    """Rigid motion (cos, sin, tx, ty) placing the edge q0 -> q1 of a
+    polygon on the segment B -> A.
 
     A, B are the chart positions of the current face's edge (P0, P1); the
-    reversed gluing sends Q0 -> B and Q1 -> A.
+    reversed gluing sends q0 -> B and q1 -> A.
     """
-    q0, q1 = net.edge_points(g, eg)
-    ang = np.arctan2(*(A - B)[::-1]) - np.arctan2(*(q1 - q0)[::-1])
-    rot = _rot(ang)
-    t = B - rot @ q0
-    return rot, t
+    ang = (math.atan2(A[1] - B[1], A[0] - B[0])
+           - math.atan2(q1[1] - q0[1], q1[0] - q0[0]))
+    c, s = math.cos(ang), math.sin(ang)
+    return c, s, B[0] - (c * q0[0] - s * q0[1]), B[1] - (s * q0[0] + c * q0[1])
 
 
 def _seg_dist(p, a, b):
-    ab = b - a
-    denom = float(np.dot(ab, ab))
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    denom = abx * abx + aby * aby
     if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = min(1.0, max(0.0, float(np.dot(p - a, ab) / denom)))
-    return float(np.linalg.norm(a + t * ab - p))
+        return math.hypot(p[0] - a[0], p[1] - a[1])
+    t = min(1.0, max(0.0, ((p[0] - a[0]) * abx + (p[1] - a[1]) * aby) / denom))
+    return math.hypot(a[0] + t * abx - p[0], a[1] + t * aby - p[1])
 
 
 def _clip_to_cone(src, ca, cb, e0, e1, slack):
@@ -385,19 +434,20 @@ def _clip_to_cone(src, ca, cb, e0, e1, slack):
     The cone is the set {x : cross(ca-src, x-src) >= 0 >= cross(cb-src, x-src)}.
     Returns (w0, w1) or None.
     """
-    pts = [e0, e1]
+    sx, sy = src
     for anchor, sign in ((ca, 1.0), (cb, -1.0)):
-        d = anchor - src
-        vals = [sign * _cross2(d, p - src) for p in pts]
-        inside = [v >= -slack for v in vals]
-        if all(inside):
+        dx, dy = anchor[0] - sx, anchor[1] - sy
+        v0 = sign * (dx * (e0[1] - sy) - dy * (e0[0] - sx))
+        v1 = sign * (dx * (e1[1] - sy) - dy * (e1[0] - sx))
+        in0, in1 = v0 >= -slack, v1 >= -slack
+        if in0 and in1:
             continue
-        if not any(inside):
+        if not (in0 or in1):
             return None
-        t = vals[0] / (vals[0] - vals[1])
-        cut = pts[0] + t * (pts[1] - pts[0])
-        pts = [pts[0], cut] if inside[0] else [cut, pts[1]]
-    return pts
+        t = v0 / (v0 - v1)
+        cut = (e0[0] + t * (e1[0] - e0[0]), e0[1] + t * (e1[1] - e0[1]))
+        e0, e1 = (e0, cut) if in0 else (cut, e1)
+    return e0, e1
 
 
 def _positive_cone_window(src, w0, w1, rel_tol=1e-13):
@@ -407,24 +457,28 @@ def _positive_cone_window(src, w0, w1, rel_tol=1e-13):
     angle: the only path through it grazes a net vertex, which shortest
     paths on positively curved nets never do.
     """
-    ra, rb = w0 - src, w1 - src
-    cr = _cross2(ra, rb)
-    if abs(cr) <= rel_tol * float(np.linalg.norm(ra) * np.linalg.norm(rb)):
+    ax, ay = w0[0] - src[0], w0[1] - src[1]
+    bx, by = w1[0] - src[0], w1[1] - src[1]
+    cr = ax * by - ay * bx
+    if abs(cr) <= rel_tol * (math.hypot(ax, ay) * math.hypot(bx, by)):
         return None
     return (w0, w1) if cr > 0 else (w1, w0)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _State:
+    """A face sequence unfolded into the root chart.  Points are (x, y)
+    pairs; ``motion`` (cos, sin, tx, ty) maps the face's local coordinates
+    into the chart."""
+
     face: int
     entry_edge: int
-    rot: np.ndarray
-    trans: np.ndarray
-    win_a: np.ndarray
-    win_b: np.ndarray
-    edge_a: np.ndarray   # chart endpoints of the full entry edge (P0 side)
-    edge_b: np.ndarray
-    src: np.ndarray
+    motion: tuple
+    win_a: tuple
+    win_b: tuple
+    edge_a: tuple        # chart endpoints of the full entry edge (P0 side)
+    edge_b: tuple
+    src: tuple
     depth: int
     parent: object       # parent _State or None (initial states)
     src_rep: tuple       # (face, local coords) of the source in the root chart
@@ -439,6 +493,11 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
     SearchBudgetExceeded is raised when that cap pruned a sequence whose
     lower bound is below the best length found, so a shorter path may have
     been missed (or when no path was found at all).
+
+    A candidate path replaces the best one only when it is shorter by more
+    than ``slack`` (1e-12 of the net's scale), or ties within ``slack``
+    through fewer faces, so rounding does not decide between the faces at
+    a vertex endpoint.
     """
     scale = max(net.scale, 1.0)
     slack = 1e-12 * scale
@@ -447,49 +506,44 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
     for g, ql in _point_representations(net, q, tol=tol):
         qreps.setdefault(g, []).append(ql)
 
-    best_len = np.inf
+    best_len = math.inf
+    best_depth = 0
     best = None  # (state|None, psrc, q_chart, q_local, face)
 
     # direct same-face candidates
     for f, pl in preps:
-        for ql in qreps.get(f, []):
-            d = float(np.linalg.norm(ql - pl))
-            if d < best_len:
-                best_len = d
-                best = (None, pl, ql, ql, f)
-    if best is not None and best_len <= slack:
-        raise CoincidentPoints("p and q coincide")
+        for ql in qreps.get(f, ()):
+            d = math.hypot(ql[0] - pl[0], ql[1] - pl[1])
+            if d <= slack:
+                raise CoincidentPoints("p and q coincide")
+            if d < best_len - slack:
+                best_len, best = d, (None, pl, ql, ql, f)
 
+    xy, nxt, face, pos, start = net._flat
+    twin = net._twin
     heap = []
-    counter = 0
-    pruned_lb = np.inf  # smallest lower bound of a sequence the cap stopped
-
-    def push(state, lb):
-        nonlocal counter
-        counter += 1
-        heapq.heappush(heap, (lb, counter, state))
+    counter = itertools.count()
+    pruned_lb = math.inf  # smallest lower bound of a sequence the cap stopped
 
     for f, pl in preps:
-        poly = net.polygons[f]
-        for e in range(len(poly)):
-            partner = net.edge_partner.get((f, e))
-            if partner is None:
+        for k in range(start[f], start[f] + len(net.polygons[f])):
+            t = twin[k]
+            if t < 0:
                 continue
-            a, b = net.edge_points(f, e)
+            a, b = xy[k], xy[nxt[k]]
             if _seg_dist(pl, a, b) <= slack:
                 continue  # source sits on this edge; covered by its other rep
             oriented = _positive_cone_window(pl, a, b)
             if oriented is None:
                 continue
             wa, wb = oriented
-            g, eg = partner
-            rot, trans = _glue_transform(net, g, eg, a, b)
             st = _State(
-                face=g, entry_edge=eg, rot=rot, trans=trans,
+                face=face[t], entry_edge=pos[t],
+                motion=_glue_transform(xy[t], xy[nxt[t]], a, b),
                 win_a=wa, win_b=wb, edge_a=a, edge_b=b,
                 src=pl, depth=1, parent=None, src_rep=(f, pl),
             )
-            push(st, _seg_dist(pl, wa, wb))
+            heapq.heappush(heap, (_seg_dist(pl, wa, wb), next(counter), st))
 
     states_seen = 0
     while heap:
@@ -501,59 +555,63 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
             raise SearchBudgetExceeded(
                 f"geodesic search exceeded {max_states} states"
             )
-        poly = net.polygons[st.face]
-        chart = poly @ st.rot.T + st.trans
+        c, s, tx, ty = st.motion
+        src, win_a, win_b = st.src, st.win_a, st.win_b
+        sx, sy = src
 
         # q in this face?  It must sit inside the visibility cone and on the
         # far side of the entry window's supporting line.
-        wdir = st.win_b - st.win_a
-        side_p = np.sign(_cross2(wdir, st.src - st.win_a))
-        for ql in qreps.get(st.face, []):
-            qc = st.rot @ ql + st.trans
-            da = _cross2(st.win_a - st.src, qc - st.src)
-            db = _cross2(st.win_b - st.src, qc - st.src)
-            side_q = _cross2(wdir, qc - st.win_a)
+        wdx, wdy = win_b[0] - win_a[0], win_b[1] - win_a[1]
+        side = wdx * (sy - win_a[1]) - wdy * (sx - win_a[0])
+        side_p = (side > 0) - (side < 0)
+        for ql in qreps.get(st.face, ()):
+            qx = c * ql[0] - s * ql[1] + tx
+            qy = s * ql[0] + c * ql[1] + ty
+            da = (win_a[0] - sx) * (qy - sy) - (win_a[1] - sy) * (qx - sx)
+            db = (win_b[0] - sx) * (qy - sy) - (win_b[1] - sy) * (qx - sx)
+            side_q = wdx * (qy - win_a[1]) - wdy * (qx - win_a[0])
             if da >= -slack and db <= slack and side_p * side_q <= slack * scale:
-                d = float(np.linalg.norm(qc - st.src))
-                if d < best_len:
-                    best_len = d
-                    best = (st, st.src, qc, ql, st.face)
+                d = math.hypot(qx - sx, qy - sy)
+                if d < best_len - slack or (d <= best_len + slack
+                                            and st.depth < best_depth):
+                    best_len, best_depth = d, st.depth
+                    best = (st, src, (qx, qy), ql, st.face)
 
         if st.depth >= max_faces:
             pruned_lb = min(pruned_lb, lb)
             continue
 
-        k = len(poly)
-        for e in range(k):
-            if e == st.entry_edge:
+        k0 = start[st.face]
+        chart = [(c * x - s * y + tx, s * x + c * y + ty)
+                 for x, y in xy[k0:k0 + len(net.polygons[st.face])]]
+        entry = k0 + st.entry_edge
+        for k in range(k0, k0 + len(chart)):
+            t = twin[k]
+            if k == entry or t < 0:
                 continue
-            partner = net.edge_partner.get((st.face, e))
-            if partner is None:
-                continue
-            e0, e1 = chart[e], chart[(e + 1) % k]
-            win = _clip_to_cone(st.src, st.win_a, st.win_b, e0, e1, slack)
+            e0, e1 = chart[k - k0], chart[nxt[k] - k0]
+            win = _clip_to_cone(src, win_a, win_b, e0, e1, slack)
             if win is None:
                 continue
-            oriented = _positive_cone_window(st.src, win[0], win[1])
+            oriented = _positive_cone_window(src, *win)
             if oriented is None:
                 continue  # sliver grazing a net vertex
             wa, wb = oriented
-            lb2 = _seg_dist(st.src, wa, wb)
+            lb2 = _seg_dist(src, wa, wb)
             if lb2 >= best_len - slack:
                 continue
-            g, eg = partner
             # e0, e1 are already chart coordinates, so this transform maps
-            # g-local coordinates straight into the chart
-            rot, trans = _glue_transform(net, g, eg, e0, e1)
+            # the next face's local coordinates straight into the chart
             st2 = _State(
-                face=g, entry_edge=eg, rot=rot, trans=trans,
+                face=face[t], entry_edge=pos[t],
+                motion=_glue_transform(xy[t], xy[nxt[t]], e0, e1),
                 win_a=wa, win_b=wb, edge_a=e0, edge_b=e1,
-                src=st.src, depth=st.depth + 1, parent=st, src_rep=st.src_rep,
+                src=src, depth=st.depth + 1, parent=st, src_rep=st.src_rep,
             )
-            push(st2, lb2)
+            heapq.heappush(heap, (lb2, next(counter), st2))
 
     if best is None:
-        if pruned_lb < np.inf:
+        if pruned_lb < math.inf:
             raise SearchBudgetExceeded(
                 f"no path found within {max_faces} faces"
             )
@@ -577,33 +635,31 @@ def _reconstruct(net, best, length):
     chain.reverse()
 
     if not chain:  # same-face path
-        f = q_face
-        pts = (
-            SurfacePoint(f, (float(psrc[0]), float(psrc[1]))),
-            SurfacePoint(f, (float(q_local[0]), float(q_local[1]))),
-        )
-        return GeodesicPath(points=pts, face_sequence=(f,), length=length)
+        return GeodesicPath(points=(SurfacePoint(q_face, psrc), SurfacePoint(q_face, q_local)),
+                            face_sequence=(q_face,), length=length)
 
+    xy, nxt, face, _, start = net._flat
     root_face = chain[0].src_rep[0]
     faces = [root_face] + [c.face for c in chain]
-    points = [SurfacePoint(root_face, (float(psrc[0]), float(psrc[1])))]
-    seg = q_chart - psrc
+    points = [SurfacePoint(root_face, psrc)]
+    segx, segy = q_chart[0] - psrc[0], q_chart[1] - psrc[1]
     for c in chain:
         # crossing parameter s on the full entry edge [edge_a -> edge_b]
-        d = c.edge_b - c.edge_a
-        denom = _cross2(d, seg)
-        s = 0.5 if abs(denom) < 1e-300 else _cross2(psrc - c.edge_a, seg) / denom
+        (ax, ay), (bx, by) = c.edge_a, c.edge_b
+        denom = (bx - ax) * segy - (by - ay) * segx
+        s = 0.5 if abs(denom) < 1e-300 else (
+            ((psrc[0] - ax) * segy - (psrc[1] - ay) * segx) / denom)
         s = min(1.0, max(0.0, s))
         # express the crossing in local coords on both sides of the edge;
         # the previous face's matching edge is the identification partner
-        f_prev, e_prev = net.edge_partner[(c.face, c.entry_edge)]
-        p0, p1 = net.edge_points(f_prev, e_prev)
-        exit_local = p0 + s * (p1 - p0)
-        q0, q1 = net.edge_points(c.face, c.entry_edge)
-        enter_local = q0 + (1.0 - s) * (q1 - q0)
-        points.append(SurfacePoint(f_prev, (float(exit_local[0]), float(exit_local[1]))))
-        points.append(SurfacePoint(c.face, (float(enter_local[0]), float(enter_local[1]))))
-    points.append(SurfacePoint(q_face, (float(q_local[0]), float(q_local[1]))))
+        k = start[c.face] + c.entry_edge
+        j = net._twin[k]
+        (p0x, p0y), (p1x, p1y) = xy[j], xy[nxt[j]]
+        (q0x, q0y), (q1x, q1y) = xy[k], xy[nxt[k]]
+        points.append(SurfacePoint(face[j], (p0x + s * (p1x - p0x), p0y + s * (p1y - p0y))))
+        points.append(SurfacePoint(c.face, (q0x + (1.0 - s) * (q1x - q0x),
+                                            q0y + (1.0 - s) * (q1y - q0y))))
+    points.append(SurfacePoint(q_face, q_local))
     return GeodesicPath(points=tuple(points), face_sequence=tuple(faces), length=length)
 
 

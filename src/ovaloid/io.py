@@ -8,8 +8,10 @@ writer emits exactly "OFF\\n<nv> <nf> 0\\n" as its header.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,7 +33,11 @@ class ProblemFile:
 
 
 def read_off(path):
-    """Vertices and face index cycles from an ASCII OFF file."""
+    """Vertices and face index cycles from an ASCII OFF file.
+
+    All vertex lines are converted at once, and so are all face lines; the
+    line-by-line parse runs only on a malformed file, to name its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     tokens = []
@@ -54,12 +60,44 @@ def read_off(path):
         nv, nf, _ = (int(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"bad element counts: {exc}", path=path, line=ln1) from exc
+    if nv < 0 or nf < 0:
+        raise ParseError("element counts must not be negative", path=path, line=ln1)
     body = tokens[2:]
     if len(body) < nv + nf:
         raise ParseError(
             f"expected {nv} vertex and {nf} face lines, found {len(body)}",
             path=path, line=ln1,
         )
+    parsed = _off_body(body, nv, nf)
+    return parsed if parsed is not None else _off_lines(path, body, nv, nf)
+
+
+def _off_body(body, nv, nf):
+    """Vertices and faces of the OFF body lines, each kind converted at once;
+    None when a line is malformed.  Tokens after a face's indices (colours)
+    are ignored."""
+    rows = [text.split() for _, text in body[:nv + nf]]
+    if any(len(row) != 3 for row in rows[:nv]):
+        return None
+    try:
+        verts = np.array(list(map(float, itertools.chain.from_iterable(rows[:nv]))))
+        cnt = np.array([int(row[0]) for row in rows[nv:]], dtype=np.intp)
+        if not np.isfinite(verts).all() or (cnt < 0).any():
+            return None
+        flat = list(map(int, itertools.chain.from_iterable(
+            row[1:1 + c] for row, c in zip(rows[nv:], cnt.tolist()))))
+        idx = np.array(flat, dtype=np.intp)
+    except (ValueError, OverflowError):
+        return None
+    if len(idx) != cnt.sum() or ((idx < 0) | (idx >= nv)).any():
+        return None
+    ends = np.cumsum(cnt).tolist()
+    faces = [tuple(flat[b - c:b]) for b, c in zip(ends, cnt.tolist())]
+    return verts.reshape(nv, 3), faces
+
+
+def _off_lines(path, body, nv, nf):
+    """``read_off``'s body one line at a time, naming the first bad line."""
     verts = np.empty((nv, 3))
     for k in range(nv):
         ln, text = body[k]
@@ -321,19 +359,50 @@ def write_net(path, net):
 
 
 def canonical_json(obj):
-    """Canonical serialized form used for round-trip comparisons."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    """Canonical serialized form used for round-trip comparisons.
+
+    The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` once
+    numpy arrays and scalars are lists and Python numbers and keys are
+    ``str``, written without the pure-Python encoder that ``indent`` selects:
+    a list of floats (or of ints) is one join of their reprs.
+    """
+    return _encode(obj, "\n") + "\n"
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(obj, nl):
+    """``obj`` as indented JSON, its nested lines starting with ``nl``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        text = float.__repr__(float(obj))
+        return _NON_FINITE.get(text, text)
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+        obj = list(obj.tolist())
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        numbers = set(map(type, obj)) in ({float}, {int})
+        text = sep.join(map(repr, obj)) if numbers else ""
+        if not numbers or "n" in text:  # nan and inf are spelled otherwise
+            text = sep.join(map(_encode, obj, itertools.repeat(inner)))
+        return "[" + inner + text + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in items) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -1,16 +1,152 @@
 """Independent slow oracles used to cross-check the fast implementations."""
 
+import heapq
+import itertools
+import json
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from ovaloid import core, ma_solver, planar, rigidity_lab
-from ovaloid.intrinsic_metric import MetricNet, _glue_transform, _point_representations
+from ovaloid.errors import CoincidentPoints, InvalidNet, SearchBudgetExceeded
+from ovaloid.intrinsic_metric import MetricNet, _point_representations
 
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _rot(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def glue_transform(net, g, eg, A, B):
+    """(rotation matrix, translation) placing polygon g so its edge eg lands
+    on segment B->A: the numpy form of ``intrinsic_metric._glue_transform``."""
+    q0, q1 = net.edge_points(g, eg)
+    ang = np.arctan2(*(A - B)[::-1]) - np.arctan2(*(q1 - q0)[::-1])
+    rot = _rot(ang)
+    return rot, B - rot @ q0
+
+
+def _seg_dist(p, a, b):
+    ab = b - a
+    denom = float(np.dot(ab, ab))
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a))
+    t = min(1.0, max(0.0, float(np.dot(p - a, ab) / denom)))
+    return float(np.linalg.norm(a + t * ab - p))
+
+
+def _clip_to_cone(src, ca, cb, e0, e1, slack):
+    pts = [e0, e1]
+    for anchor, sign in ((ca, 1.0), (cb, -1.0)):
+        d = anchor - src
+        vals = [sign * float(_cross(d, p - src)) for p in pts]
+        inside = [v >= -slack for v in vals]
+        if all(inside):
+            continue
+        if not any(inside):
+            return None
+        t = vals[0] / (vals[0] - vals[1])
+        cut = pts[0] + t * (pts[1] - pts[0])
+        pts = [pts[0], cut] if inside[0] else [cut, pts[1]]
+    return pts
+
+
+def _positive_cone_window(src, w0, w1, rel_tol=1e-13):
+    ra, rb = w0 - src, w1 - src
+    cr = float(_cross(ra, rb))
+    if abs(cr) <= rel_tol * float(np.linalg.norm(ra) * np.linalg.norm(rb)):
+        return None
+    return (w0, w1) if cr > 0 else (w1, w0)
+
+
+def windowed_search(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
+    """``intrinsic_metric.shortest_path`` on numpy 2-vectors and 2x2
+    rotation matrices, as (length, face sequence): the same states, pruning
+    and tie rule, one numpy call per vector operation."""
+    scale = max(net.scale, 1.0)
+    slack = 1e-12 * scale
+    preps = [(f, np.asarray(xy)) for f, xy in _point_representations(net, p, tol=tol)]
+    qreps = {}
+    for g, ql in _point_representations(net, q, tol=tol):
+        qreps.setdefault(g, []).append(np.asarray(ql))
+
+    best_len, best_depth, best = np.inf, 0, None
+    for f, pl in preps:
+        for ql in qreps.get(f, []):
+            d = float(np.linalg.norm(ql - pl))
+            if d <= slack:
+                raise CoincidentPoints("p and q coincide")
+            if d < best_len - slack:
+                best_len, best = d, (f,)
+
+    heap, counter = [], itertools.count()
+    pruned_lb = np.inf
+    # a state: (face, entry edge, rot, trans, win_a, win_b, src, faces)
+    for f, pl in preps:
+        for e in range(len(net.polygons[f])):
+            partner = net.edge_partner.get((f, e))
+            if partner is None:
+                continue
+            a, b = net.edge_points(f, e)
+            if _seg_dist(pl, a, b) <= slack:
+                continue
+            oriented = _positive_cone_window(pl, a, b)
+            if oriented is None:
+                continue
+            g, eg = partner
+            rot, trans = glue_transform(net, g, eg, a, b)
+            st = (g, eg, rot, trans, *oriented, pl, (f, g))
+            heapq.heappush(heap, (_seg_dist(pl, *oriented), next(counter), st))
+
+    seen = 0
+    while heap:
+        lb, _, (g, eg, rot, trans, wa, wb, src, faces) = heapq.heappop(heap)
+        if lb >= best_len - slack:
+            break
+        seen += 1
+        if seen > max_states:
+            raise SearchBudgetExceeded(f"geodesic search exceeded {max_states} states")
+        depth = len(faces) - 1
+        side_p = np.sign(_cross(wb - wa, src - wa))
+        for ql in qreps.get(g, []):
+            qc = rot @ ql + trans
+            da, db = _cross(wa - src, qc - src), _cross(wb - src, qc - src)
+            if (da >= -slack and db <= slack
+                    and side_p * _cross(wb - wa, qc - wa) <= slack * scale):
+                d = float(np.linalg.norm(qc - src))
+                if d < best_len - slack or (d <= best_len + slack and depth < best_depth):
+                    best_len, best_depth, best = d, depth, faces
+        if depth >= max_faces:
+            pruned_lb = min(pruned_lb, lb)
+            continue
+        poly = net.polygons[g]
+        chart = poly @ rot.T + trans
+        for e in range(len(poly)):
+            partner = net.edge_partner.get((g, e))
+            if e == eg or partner is None:
+                continue
+            e0, e1 = chart[e], chart[(e + 1) % len(poly)]
+            win = _clip_to_cone(src, wa, wb, e0, e1, slack)
+            oriented = win and _positive_cone_window(src, *win)
+            if not oriented or _seg_dist(src, *oriented) >= best_len - slack:
+                continue
+            rot2, trans2 = glue_transform(net, *partner, e0, e1)
+            st = (*partner, rot2, trans2, *oriented, src, faces + (partner[0],))
+            heapq.heappush(heap, (_seg_dist(src, *oriented), next(counter), st))
+
+    if best is None:
+        if pruned_lb < np.inf:
+            raise SearchBudgetExceeded(f"no path found within {max_faces} faces")
+        raise InvalidNet("surface appears disconnected; no path found")
+    if pruned_lb < best_len - slack:
+        raise SearchBudgetExceeded("a longer path may be shorter")
+    return best_len, best
 
 
 def brute_force_distance(net, p, q, max_faces=5, tol=1e-12):
@@ -21,10 +157,10 @@ def brute_force_distance(net, p, q, max_faces=5, tol=1e-12):
     glued edge inside its span with increasing ray parameter.  No windows, no
     pruning: a deliberately naive reference for the fast windowed search.
     """
-    preps = _point_representations(net, p, tol=1e-9)
+    preps = [(f, np.asarray(xy)) for f, xy in _point_representations(net, p, tol=1e-9)]
     qreps = {}
     for g, ql in _point_representations(net, q, tol=1e-9):
-        qreps.setdefault(g, []).append(ql)
+        qreps.setdefault(g, []).append(np.asarray(ql))
 
     best = [np.inf]
 
@@ -67,12 +203,32 @@ def brute_force_distance(net, p, q, max_faces=5, tol=1e-12):
                 continue
             e0, e1 = chart[e], chart[(e + 1) % len(poly)]
             g, eg = partner
-            rot2, trans2 = _glue_transform(net, g, eg, e0, e1)
+            rot2, trans2 = glue_transform(net, g, eg, e0, e1)
             rec(g, eg, rot2, trans2, chain + [(e0, e1)], src)
 
     for f, pl in preps:
         rec(f, None, np.eye(2), np.zeros(2), [], pl)
     return best[0]
+
+
+def canonical_json(obj):
+    """``io.canonical_json`` through the standard encoder: numpy values made
+    Python ones and keys made ``str``, then ``json.dumps`` with ``indent``."""
+    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj
 
 
 def clip_halfplane(verts, labels, normal, offset, label):

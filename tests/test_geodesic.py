@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import corner_point, random_face_point
-from oracles import brute_force_distance
+from oracles import brute_force_distance, windowed_search
 from ovaloid import intrinsic_metric as im
 from ovaloid import shapes
-from ovaloid.errors import SearchBudgetExceeded
+from ovaloid.errors import InvalidNet, SearchBudgetExceeded
 
 
 def test_adjacent_face_centers(cube_net):
@@ -204,3 +204,46 @@ def test_path_crossings_consistent(cube_net):
             for k in range(len(path.face_sequence))
         )
         assert abs(total - path.length) < 1e-9
+
+
+def _error_of(search, *args, **kw):
+    try:
+        search(*args, **kw)
+    except (SearchBudgetExceeded, InvalidNet) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("n_points", [12, 40, 100, 202])
+def test_float_search_matches_numpy_search(n_points):
+    """The float search against the numpy one it replaced, on nets of 20 to
+    400 faces: between vertices and between interior points, the same
+    length to 1e-12 of the scale and the same faces; with a 3-face cap, the
+    same error."""
+    net = im.net_from_polytope(shapes.random_hull(n_points, seed=n_points))
+    rng = np.random.default_rng(n_points)
+    corners = [corner_point(net, int(v)) for v in rng.choice(n_points, 8, replace=False)]
+    pairs = list(zip(corners[::2], corners[1::2]))
+    pairs += [(random_face_point(net, rng), random_face_point(net, rng)) for _ in range(4)]
+    capped = []
+    for p, q in pairs:
+        path = im.shortest_path(net, p, q, max_faces=200)
+        length, faces = windowed_search(net, p, q, max_faces=200)
+        assert abs(path.length - length) <= 1e-12 * net.scale
+        assert path.face_sequence == faces
+        capped.append(_error_of(im.shortest_path, net, p, q, max_faces=3))
+        assert capped[-1] == _error_of(windowed_search, net, p, q, max_faces=3)
+    assert SearchBudgetExceeded in capped
+
+
+@pytest.mark.parametrize("src, dst, untied_length", [
+    (0, 15, 1.5582643145962733), (1, 17, 0.6978247721237955)])
+def test_path_does_not_end_in_a_face_touched_only_at_its_end(src, dst, untied_length):
+    """On this hull the search without the tie rule ended these paths by
+    stepping into one more face at the end vertex, by a rounding-level
+    length gain: its reports ended in two equal points."""
+    net = im.net_from_polytope(shapes.random_hull(20, seed=1))
+    path = im.shortest_path(net, corner_point(net, src), corner_point(net, dst))
+    last, before = path.points[-1], path.points[-2]
+    assert (last.polygon, last.xy) != (before.polygon, before.xy)
+    assert abs(path.length - untied_length) <= 1e-12 * net.scale

@@ -1,8 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import canonical_json
 from ovaloid import core, io, shapes
 from ovaloid import ma_solver as ma
 from ovaloid import minkowski_solver as mk
@@ -250,3 +253,72 @@ def test_net_file_roundtrip(tmp_path, cube_net):
     from ovaloid import intrinsic_metric as im
 
     assert im.validate_net(net2).ok
+
+
+def _json_leaves():
+    floats = st.one_of(st.floats(), st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 1e-5, 0.1]))
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(), floats, st.text(),
+        st.sampled_from(["", "tab\tquote\"back\\slash", "\u00e9\u4e2d\U0001f600", "\x00\x1f"]),
+        floats.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**31, 2**31 - 1).map(np.int32),
+        st.booleans().map(np.bool_), st.complex_numbers(allow_nan=False),
+        st.lists(floats, max_size=4).map(np.array),
+        st.lists(st.integers(-9, 9), max_size=3).map(lambda v: np.array(v + v).reshape(2, -1)),
+    )
+
+
+def _json_trees():
+    keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(),
+                     st.floats(allow_nan=False), st.tuples(st.integers(0, 2)))
+    return st.recursive(_json_leaves(), lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.floats(), max_size=5), st.lists(st.integers(), max_size=5),
+        st.dictionaries(keys, inner, max_size=5)), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_json_trees())
+def test_canonical_json_matches_the_standard_encoder(obj):
+    """The same bytes as ``json.dumps(..., sort_keys=True, indent=2)`` on
+    the plain form, or the same exception."""
+    try:
+        expected = canonical_json(obj)
+    except Exception as exc:  # noqa: BLE001 - the reference's error is the contract
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            io.canonical_json(obj)
+    else:
+        assert io.canonical_json(obj) == expected
+
+
+def test_off_fast_path_matches_line_parse(tmp_path):
+    """The all-at-once OFF parse against the line-by-line one, on triangles,
+    mixed polygons, comments and trailing colour values."""
+    poly = shapes.random_hull(30, seed=3)
+    path = tmp_path / "hull.off"
+    io.write_off(path, poly.vertices, poly.faces)
+    mixed = tmp_path / "mixed.off"
+    mixed.write_text("# comment\nOFF\n5 3 0\n0 0 0\n1 0 0  # corner\n1 1 0\n0 1 0\n"
+                     "0.5 0.5 1\n4 0 1 2 3\n3 0 1 4 255 0 0\n\n3 1 2 4\n")
+    for p in (path, mixed):
+        lines = [(ln, body) for ln, raw in enumerate(p.read_text().splitlines(), start=1)
+                 if (body := raw.split("#", 1)[0].strip())]
+        nv, nf, _ = map(int, lines[1][1].split())
+        verts, faces = io.read_off(p)
+        ref_verts, ref_faces = io._off_lines(p, lines[2:], nv, nf)
+        np.testing.assert_array_equal(verts, ref_verts)
+        assert faces == ref_faces
+    assert faces == [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4)]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OFF\n-1 0 0\n", 2), ("OFF\n1 1 0\n0 0 nan\n3 0 0 0\n", 3),
+    ("OFF\n1 1 0\n0 0 0\n3 0 0 x\n", 4), ("OFF\n1 1 0\n0 0 0\n3 0 0 1\n", 4),
+    ("OFF\n1 1 0\n0 0 0\n4 0 0 0\n", 4), ("OFF\n1 1 0\n0 0\n3 0 0 0\n", 3),
+    ("OFF\n1 1 0\n0 0 0\n3 0 0 99999999999999999999999\n", 4)])
+def test_malformed_off_names_its_line(tmp_path, text, line):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        io.read_off(path)
+    assert err.value.line == line

@@ -175,3 +175,40 @@ def test_identification_out_of_range_rejected(glued):
 def test_empty_net_rejected():
     with pytest.raises(ValueError, match="at least one polygon"):
         im.MetricNet(polygons=(), identifications=())
+
+
+def test_derived_data_matches_per_polygon_reference():
+    """Scale, corner classes, edge partners and labelled corners of the flat
+    layout against per-polygon computations."""
+    quad = np.array([[0, 0], [1, 0], [1.4, 1.2], [-0.9, 1.1]])
+    doubled = im.MetricNet(*shapes.doubled_polygon(quad))
+    nets = [im.net_from_polytope(core.convex_hull(pts)) for pts in hull_point_sets()]
+    nets += [equilateral_double(), doubled,
+             im.MetricNet(doubled.polygons, doubled.identifications[:2])]
+    for net in nets:
+        assert net.scale == max(float(np.abs(p).max()) for p in net.polygons)
+        classes = union_find_vertex_classes(net)
+        labels = [{net.corner_class_of(f, c) for f, c in cls} for cls in classes]
+        assert all(len(lab) == 1 for lab in labels)
+        assert len(set.union(*labels)) == len(classes)
+        partner = {}
+        for a, b in net.identifications:
+            partner[a], partner[b] = b, a
+        assert net.edge_partner == partner
+        first = {}
+        for corner, label in (net.corner_labels or {}).items():
+            first.setdefault(label, corner)
+        assert net.labelled_corners == first
+    with pytest.raises(KeyError):
+        nets[0].corner_class_of(0, 3)
+
+
+def test_edge_in_two_identifications_rejected():
+    net = equilateral_double()
+    twice = im.MetricNet(net.polygons, net.identifications + net.identifications[:1])
+    with pytest.raises(InvalidNet, match="more than one identification"):
+        twice.edge_partner
+    p = im.SurfacePoint(0, tuple(net.polygons[0].mean(axis=0)))
+    q = im.SurfacePoint(1, tuple(net.polygons[1].mean(axis=0)))
+    with pytest.raises(InvalidNet, match="more than one identification"):
+        im.shortest_path(twice, p, q)
