@@ -2,20 +2,20 @@
 
 Every run writes a JSON report whose numeric content is deterministic for a
 fixed seed; the wall-clock timestamp is isolated under its own key.
+
+Importing this module and building the parser load only the standard library
+and ``errors``: each command imports the modules it runs when it runs, and
+reads its input before it imports its solver, so help, usage errors and
+inputs rejected while they are read load no scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
-import numpy as np
-
-from . import core, intrinsic_metric as im, io, ma_solver as ma
-from . import minkowski_solver as mk, rigidity_lab as rl, shapes
 from .errors import (
     CoincidentPoints,
     OpenSurface,
@@ -116,6 +116,8 @@ def build_parser():
 
 def _check_closed(faces):
     """SchemaError mesh.closed unless every edge borders exactly two faces."""
+    from . import core
+
     bad = int((core.undirected_edges(faces)[1] != 2).sum())
     if bad:
         raise SchemaError(
@@ -124,8 +126,12 @@ def _check_closed(faces):
 
 
 def _load_net(path):
+    from . import io
+
     if str(path).endswith(".off"):
         pf = io.parse_problem(path, kind="mesh")
+        from . import core, intrinsic_metric as im
+
         _check_closed(pf.payload["faces"])
         try:
             poly = core.polytope_from_mesh(pf.payload["vertices"],
@@ -137,6 +143,8 @@ def _load_net(path):
 
 
 def _parse_surface_point(net, text):
+    from . import intrinsic_metric as im
+
     try:
         if text.startswith("v"):
             vid = int(text[1:])
@@ -163,6 +171,8 @@ def _parse_surface_point(net, text):
 
 def _cmd_net(args):
     net = _load_net(args.path)
+    from . import intrinsic_metric as im
+
     tol = args.tol if args.tol is not None else 1e-9
     if args.action == "validate":
         rep = im.validate_net(net, tol=tol)
@@ -185,7 +195,13 @@ def _cmd_net(args):
 
 
 def _cmd_ma(args):
+    import numpy as np
+
+    from . import io
+
     problem = io.parse_problem(args.path, kind="ma-problem").payload
+    from . import ma_solver as ma
+
     tol = args.tol if args.tol is not None else 1e-10
     max_iter = args.max_iter if args.max_iter is not None else 400
     if args.homotopy:
@@ -220,8 +236,12 @@ def _cmd_ma(args):
 
 
 def _cmd_minkowski(args):
+    import numpy as np
+
     tol = args.tol if args.tol is not None else 1e-9
     if args.action == "roundtrip":
+        from . import minkowski_solver as mk, shapes
+
         npts = max(4, (args.faces + 4) // 2)
         src = shapes.random_hull(npts, seed=args.seed).centered()
         problem = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
@@ -236,7 +256,11 @@ def _cmd_minkowski(args):
             "volume": rep["volume"],
         }
         return (0 if err <= 1e-6 else 1), metrics
+    from . import io
+
     payload = io.parse_problem(args.path, kind="minkowski-problem").payload
+    from . import minkowski_solver as mk
+
     if isinstance(payload, mk.CurvatureSample):
         try:
             problem = mk.discretize_curvature(payload).validate()
@@ -268,9 +292,15 @@ def _cmd_minkowski(args):
 
 
 def _cmd_rigidity(args):
+    import numpy as np
+
+    from . import io
+
     tol = args.tol if args.tol is not None else 1e-10
     if args.action == "analyze":
         pf = io.parse_problem(args.path, kind="mesh")
+        from . import rigidity_lab as rl
+
         faces = pf.payload["faces"]
         if not faces or any(len(f) != 3 for f in faces):
             raise SchemaError("mesh.triangles", "the surface must be triangulated")
@@ -285,6 +315,8 @@ def _cmd_rigidity(args):
         rep = rl.bending_space(surf, tol=tol)
         return (0 if rep.nontrivial_dim == 0 else 1), rep.as_dict()
     patch = io.parse_problem(args.path, kind="rigidity-problem").payload
+    from . import rigidity_lab as rl
+
     if not isinstance(patch, rl.GridPatch):
         raise SchemaError("rigidity.grid", "defo commands need a grid payload")
     if args.defo_action == "solve":
@@ -302,6 +334,10 @@ def _cmd_rigidity(args):
 
 
 def _demo_egregium(seed, tol):
+    import numpy as np
+
+    from . import core, intrinsic_metric as im, shapes
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_total = 0.0
@@ -318,6 +354,10 @@ def _demo_egregium(seed, tol):
 
 
 def _demo_cube_geodesic(seed, tol):
+    import numpy as np
+
+    from . import intrinsic_metric as im, shapes
+
     net = im.net_from_polytope(shapes.cube())
     def corner(vid):
         f, c = net.labelled_corners[vid]
@@ -330,12 +370,18 @@ def _demo_cube_geodesic(seed, tol):
 
 
 def _demo_liouville(seed, tol):
+    from . import ma_solver as ma
+
     rows = ma.liouville_probe([1.0, 4.0], f=1.0, spacing=0.5, bump_height=1.0)
     ok = rows[1]["deviation"] < rows[0]["deviation"]
     return ok, {"rows": rows}
 
 
 def _demo_minkowski_roundtrip(seed, tol):
+    import numpy as np
+
+    from . import minkowski_solver as mk, shapes
+
     worst = 0.0
     for k in range(5):
         src = shapes.random_hull(16, seed=seed * 100 + k).centered()
@@ -384,6 +430,8 @@ def _emit(report, args):
         flat("", report["metrics"])
         text = "\n".join(lines) + "\n"
     else:
+        from . import io
+
         text = io.canonical_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -430,7 +478,11 @@ def run(argv):
         "exit_code": code,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:  # --out names a directory, or a file in a missing one
+        print(f"ovaloid: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

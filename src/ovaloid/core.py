@@ -420,7 +420,3 @@ def normal_cone_area(poly, vertex_index, tol=DEFAULT_TOL):
     for k in range(1, len(ns) - 1):
         total += _spherical_triangle_area(ns[0], ns[k], ns[k + 1])
     return abs(total)
-
-
-def total_normal_cone_area(poly):
-    return sum(normal_cone_area(poly, v) for v in range(len(poly.vertices)))

@@ -16,9 +16,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .ma_solver import MAProblem
-from .minkowski_solver import CurvatureSample, MinkowskiProblem
-from .rigidity_lab import GridPatch, TriangulatedSurface
 
 
 @dataclasses.dataclass
@@ -38,8 +35,7 @@ def read_off(path):
     All vertex lines are converted at once, and so are all face lines; the
     line-by-line parse runs only on a malformed file, to name its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = _read_text(path).split("\n")
     tokens = []
     for ln, raw in enumerate(lines, start=1):
         body = raw.split("#", 1)[0].strip()
@@ -194,12 +190,26 @@ def _need(data, field, constraint):
     return data[field]
 
 
+def _read_text(path):
+    """The file's UTF-8 text; a ParseError naming the path when the file
+    exists but cannot be read as text (a directory, an undecodable byte)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start}", path=path) from exc
+
+
 def _load_json(path):
     """The JSON object in the file; ``json.object`` when the top level is not
     one."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno) from exc
     if not isinstance(data, dict):
@@ -211,6 +221,8 @@ def parse_problem(path, kind=None):
     """Parse a problem file; ``kind`` checks/selects the expected schema."""
     if str(path).endswith(".off") or kind == "mesh":
         verts, faces = read_off(path)
+        if kind not in (None, "mesh"):
+            raise SchemaError("kind.match", f"expected {kind!r}, an OFF file holds a mesh")
         return ProblemFile(kind="mesh", payload={"vertices": verts, "faces": faces},
                            path=str(path))
     data = _load_json(path)
@@ -240,6 +252,8 @@ def _real_array(data, field):
 
 
 def _parse_ma(data):
+    from .ma_solver import MAProblem
+
     domain, nodes, masses, boundary = (
         _real_array(data, field) for field in ("domain", "nodes", "masses", "boundary"))
     if boundary.ndim != 2 or boundary.shape[1] != 3:
@@ -268,6 +282,8 @@ def _parse_ma(data):
 
 
 def _parse_minkowski(data):
+    from .minkowski_solver import CurvatureSample, MinkowskiProblem
+
     if "curvature" in data:
         cur = data["curvature"]
         centers = _need(cur, "centers", "minkowski.centers")
@@ -291,6 +307,8 @@ def _parse_minkowski(data):
 
 
 def _parse_rigidity(data):
+    from .rigidity_lab import GridPatch, TriangulatedSurface
+
     if "grid" in data:
         grid = data["grid"]
         z = _need(grid, "z", "rigidity.grid.z")
@@ -340,18 +358,6 @@ def read_net(path):
         )
     except (ValueError, TypeError) as exc:
         raise SchemaError("net.valid", str(exc)) from exc
-
-
-def write_net(path, net):
-    data = {
-        "polygons": [p.tolist() for p in net.polygons],
-        "identifications": [
-            [[a, ea], [b, eb]] for (a, ea), (b, eb) in net.identifications
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -410,22 +410,6 @@ def conditional_curvature(u: PLConvexFunction, node, theta=None, clip=None,
     return float(_cell_masses(u.nodes, u.values, [node], one, theta, rel_tol)[0])
 
 
-def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
-                        rel_tol=1e-6):
-    """Node masses as integrals of a density over a reference cell partition.
-
-    The partition is the Voronoi diagram of all nodes clipped to the domain
-    (obtained as the subgradient cells of the lifted paraboloid values
-    |B|^2 / 2); phi maps (n, 2) points to densities.
-    """
-    nodes = np.vstack([interior_nodes, boundary_nodes])
-    values = 0.5 * np.einsum("ij,ij->i", nodes, nodes)
-    idx = np.arange(len(interior_nodes))
-    cells = _cells(nodes, values, idx, clip=domain)
-    return _cell_masses(nodes, values, idx, cells,
-                        lambda p1, p2, *_: phi(np.column_stack([p1, p2])), rel_tol)
-
-
 # ---------------------------------------------------------------------------
 # forward masses and Jacobian
 

@@ -17,7 +17,6 @@ import warnings
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
-from scipy.spatial import SphericalVoronoi
 
 from .core import (
     ConvexPolytope,
@@ -36,7 +35,7 @@ from .errors import (
     NegativeCurvature,
     OpenAreaVector,
 )
-from . import newton, shapes
+from . import newton
 
 # NᵀN of unit normals has trace m; below this fraction of m its smallest
 # eigenvalue counts as zero, and the normals as confined to a plane
@@ -109,13 +108,6 @@ def _require_spanning(normals):
 def check_closing(problem: MinkowskiProblem):
     """Defect vector sum(A_i n_i); zero for consistent closed data."""
     return closing_defect(problem.normals, problem.target_areas)
-
-
-def sphere_partition(n_cells, seed=None):
-    """Roughly uniform sphere partition: Fibonacci centers, Voronoi areas."""
-    centers = shapes.fibonacci_sphere(n_cells, seed=seed)
-    sv = SphericalVoronoi(centers)
-    return centers, sv.calculate_areas()
 
 
 def discretize_curvature(sample: CurvatureSample):

@@ -7,9 +7,9 @@ import json
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, SphericalVoronoi
 
-from ovaloid import core, ma_solver, planar, rigidity_lab
+from ovaloid import core, ma_solver, planar, rigidity_lab, shapes
 from ovaloid.errors import CoincidentPoints, InvalidNet, SearchBudgetExceeded
 from ovaloid.intrinsic_metric import MetricNet, _point_representations
 
@@ -231,6 +231,31 @@ def _plain(obj):
     return obj
 
 
+def write_net(path, net):
+    """Write ``net`` as the JSON that ``io.read_net`` reads."""
+    data = {
+        "polygons": [p.tolist() for p in net.polygons],
+        "identifications": [
+            [[a, ea], [b, eb]] for (a, ea), (b, eb) in net.identifications
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def sphere_partition(n_cells, seed=None):
+    """Roughly uniform sphere partition: Fibonacci centers, Voronoi areas."""
+    centers = shapes.fibonacci_sphere(n_cells, seed=seed)
+    sv = SphericalVoronoi(centers)
+    return centers, sv.calculate_areas()
+
+
+def total_normal_cone_area(poly):
+    """Sum of ``core.normal_cone_area`` over the vertices; 4 pi for a body."""
+    return sum(core.normal_cone_area(poly, v) for v in range(len(poly.vertices)))
+
+
 def clip_halfplane(verts, labels, normal, offset, label):
     """Clip a convex polygon against {x : normal . x <= offset} (Sutherland-Hodgman).
 
@@ -303,6 +328,23 @@ def cell_masses(nodes, values, interior_idx, theta, rel_tol=1e-6, clip=None):
     cells = ma_solver._cells(nodes, values, interior_idx, clip)
     return ma_solver._cell_masses(nodes, values, interior_idx, cells, theta,
                                   rel_tol)
+
+
+def masses_from_density(domain, interior_nodes, boundary_nodes, phi,
+                        rel_tol=1e-6):
+    """Node masses as integrals of a density over a reference cell partition.
+
+    The partition is the Voronoi diagram of all nodes clipped to the domain
+    (obtained as the subgradient cells of the lifted paraboloid values
+    |B|^2 / 2); phi maps (n, 2) points to densities.
+    """
+    nodes = np.vstack([interior_nodes, boundary_nodes])
+    values = 0.5 * np.einsum("ij,ij->i", nodes, nodes)
+    idx = np.arange(len(interior_nodes))
+    cells = ma_solver._cells(nodes, values, idx, clip=domain)
+    return ma_solver._cell_masses(
+        nodes, values, idx, cells,
+        lambda p1, p2, *_: phi(np.column_stack([p1, p2])), rel_tol)
 
 
 def per_cell_masses(nodes, values, which, cells, theta, rel_tol, max_depth=30):

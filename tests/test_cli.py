@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import write_net
 import ovaloid
 from ovaloid import cli, core, io, shapes
 
@@ -75,7 +76,7 @@ def test_net_validate_failure_exit_code(tmp_path, capsys, cube_net):
     bad = im.MetricNet(polygons=tuple(polys),
                        identifications=cube_net.identifications)
     path = tmp_path / "net.json"
-    io.write_net(path, bad)
+    write_net(path, bad)
     code, out = run_cli(["net", "validate", str(path)], capsys)
     assert code == 1
     assert json.loads(out)["metrics"]["edge_mismatches"]
@@ -201,6 +202,112 @@ def test_missing_file_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["ma", "solve"], []),
+    (["rigidity", "analyze"], []),
+    (["net", "geodesic"], ["--src", "0:0:0", "--dst", "1:0:0"]),
+], ids=["ma", "rigidity", "net"])
+def test_directory_input_is_parse_error(tmp_path, capsys, command, extra):
+    code = cli.run(command + [str(tmp_path)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: cannot read: ")
+    assert str(tmp_path) in captured.err
+
+
+# a tetrahedron whose third vertex line holds the byte 0xff
+_NON_UTF8_OFF = (b"OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 \xff\n0 0 1\n"
+                 b"3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n")
+
+
+@pytest.mark.parametrize("name, data, command", [
+    ("prob.json", b'{"kind": "ma-problem", "theta": "\xff"}', ["ma", "solve"]),
+    ("mesh.off", _NON_UTF8_OFF, ["net", "validate"]),
+    ("mesh.off", _NON_UTF8_OFF, ["rigidity", "analyze"]),
+], ids=["json", "off-net", "off-rigidity"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, name, data, command):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = cli.run(command + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: not UTF-8 text: byte 0xff")
+    assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("out", ["missing/report.json", ""],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_report_is_usage_error(tmp_path, capsys, out):
+    code = cli.run(["demo", "cube-geodesic", "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: cannot write report: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["ma", "solve"], ["minkowski", "solve"], ["minkowski", "check"],
+    ["rigidity", "defo", "solve"],
+])
+def test_off_file_for_a_json_command_is_schema_error(tmp_path, capsys, cube,
+                                                      command):
+    path = tmp_path / "cube.off"
+    io.write_off(path, cube.vertices, cube.faces)
+    code = cli.run(command + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: kind.match: ")
+    assert not (tmp_path / "cube.off.solution.off").exists()
+
+
+# Run in a fresh interpreter: the parser, help, usage errors and a missing
+# file load neither scipy nor a solver; argv[2] then must exit 0 without
+# loading any of the modules named in argv[3].
+_IMPORT_BUDGET = """
+import json, sys
+from ovaloid import cli
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if m in names or m.split(".")[0] in names)[:5]
+
+missing, argv, absent = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+cli.build_parser()
+assert cli.run(["--help"]) == 0 and cli.run(["ma"]) == 2
+assert not loaded("numpy", "scipy"), loaded("numpy", "scipy")
+assert cli.run(["ma", "solve", missing]) == 2
+assert not loaded("scipy"), loaded("scipy")
+assert cli.run(argv) == 0
+assert not loaded(*absent), loaded(*absent)
+"""
+
+
+@pytest.mark.parametrize("command, absent", [
+    (["rigidity", "defo", "solve"],
+     ["ovaloid.ma_solver", "ovaloid.minkowski_solver", "ovaloid.intrinsic_metric"]),
+    (["ma", "solve"],
+     ["ovaloid.rigidity_lab", "ovaloid.minkowski_solver", "ovaloid.intrinsic_metric"]),
+], ids=["defo", "ma"])
+def test_each_command_imports_only_what_it_runs(tmp_path, command, absent):
+    grid = np.add.outer(np.arange(5.0) ** 2, np.arange(5.0) ** 2) / 32
+    problems = {
+        "ma": _ma_payload(),
+        "rigidity": {"kind": "rigidity-problem",
+                     "grid": {"h": 0.25, "z": grid.tolist()}},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problems[command[0]]))
+    argv = command + [str(path), "--out", str(tmp_path / "report.json")]
+    src = str(pathlib.Path(ovaloid.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET, str(tmp_path / "missing.json"),
+         json.dumps(argv), json.dumps(absent)],
+        env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_demo_is_usage_error(capsys):

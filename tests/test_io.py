@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical_json
+from oracles import canonical_json, sphere_partition, write_net
 from ovaloid import core, io, shapes
 from ovaloid import ma_solver as ma
 from ovaloid import minkowski_solver as mk
@@ -126,7 +126,7 @@ def test_minkowski_problem_parse(tmp_path, cube):
     }))
     pf = io.parse_problem(path, kind="minkowski-problem")
     assert isinstance(pf.payload, mk.MinkowskiProblem)
-    centers, areas = mk.sphere_partition(80, seed=0)
+    centers, areas = sphere_partition(80, seed=0)
     path.write_text(json.dumps({
         "kind": "minkowski-problem",
         "curvature": {
@@ -246,7 +246,7 @@ def test_report_roundtrip(tmp_path):
 
 def test_net_file_roundtrip(tmp_path, cube_net):
     path = tmp_path / "net.json"
-    io.write_net(path, cube_net)
+    write_net(path, cube_net)
     net2 = io.read_net(path)
     assert len(net2.polygons) == 6
     assert net2.identifications == cube_net.identifications

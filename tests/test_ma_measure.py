@@ -7,6 +7,7 @@ from oracles import (
     clip_halfplane,
     clipped_cell,
     convex_clip,
+    masses_from_density,
     monte_carlo_cell_areas,
     per_cell_masses,
     per_triangle_quad,
@@ -244,10 +245,10 @@ def test_clockwise_window_gives_the_same_cells():
         _assert_cell_equal(cw.cell(i), ccw.cell(i), i)
     grid = grid_problem(4, 4.0)
     phi = lambda p: np.exp(-np.sum((p - 1.5) ** 2, axis=1))
-    want = ma.masses_from_density(grid.domain, grid.interior_nodes,
-                                  grid.boundary_nodes, phi)
-    got = ma.masses_from_density(grid.domain[::-1], grid.interior_nodes,
-                                 grid.boundary_nodes, phi)
+    want = masses_from_density(grid.domain, grid.interior_nodes,
+                               grid.boundary_nodes, phi)
+    got = masses_from_density(grid.domain[::-1], grid.interior_nodes,
+                              grid.boundary_nodes, phi)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from conftest import grid_problem
-from oracles import cell_masses
+from oracles import cell_masses, masses_from_density
 from ovaloid import ma_solver as ma
 from ovaloid import planar
 from ovaloid.errors import Infeasible, IncomparableProblems, MaxIterExceeded
@@ -161,13 +161,13 @@ def test_masses_from_density():
     # constant density: interior masses are the Voronoi cell areas (h^2 for
     # a uniform grid) and a pure-quadratic solve reproduces the paraboloid
     phi = lambda pts: np.full(len(pts), 2.0)
-    mu = ma.masses_from_density(
+    mu = masses_from_density(
         problem.domain, problem.interior_nodes, problem.boundary_nodes, phi
     )
     np.testing.assert_allclose(mu, 2.0, atol=1e-12)  # h = 1 grid cells
     # a linear density integrates exactly as well (degree-5 quadrature)
     phi2 = lambda pts: 1.0 + pts[:, 0]
-    mu2 = ma.masses_from_density(
+    mu2 = masses_from_density(
         problem.domain, problem.interior_nodes, problem.boundary_nodes, phi2
     )
     np.testing.assert_allclose(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import support_cases
-from oracles import pair_scan_area_jacobian
+from oracles import pair_scan_area_jacobian, sphere_partition
 from ovaloid import core, errors, shapes
 from ovaloid import minkowski_solver as mk
 from ovaloid.errors import MaxIterExceeded
@@ -130,7 +130,7 @@ def test_pinned_step_is_minimum_norm_least_squares(n_points):
 
 
 def test_discretize_curvature_unit_and_scaled():
-    centers, areas = mk.sphere_partition(200, seed=1)
+    centers, areas = sphere_partition(200, seed=1)
     assert abs(areas.sum() - 4 * np.pi) < 1e-9
     samp = mk.CurvatureSample(centers=centers, cell_areas=areas,
                               curvature=np.ones(200))
@@ -145,7 +145,7 @@ def test_discretize_curvature_unit_and_scaled():
 
 
 def test_discretize_smooth_profile_records_defect():
-    centers, areas = mk.sphere_partition(162, seed=0)
+    centers, areas = sphere_partition(162, seed=0)
     K = 1.0 / (1.0 + 0.3 * centers[:, 2] ** 2)
     samp = mk.CurvatureSample(centers=centers, cell_areas=areas, curvature=K)
     prob = mk.discretize_curvature(samp)
@@ -156,7 +156,7 @@ def test_discretize_smooth_profile_records_defect():
 
 
 def test_negative_curvature_rejected():
-    centers, areas = mk.sphere_partition(80, seed=2)
+    centers, areas = sphere_partition(80, seed=2)
     K = np.ones(80)
     K[3] = -0.1
     with pytest.raises(mk.NegativeCurvature):
