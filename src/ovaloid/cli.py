@@ -18,6 +18,7 @@ import time
 
 from .errors import (
     CoincidentPoints,
+    NonConvexPolygon,
     OpenSurface,
     OvaloidError,
     ParseError,
@@ -182,11 +183,13 @@ def _cmd_net(args):
         return 0, rep.as_dict()
     src = _parse_surface_point(net, args.src)
     dst = _parse_surface_point(net, args.dst)
-    max_faces = args.max_iter if args.max_iter is not None else 32
+    max_states = args.max_iter if args.max_iter is not None else 500_000
     try:
-        path = im.shortest_path(net, src, dst, max_faces=max_faces)
+        path = im.shortest_path(net, src, dst, max_states=max_states)
     except CoincidentPoints as exc:
         raise SchemaError("point.distinct", str(exc)) from exc
+    except NonConvexPolygon as exc:
+        raise SchemaError("net.convex", str(exc)) from exc
     return 0, {
         "length": path.length,
         "face_sequence": list(path.face_sequence),
@@ -195,6 +198,8 @@ def _cmd_net(args):
 
 
 def _cmd_ma(args):
+    import dataclasses
+
     import numpy as np
 
     from . import io
@@ -208,16 +213,8 @@ def _cmd_ma(args):
         uniform = float(problem.masses.mean())
 
         def family(t):
-            return ma.MAProblem(
-                domain=problem.domain,
-                interior_nodes=problem.interior_nodes,
-                masses=(1 - t) * uniform + t * problem.masses,
-                boundary_nodes=problem.boundary_nodes,
-                boundary_values=problem.boundary_values,
-                theta=problem.theta,
-                theta_z_dependent=problem.theta_z_dependent,
-                mass_bound=problem.mass_bound,
-            )
+            return dataclasses.replace(problem,
+                                       masses=(1 - t) * uniform + t * problem.masses)
 
         schedule = ma.HomotopySchedule(
             ts=np.linspace(0.0, 1.0, args.homotopy + 1), problem_at=family
@@ -359,11 +356,8 @@ def _demo_cube_geodesic(seed, tol):
     from . import intrinsic_metric as im, shapes
 
     net = im.net_from_polytope(shapes.cube())
-    def corner(vid):
-        f, c = net.labelled_corners[vid]
-        xy = net.polygons[f][c]
-        return im.SurfacePoint(f, (float(xy[0]), float(xy[1])))
-    d = im.shortest_path(net, corner(0), corner(7)).length
+    d = im.shortest_path(net, _parse_surface_point(net, "v0"),
+                         _parse_surface_point(net, "v7")).length
     gap = abs(d - np.sqrt(5.0))
     return gap <= tol, {"corner_distance": d, "expected": float(np.sqrt(5.0)),
                         "gap": gap}

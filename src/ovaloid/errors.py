@@ -80,6 +80,16 @@ class InvalidNet(OvaloidError):
     """Net fails the closedness or edge-length gluing conditions."""
 
 
+class NonConvexPolygon(InvalidNet):
+    """A polygon of the net has a reflex corner, so straight unfoldings
+    cannot find its geodesics."""
+
+
+class MalformedNet(OvaloidError, ValueError):
+    """Net polygons are not finite CCW arrays, or an identification names
+    an edge that is not there."""
+
+
 class PointOutsidePolygon(OvaloidError, ValueError):
     """A surface point does not lie in the polygon that names it."""
 
@@ -88,8 +98,16 @@ class CoincidentPoints(OvaloidError, ValueError):
     """The two ends of a geodesic query are one surface point."""
 
 
+class ArclengthOutOfRange(OvaloidError, ValueError):
+    """An arclength lies outside the geodesic it is measured on."""
+
+
 class SearchBudgetExceeded(OvaloidError):
-    """Geodesic search hit the face-sequence or state budget."""
+    """Geodesic search expanded more face sequences than its state budget."""
+
+
+class TooFewSamples(OvaloidError, ValueError):
+    """A scan needs more sample points than it was given."""
 
 
 class TriangleInequalityViolated(OvaloidError):

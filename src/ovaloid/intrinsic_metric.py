@@ -22,10 +22,14 @@ from scipy.sparse.csgraph import connected_components
 
 from . import planar
 from .errors import (
+    ArclengthOutOfRange,
     CoincidentPoints,
     InvalidNet,
+    MalformedNet,
+    NonConvexPolygon,
     PointOutsidePolygon,
     SearchBudgetExceeded,
+    TooFewSamples,
     TriangleInequalityViolated,
 )
 
@@ -56,13 +60,13 @@ class MetricNet:
     def __post_init__(self):
         polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
         if not polys:
-            raise ValueError("a net needs at least one polygon")
+            raise MalformedNet("a net needs at least one polygon")
         shaped = all(map(_well_shaped, polys))
         pts = np.concatenate(polys) if shaped else None
         if not shaped or not np.isfinite(pts).all():
             k = next(k for k, p in enumerate(polys)
                      if not (_well_shaped(p) and np.isfinite(p).all()))
-            raise ValueError(f"polygon {k} is not a finite (n>=3, 2) array")
+            raise MalformedNet(f"polygon {k} is not a finite (n>=3, 2) array")
         sizes = np.array([len(p) for p in polys])
         start = np.cumsum(sizes) - sizes
         nxt = np.arange(1, len(pts) + 1)
@@ -70,7 +74,7 @@ class MetricNet:
         # twice the signed area of every polygon, by one shoelace sum
         area = np.add.reduceat(pts[:, 0] * pts[nxt, 1] - pts[nxt, 0] * pts[:, 1], start)
         if not (area > 0).all():
-            raise ValueError(f"polygon {np.argmin(area > 0)} must be CCW with positive area")
+            raise MalformedNet(f"polygon {np.argmin(area > 0)} must be CCW with positive area")
         ids = tuple(
             ((int(a), int(ea)), (int(b), int(eb)))
             for (a, ea), (b, eb) in self.identifications
@@ -86,7 +90,7 @@ class MetricNet:
         if not inside.all():
             f, e = next((f, e) for f, e in sides
                         if not (0 <= f < len(polys) and 0 <= e < len(polys[f])))
-            raise ValueError(f"edge {e} of polygon {f} is not in the net")
+            raise MalformedNet(f"edge {e} of polygon {f} is not in the net")
         object.__setattr__(self, "polygons", polys)
         object.__setattr__(self, "identifications", ids)
         object.__setattr__(self, "_pts", pts)
@@ -146,6 +150,25 @@ class MetricNet:
         n = len(self._pts)
         return connected_components(
             sparse.coo_matrix((np.ones(len(u)), (u, w)), shape=(n, n)), directed=False)[1]
+
+    @cached_property
+    def _component(self):
+        """Connected component of every polygon under the identifications."""
+        a, b = np.asarray(self._flat.face)[self._glued].T
+        n = len(self.polygons)
+        return connected_components(
+            sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)[1]
+
+    @cached_property
+    def _angles(self):
+        """Interior angle at every flat corner: pi less the turn from the
+        edge into the corner to the edge out of it."""
+        d = self._pts[self._next] - self._pts  # edge k, into corner next[k]
+        dn = d[self._next]
+        angles = np.empty(len(d))
+        angles[self._next] = np.pi - np.arctan2(d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0],
+                                                d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1])
+        return angles
 
     @cached_property
     def vertex_classes(self):
@@ -213,7 +236,7 @@ class GeodesicPath:
     def point_at(self, s):
         """Surface point at arclength s from the start."""
         if s < -1e-12 or s > self.length + 1e-9 * max(self.length, 1.0):
-            raise ValueError(f"arclength {s} outside [0, {self.length}]")
+            raise ArclengthOutOfRange(f"arclength {s} outside [0, {self.length}]")
         s = min(max(s, 0.0), self.length)
         acc = 0.0
         for k, face in enumerate(self.face_sequence):
@@ -293,18 +316,8 @@ def validate_net(net, tol=1e-9):
     unmatched = [c for c, h in zip(net.corners(), hits.tolist()) if h == 0]
     closed = not unmatched and int(hits.max()) <= 1
 
-    # connectivity over polygons
-    n_poly = len(net.polygons)
-    a, b = np.asarray(net._flat.face)[net._glued].T
-    parts, _ = connected_components(
-        sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n_poly, n_poly)),
-        directed=False)
-    connected = parts == 1
-
-    v = len(net.vertex_classes)
-    e = len(net.identifications)
-    f = n_poly
-    euler = v - e + f
+    connected = int(net._component.max()) == 0
+    euler = len(net.vertex_classes) - len(net.identifications) + len(net.polygons)
     sphere_ok = closed and connected and euler == 2
 
     mismatches = []
@@ -314,16 +327,10 @@ def validate_net(net, tol=1e-9):
             mismatches.append((k, la, lb))
     lengths_ok = not mismatches
 
-    angles = [planar.interior_angles(p) for p in net.polygons]
-    sums = []
-    violations = []
-    for ci, cls in enumerate(net.vertex_classes):
-        theta = 0.0
-        for (pf, pc) in cls:
-            theta += float(angles[pf][pc])
-        sums.append(theta)
-        if theta > 2 * np.pi + tol:
-            violations.append((ci, theta))
+    # bincount adds each class's angles in flat corner order, the order of
+    # the class's corners in vertex_classes
+    sums = np.bincount(net._class_label, weights=net._angles).tolist()
+    violations = [(ci, theta) for ci, theta in enumerate(sums) if theta > 2 * np.pi + tol]
     angles_ok = not violations
 
     return NetValidationReport(
@@ -484,21 +491,27 @@ class _State:
     src_rep: tuple       # (face, local coords) of the source in the root chart
 
 
-def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
+def shortest_path(net, p, q, tol=1e-9, max_states=500_000):
     """Shortest path between two surface points by windowed unfolding.
 
     Face sequences are explored best-first on the straight-line lower bound
-    from the unfolded source to the reachability window on the entered edge.
-    Sequences longer than ``max_faces`` are not expanded; a
-    SearchBudgetExceeded is raised when that cap pruned a sequence whose
-    lower bound is below the best length found, so a shorter path may have
-    been missed (or when no path was found at all).
+    from the unfolded source to the reachability window on the entered edge,
+    until that bound reaches the best length found: on a connected net of
+    convex polygons no cap on the sequence length is needed.  More than
+    ``max_states`` expanded sequences raise SearchBudgetExceeded; a reflex
+    corner (NonConvexPolygon) or points in different components raise
+    InvalidNet before any is expanded.
 
     A candidate path replaces the best one only when it is shorter by more
     than ``slack`` (1e-12 of the net's scale), or ties within ``slack``
     through fewer faces, so rounding does not decide between the faces at
     a vertex endpoint.
     """
+    reflex = np.flatnonzero(net._angles > np.pi + 1e-12)
+    if len(reflex):
+        raise NonConvexPolygon(f"polygon {net._flat.face[reflex[0]]} has a reflex corner")
+    if net._component[p.polygon] != net._component[q.polygon]:
+        raise InvalidNet("surface appears disconnected: p and q are in different components")
     scale = max(net.scale, 1.0)
     slack = 1e-12 * scale
     preps = _point_representations(net, p, tol=tol)
@@ -523,7 +536,6 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
     twin = net._twin
     heap = []
     counter = itertools.count()
-    pruned_lb = math.inf  # smallest lower bound of a sequence the cap stopped
 
     for f, pl in preps:
         for k in range(start[f], start[f] + len(net.polygons[f])):
@@ -577,10 +589,6 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
                     best_len, best_depth = d, st.depth
                     best = (st, src, (qx, qy), ql, st.face)
 
-        if st.depth >= max_faces:
-            pruned_lb = min(pruned_lb, lb)
-            continue
-
         k0 = start[st.face]
         chart = [(c * x - s * y + tx, s * x + c * y + ty)
                  for x, y in xy[k0:k0 + len(net.polygons[st.face])]]
@@ -611,17 +619,7 @@ def shortest_path(net, p, q, tol=1e-9, max_faces=32, max_states=500_000):
             heapq.heappush(heap, (lb2, next(counter), st2))
 
     if best is None:
-        if pruned_lb < math.inf:
-            raise SearchBudgetExceeded(
-                f"no path found within {max_faces} faces"
-            )
-        raise InvalidNet("surface appears disconnected; no path found")
-    if pruned_lb < best_len - slack:
-        raise SearchBudgetExceeded(
-            f"a path through more than {max_faces} faces may be shorter "
-            f"than the {best_len} found"
-        )
-
+        raise InvalidNet("no straight unfolded path joins p and q")
     return _reconstruct(net, best, best_len)
 
 
@@ -711,7 +709,7 @@ def angle_monotonicity_scan(net, origin, a, b, samples=8, tol=1e-9, **path_kw):
     On a net of non-negative curvature there are none.
     """
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise TooFewSamples("need at least 2 samples")
     path_a = shortest_path(net, origin, a, **path_kw)
     path_b = shortest_path(net, origin, b, **path_kw)
     xs, ys, ds, alphas = [], [], [], []

@@ -264,6 +264,10 @@ def _parse_ma(data):
         raise SchemaError("ma.mass_bound", "mass_bound must be a number")
     theta_src = data.get("theta")
     theta = compile_theta(theta_src) if theta_src else None
+    # the weight depends on z exactly when its expression, which
+    # compile_theta has checked, names z; a "theta_z_dependent" field is
+    # not read
+    z_dependent = bool(theta_src) and "z" in compile(theta_src, "<theta>", "eval").co_names
     problem = MAProblem(
         domain=domain,
         interior_nodes=nodes,
@@ -271,7 +275,7 @@ def _parse_ma(data):
         boundary_nodes=boundary[:, :2],
         boundary_values=boundary[:, 2],
         theta=theta,
-        theta_z_dependent=bool(data.get("theta_z_dependent", False)),
+        theta_z_dependent=z_dependent,
         mass_bound=mass_bound,
     )
     try:

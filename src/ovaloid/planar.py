@@ -35,20 +35,6 @@ def polygon_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def interior_angles(poly):
-    """Interior angle at every corner of a simple CCW polygon, in (0, 2*pi)."""
-    p = np.asarray(poly, dtype=float)
-    prev = np.roll(p, 1, axis=0)
-    nxt = np.roll(p, -1, axis=0)
-    d_in = p - prev
-    d_out = nxt - p
-    turn = np.arctan2(
-        d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0],
-        d_in[:, 0] * d_out[:, 0] + d_in[:, 1] * d_out[:, 1],
-    )
-    return np.pi - turn
-
-
 def point_in_polygon(poly, point, tol=1e-12):
     """Winding-number test with a boundary tolerance; closed polygon assumed."""
     p = np.asarray(poly, dtype=float)

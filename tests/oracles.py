@@ -563,6 +563,21 @@ def per_face_net_from_polytope(poly):
                      corner_labels=labels)
 
 
+def interior_angles(poly):
+    """Interior angle at every corner of a simple CCW polygon, in (0, 2*pi):
+    the per-polygon form of ``MetricNet._angles``."""
+    p = np.asarray(poly, dtype=float)
+    prev = np.roll(p, 1, axis=0)
+    nxt = np.roll(p, -1, axis=0)
+    d_in = p - prev
+    d_out = nxt - p
+    turn = np.arctan2(
+        d_in[:, 0] * d_out[:, 1] - d_in[:, 1] * d_out[:, 0],
+        d_in[:, 0] * d_out[:, 0] + d_in[:, 1] * d_out[:, 1],
+    )
+    return np.pi - turn
+
+
 def union_find_vertex_classes(net):
     """``MetricNet.vertex_classes`` by union-find over the glued corners.
     The reference for the connected-components classes."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_face_point
 from ovaloid import intrinsic_metric as im
 from ovaloid import shapes
-from ovaloid.errors import TriangleInequalityViolated
+from ovaloid.errors import TooFewSamples, TriangleInequalityViolated
 
 
 def test_comparison_angle_examples():
@@ -56,6 +56,13 @@ def test_scan_constant_on_flat_net():
     rep = im.angle_monotonicity_scan(net, O, A, B, samples=6)
     assert not rep.violations
     assert np.ptp(rep.alphas) < 1e-12
+
+
+def test_scan_needs_two_samples():
+    net = flat_square_net()
+    O, A, B = (im.SurfacePoint(0, xy) for xy in ((0.25, 0.2), (0.85, 0.35), (0.4, 0.9)))
+    with pytest.raises(TooFewSamples):
+        im.angle_monotonicity_scan(net, O, A, B, samples=1)
 
 
 def test_scan_cube_no_violations(cube_net):

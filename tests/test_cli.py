@@ -8,7 +8,7 @@ import pytest
 
 from oracles import write_net
 import ovaloid
-from ovaloid import cli, core, io, shapes
+from ovaloid import cli, core, intrinsic_metric as im, io, shapes
 
 
 def run_cli(argv, capsys):
@@ -101,10 +101,13 @@ def test_net_geodesic_face_cap(tmp_path, capsys):
     io.write_off(path, hull.vertices, hull.faces)
     j = int(np.argmin(hull.vertices @ hull.vertices[0]))
     argv = ["net", "geodesic", str(path), "--src", "v0", "--dst", f"v{j}"]
-    # the shortest path crosses 36 faces: the default cap of 32 may hide it
+    # the shortest path crosses 36 faces; the search expands 13 196 states
     code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert abs(json.loads(out)["metrics"]["length"] - 3.021335) < 1e-6
+    code, out = run_cli(argv + ["--max-iter", "32"], capsys)
     assert code == 1 and out == ""
-    code, out = run_cli(argv + ["--max-iter", "64"], capsys)
+    code, out = run_cli(argv + ["--max-iter", "1000000"], capsys)
     assert code == 0
     assert abs(json.loads(out)["metrics"]["length"] - 3.021335) < 1e-6
 
@@ -368,6 +371,27 @@ def test_ma_solve_cli(tmp_path, capsys):
     assert np.abs(v1 - v0).max() < 1e-7
 
 
+def test_z_dependence_is_read_from_the_weight(tmp_path, capsys):
+    """A weight whose expression names z is z-dependent whatever the file's
+    "theta_z_dependent" field says; left out, the bound 3.14 of the weight
+    at z = 0 made the total mass 4.5 look infeasible."""
+    coords = np.linspace(0.0, 3.0, 5)
+    pts = np.stack(np.meshgrid(coords, coords), -1).reshape(-1, 2)
+    on_b = ((pts == 0) | (pts == 3)).any(axis=1)
+    data = {"kind": "ma-problem", "domain": [[0, 0], [3, 0], [3, 3], [0, 3]],
+            "nodes": pts[~on_b].tolist(), "masses": [0.5] * 9,
+            "boundary": np.column_stack([pts[on_b], np.zeros(on_b.sum())]).tolist(),
+            "theta": "exp(-0.3*z)*exp(-(p1**2 + p2**2))"}
+    path = tmp_path / "prob.json"
+    values = []
+    for field in ({}, {"theta_z_dependent": True}, {"theta_z_dependent": False}):
+        path.write_text(json.dumps({**data, **field}))
+        code, out = run_cli(["ma", "solve", str(path), "--tol", "1e-8"], capsys)
+        assert code == 0
+        values.append(json.loads(out)["metrics"]["values"])
+    assert values[0] == values[1] == values[2]
+
+
 def _ma_payload(**changes):
     data = {
         "kind": "ma-problem",
@@ -463,6 +487,18 @@ def test_net_out_of_range_edge_is_schema_error(tmp_path, capsys, glued, extra):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("ovaloid: net.valid:")
+
+
+def test_reflex_net_polygon_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "ell.json"
+    ell = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+    write_net(path, im.MetricNet(*shapes.doubled_polygon(ell)))
+    code = cli.run(["net", "geodesic", str(path), "--src", "0:1.9:0.9",
+                    "--dst", "0:0.9:1.9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: net.convex: polygon 0 ")
 
 
 @pytest.mark.parametrize("points, constraint", [

@@ -5,7 +5,12 @@ from conftest import corner_point, random_face_point
 from oracles import brute_force_distance, windowed_search
 from ovaloid import intrinsic_metric as im
 from ovaloid import shapes
-from ovaloid.errors import InvalidNet, SearchBudgetExceeded
+from ovaloid.errors import (
+    ArclengthOutOfRange,
+    InvalidNet,
+    NonConvexPolygon,
+    SearchBudgetExceeded,
+)
 
 
 def test_adjacent_face_centers(cube_net):
@@ -138,15 +143,6 @@ def test_budget_guard(cube_net):
     p, q = corner_point(cube_net, 0), corner_point(cube_net, 7)
     with pytest.raises(SearchBudgetExceeded):
         im.shortest_path(cube_net, p, q, max_states=3)
-    # interior points of opposite faces need at least two crossings, so a
-    # 1-face horizon exhausts without a candidate
-    cube = shapes.cube()
-    f = 0
-    g = int(np.argmin(cube.normals @ cube.normals[f]))
-    a = im.SurfacePoint(f, tuple(cube_net.polygons[f].mean(axis=0)))
-    b = im.SurfacePoint(g, tuple(cube_net.polygons[g].mean(axis=0)))
-    with pytest.raises(SearchBudgetExceeded):
-        im.shortest_path(cube_net, a, b, max_faces=1)
 
 
 def test_geodesic_on_random_polytope_nets_vs_oracle():
@@ -206,34 +202,70 @@ def test_path_crossings_consistent(cube_net):
         assert abs(total - path.length) < 1e-9
 
 
-def _error_of(search, *args, **kw):
-    try:
-        search(*args, **kw)
-    except (SearchBudgetExceeded, InvalidNet) as exc:
-        return type(exc)
-    return None
-
-
 @pytest.mark.parametrize("n_points", [12, 40, 100, 202])
 def test_float_search_matches_numpy_search(n_points):
     """The float search against the numpy one it replaced, on nets of 20 to
     400 faces: between vertices and between interior points, the same
-    length to 1e-12 of the scale and the same faces; with a 3-face cap, the
-    same error."""
+    length to 1e-12 of the scale and the same faces."""
     net = im.net_from_polytope(shapes.random_hull(n_points, seed=n_points))
     rng = np.random.default_rng(n_points)
     corners = [corner_point(net, int(v)) for v in rng.choice(n_points, 8, replace=False)]
     pairs = list(zip(corners[::2], corners[1::2]))
     pairs += [(random_face_point(net, rng), random_face_point(net, rng)) for _ in range(4)]
-    capped = []
     for p, q in pairs:
-        path = im.shortest_path(net, p, q, max_faces=200)
+        path = im.shortest_path(net, p, q)
         length, faces = windowed_search(net, p, q, max_faces=200)
         assert abs(path.length - length) <= 1e-12 * net.scale
         assert path.face_sequence == faces
-        capped.append(_error_of(im.shortest_path, net, p, q, max_faces=3))
-        assert capped[-1] == _error_of(windowed_search, net, p, q, max_faces=3)
-    assert SearchBudgetExceeded in capped
+
+
+def test_paths_across_more_than_32_faces_match_the_numpy_search():
+    """No cap on the face sequence: v0 to its antipode crosses 36 faces,
+    and the search agrees with the numpy one under a cap that does not
+    bind."""
+    hull = shapes.random_hull(400, seed=7)
+    net = im.net_from_polytope(hull)
+    p = corner_point(net, 0)
+    q = corner_point(net, int(np.argmin(hull.vertices @ hull.vertices[0])))
+    path = im.shortest_path(net, p, q)
+    length, faces = windowed_search(net, p, q, max_faces=200)
+    assert len(path.face_sequence) > 32
+    assert path.face_sequence == faces
+    assert abs(path.length - length) <= 1e-12 * net.scale
+
+
+def test_points_in_different_components_fail_before_the_search():
+    tet = im.net_from_polytope(shapes.regular_tetrahedron())
+    n = len(tet.polygons)
+    copy = tuple(((a + n, ea), (b + n, eb)) for (a, ea), (b, eb) in tet.identifications)
+    net = im.MetricNet(tet.polygons * 2, tet.identifications + copy)
+    assert not im.validate_net(net).connected
+    p, q, r = (im.SurfacePoint(f, tuple(net.polygons[f].mean(axis=0))) for f in (0, 1, n))
+    assert im.shortest_path(net, p, q).length > 0
+    # ten states would not get the search across a single face
+    with pytest.raises(InvalidNet, match="different components"):
+        im.shortest_path(net, p, r, max_states=10)
+
+
+def test_reflex_polygon_is_rejected():
+    """The straight segment between these points leaves the L; the path
+    round its reflex corner is longer."""
+    ell = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+    net = im.MetricNet(*shapes.doubled_polygon(ell))
+    p, q = im.SurfacePoint(0, (1.9, 0.9)), im.SurfacePoint(0, (0.9, 1.9))
+    with pytest.raises(NonConvexPolygon, match="polygon 0 has a reflex corner"):
+        im.shortest_path(net, p, q)
+    # a corner at pi is not reflex
+    square = [[0, 0], [1, 0], [2, 0], [2, 2], [0, 2]]
+    net = im.MetricNet(*shapes.doubled_polygon(square))
+    p, q = im.SurfacePoint(0, (1.9, 0.1)), im.SurfacePoint(0, (0.1, 1.9))
+    assert abs(im.shortest_path(net, p, q).length - np.hypot(1.8, 1.8)) < 1e-12
+
+
+def test_arclength_outside_the_path_is_named(cube_net):
+    path = im.shortest_path(cube_net, corner_point(cube_net, 0), corner_point(cube_net, 7))
+    with pytest.raises(ArclengthOutOfRange):
+        path.point_at(path.length + 0.1)
 
 
 @pytest.mark.parametrize("src, dst, untied_length", [

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import hull_point_sets
-from oracles import per_face_net_from_polytope, union_find_vertex_classes
+from oracles import interior_angles, per_face_net_from_polytope, union_find_vertex_classes
 from ovaloid import core, intrinsic_metric as im
 from ovaloid import shapes
-from ovaloid.errors import InvalidNet
+from ovaloid.errors import InvalidNet, MalformedNet
 
 
 def equilateral_double():
@@ -178,8 +178,8 @@ def test_empty_net_rejected():
 
 
 def test_derived_data_matches_per_polygon_reference():
-    """Scale, corner classes, edge partners and labelled corners of the flat
-    layout against per-polygon computations."""
+    """Scale, corner classes, edge partners, labelled corners and interior
+    angles of the flat layout against per-polygon computations."""
     quad = np.array([[0, 0], [1, 0], [1.4, 1.2], [-0.9, 1.1]])
     doubled = im.MetricNet(*shapes.doubled_polygon(quad))
     nets = [im.net_from_polytope(core.convex_hull(pts)) for pts in hull_point_sets()]
@@ -199,6 +199,8 @@ def test_derived_data_matches_per_polygon_reference():
         for corner, label in (net.corner_labels or {}).items():
             first.setdefault(label, corner)
         assert net.labelled_corners == first
+        assert np.array_equal(net._angles,
+                              np.concatenate([interior_angles(p) for p in net.polygons]))
     with pytest.raises(KeyError):
         nets[0].corner_class_of(0, 3)
 
@@ -212,3 +214,15 @@ def test_edge_in_two_identifications_rejected():
     q = im.SurfacePoint(1, tuple(net.polygons[1].mean(axis=0)))
     with pytest.raises(InvalidNet, match="more than one identification"):
         im.shortest_path(twice, p, q)
+
+
+def test_malformed_nets_raise_a_named_value_error():
+    net = equilateral_double()
+    for polygons, identifications in [
+        ((), ()),
+        ((np.zeros((2, 2)),), ()),
+        ((net.polygons[0][::-1],), ()),
+        (net.polygons, (((0, 7), (1, 0)),)),
+    ]:
+        with pytest.raises(MalformedNet):
+            im.MetricNet(polygons, identifications)
