@@ -18,6 +18,8 @@ import time
 
 from .errors import (
     CoincidentPoints,
+    DuplicateNodes,
+    MalformedMAProblem,
     NonConvexPolygon,
     OpenSurface,
     OvaloidError,
@@ -209,20 +211,24 @@ def _cmd_ma(args):
 
     tol = args.tol if args.tol is not None else 1e-10
     max_iter = args.max_iter if args.max_iter is not None else 400
-    if args.homotopy:
-        uniform = float(problem.masses.mean())
+    # the solver validates each problem it is given
+    try:
+        if args.homotopy:
+            problem.validate()
+            uniform = float(problem.masses.mean())
 
-        def family(t):
-            return dataclasses.replace(problem,
-                                       masses=(1 - t) * uniform + t * problem.masses)
+            def family(t):
+                return dataclasses.replace(
+                    problem, masses=(1 - t) * uniform + t * problem.masses)
 
-        schedule = ma.HomotopySchedule(
-            ts=np.linspace(0.0, 1.0, args.homotopy + 1), problem_at=family
-        )
-        sols = ma.homotopy_solve(schedule, tol=tol, max_iter=max_iter)
-        u = sols[-1]
-    else:
-        u = ma.solve_ma(problem, tol=tol, max_iter=max_iter)
+            schedule = ma.HomotopySchedule(
+                ts=np.linspace(0.0, 1.0, args.homotopy + 1), problem_at=family
+            )
+            u = ma.homotopy_solve(schedule, tol=tol, max_iter=max_iter)[-1]
+        else:
+            u = ma.solve_ma(problem, tol=tol, max_iter=max_iter)
+    except (MalformedMAProblem, DuplicateNodes) as exc:
+        raise SchemaError("ma.valid", str(exc)) from exc
     return 0, {
         "values": u.values.tolist(),
         "nodes": u.nodes.tolist(),

@@ -124,6 +124,12 @@ class DuplicateNodes(OvaloidError, ValueError):
     """Two nodes of a PL convex function share a position."""
 
 
+class MalformedMAProblem(OvaloidError, ValueError):
+    """Monge-Ampere problem arrays have the wrong shape, sign or placement:
+    collinear boundary nodes, interior nodes off the domain's interior, a
+    weight that is not positive."""
+
+
 class UnboundedCell(OvaloidError, ValueError):
     """A subgradient cell is unbounded and no clip window was given."""
 

@@ -268,7 +268,8 @@ def _parse_ma(data):
     # compile_theta has checked, names z; a "theta_z_dependent" field is
     # not read
     z_dependent = bool(theta_src) and "z" in compile(theta_src, "<theta>", "eval").co_names
-    problem = MAProblem(
+    # the geometric checks are MAProblem.validate, which solve_ma runs
+    return MAProblem(
         domain=domain,
         interior_nodes=nodes,
         masses=masses,
@@ -278,11 +279,6 @@ def _parse_ma(data):
         theta_z_dependent=z_dependent,
         mass_bound=mass_bound,
     )
-    try:
-        problem.validate()
-    except ValueError as exc:
-        raise SchemaError("ma.valid", str(exc)) from exc
-    return problem
 
 
 def _parse_minkowski(data):

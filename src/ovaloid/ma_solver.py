@@ -35,6 +35,7 @@ from .errors import (
     DuplicateNodes,
     Infeasible,
     IncomparableProblems,
+    MalformedMAProblem,
     MaxIterExceeded,
     MinStepReached,
     NotEnvelopeVertex,
@@ -100,56 +101,59 @@ class MAProblem:
         self.boundary_values = np.asarray(self.boundary_values, dtype=float)
 
     def validate(self):
+        """The problem itself; MalformedMAProblem names what is wrong with
+        it, and DuplicateNodes two nodes at one position."""
+        bad = MalformedMAProblem
         for name, pts in (("the domain", self.domain),
                           ("the interior nodes", self.interior_nodes),
                           ("the boundary nodes", self.boundary_nodes)):
             if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-                raise ValueError(f"{name} must be a nonempty list of [x, y] points")
+                raise bad(f"{name} must be a nonempty list of [x, y] points")
         if self.masses.ndim != 1 or self.boundary_values.ndim != 1:
-            raise ValueError("masses and boundary values must be lists of numbers")
+            raise bad("masses and boundary values must be lists of numbers")
         if (self.masses <= 0).any():
-            raise ValueError("all masses must be positive")
+            raise bad("all masses must be positive")
         if not np.isfinite(self.masses).all():
-            raise ValueError("masses must be finite")
+            raise bad("masses must be finite")
         if len(self.interior_nodes) != len(self.masses):
-            raise ValueError("one mass per interior node required")
+            raise bad("one mass per interior node required")
         if len(self.boundary_nodes) != len(self.boundary_values):
-            raise ValueError("one value per boundary node required")
+            raise bad("one value per boundary node required")
         if self.mass_bound is not None and not self.mass_bound > 0:
-            raise ValueError("mass_bound must be positive")
+            raise bad("mass_bound must be positive")
         nodes = self.all_nodes()
         if not (np.isfinite(nodes).all() and np.isfinite(self.boundary_values).all()
                 and np.isfinite(self.domain).all()):
-            raise ValueError("the domain, nodes and boundary values must be finite")
+            raise bad("the domain, nodes and boundary values must be finite")
         if not abs(planar.polygon_area(self.domain)) > 0:
-            raise ValueError("the domain must have positive area")
+            raise bad("the domain must have positive area")
         if len(np.unique(nodes, axis=0)) < len(nodes):
-            raise ValueError("nodes must be distinct")
+            raise DuplicateNodes("nodes must be distinct")
         b = self.boundary_nodes
         if len(b) < 3 or np.linalg.matrix_rank(b[1:] - b[0]) < 2:
-            raise ValueError("boundary nodes must not be collinear")
+            raise bad("boundary nodes must not be collinear")
         if not _on_polygon_boundary(self.domain, self.boundary_nodes).all():
-            raise ValueError("boundary nodes must lie on the domain boundary")
+            raise bad("boundary nodes must lie on the domain boundary")
         if _on_polygon_boundary(self.domain, self.interior_nodes).any():
-            raise ValueError("interior nodes must be strictly inside the domain")
+            raise bad("interior nodes must be strictly inside the domain")
         if self.theta is None:
             # without a weight window, a cell is bounded only when its node
             # is inside the boundary nodes' hull
             try:
                 eq = ConvexHull(b).equations
             except QhullError as exc:
-                raise ValueError("boundary nodes must not be collinear") from exc
+                raise bad("boundary nodes must not be collinear") from exc
             dist = (self.interior_nodes @ eq[:, :2].T + eq[:, 2]).max(axis=1)
             if (dist > -1e-9 * max(np.abs(b).max(), 1.0)).any():
-                raise ValueError("without a weight, interior nodes must lie strictly "
-                                 "inside the convex hull of the boundary nodes")
+                raise bad("without a weight, interior nodes must lie strictly "
+                          "inside the convex hull of the boundary nodes")
         else:
             probe = self.theta(
                 np.array([0.0, 1.0, -0.5]), np.array([0.0, -1.0, 0.5]),
                 0.0, 0.0, 0.0,
             )
             if not (np.asarray(probe) > 0).all():
-                raise ValueError("theta must be positive")
+                raise bad("theta must be positive")
         return self
 
     def all_nodes(self):
@@ -289,7 +293,7 @@ class _Cells(NamedTuple):
                       np.column_stack([self.label, label]).ravel()[keep], self.n)
 
 
-def _cells(nodes, values, which, clip=None):
+def _cells(nodes, values, which, clip=None, check_nodes=True):
     """Subgradient cells of the nodes ``which``, as one ``_Cells`` layout.
 
     The cells are the dual of the lower hull of the lifted nodes.  With its
@@ -306,13 +310,14 @@ def _cells(nodes, values, which, clip=None):
     outside the window.  If the lower hull is one plane, all other nodes
     are neighbours.  A window given clockwise is reversed first.  Each
     round of ``_Cells.clip`` cuts every recut cell by one neighbour, in
-    ascending node order.  Duplicate nodes raise DuplicateNodes.
+    ascending node order.  Duplicate nodes raise DuplicateNodes, unless
+    ``check_nodes`` is False because the caller has checked them already.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     which = np.asarray(which, dtype=np.intp)
     n, size = len(which), len(nodes)
-    if len(np.unique(nodes, axis=0)) < size:
+    if check_nodes and len(np.unique(nodes, axis=0)) < size:
         raise DuplicateNodes("two nodes share a position")
     facets, planes = _lower_hull(nodes, values)
     a, b, c = (nodes[facets[:, k]] for k in range(3))
@@ -546,22 +551,35 @@ def _theta_window(theta, rel=1e-12):
 def _boundary_start_values(problem):
     """Strictly convex interior start values, for every weight.
 
-    The start is env(x) + t (|x - c|^2 - rho^2), env the lower envelope of
-    the boundary data, c the mean of the boundary nodes and rho their
-    largest distance from c: every boundary node lies on or above it and
-    every interior node on it, so each interior node is a strict vertex of
-    the lower hull and its cell has positive area.  t makes the unweighted
-    measure of t |x|^2 over the domain equal the total target.  This start
-    may lie below the solution.
+    The start is a quadratic q(x) = y.A y + b.y + k in y = x - c, c the
+    mean of the boundary nodes.  (A, b, k) first fit the boundary data in
+    least squares; A is then raised by the smallest s I that makes the
+    unweighted measure 4 det(A) area of q over the domain at least the
+    total target, which leaves A positive definite; last, k is lowered
+    until no boundary node lies below q.  Every interior node lies on the
+    strictly convex q and every boundary node on or above it, so each
+    interior node is a strict vertex of the lower hull and its cell has
+    positive area.  For zero boundary data this is t (|x - c|^2 - rho^2),
+    rho the largest distance of a boundary node from c and 4 t^2 area the
+    total target.  On quadratic boundary data whose Hessian carries the
+    target masses the start is that quadratic itself.
     """
-    env = lower_envelope_evaluator(problem.boundary_nodes, problem.boundary_values)(
-        problem.interior_nodes)
-    x = problem.interior_nodes
     c = problem.boundary_nodes.mean(axis=0)
-    rho2 = float(np.max(np.sum((problem.boundary_nodes - c) ** 2, axis=1)))
-    area = abs(planar.polygon_area(problem.domain))
-    t = 0.5 * math.sqrt(problem.masses.sum() / area)
-    return env + t * (np.sum((x - c) ** 2, axis=1) - rho2)
+
+    def basis(x):
+        y = x - c
+        return np.column_stack([y[:, 0] ** 2, 2.0 * y[:, 0] * y[:, 1], y[:, 1] ** 2,
+                                y, np.ones(len(y))])
+
+    fit, g = basis(problem.boundary_nodes), problem.boundary_values
+    coef = np.linalg.lstsq(fit, g, rcond=None)[0]
+    lam = np.linalg.eigvalsh([[coef[0], coef[1]], [coef[1], coef[2]]])
+    # 4 (lam_0 + s) (lam_1 + s) = total / area at its larger root
+    m = problem.masses.sum() / abs(planar.polygon_area(problem.domain))
+    s = max(0.0, 0.5 * (math.sqrt((lam[1] - lam[0]) ** 2 + m) - lam.sum()))
+    coef[[0, 2]] += s
+    coef[5] -= np.max(fit @ coef - g)
+    return basis(problem.interior_nodes) @ coef
 
 
 def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
@@ -569,14 +587,18 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
 
     ``newton.damped_newton`` (Kitagawa-Merigot-Thibert steps) on the
     interior values, from the strictly convex default start or from
-    init_values.  Where init_values leave a cell empty they are blended
-    toward the default start until every cell is nonempty: node i has a
-    nonempty cell iff v_i lies below the lower envelope of the other lifted
-    nodes at B_i, which is concave in the values, so those starts form a
-    convex set holding the default one.  An accepted step keeps every cell
-    above half the smallest of the starting and target masses, and the
-    Jacobian comes from the cells of the last accepted evaluation.  A
-    z-dependent weight is taken at the node's own value, so its Jacobian
+    init_values.  The default start is the convex quadratic fitted to the
+    boundary data by ``_boundary_start_values``: on smooth convex data it
+    is close to the solution, and on quadratic data with the quadratic's
+    own masses it is the solution.  Where init_values leave a cell empty
+    they are blended toward the default start until every cell is
+    nonempty: node i has a nonempty cell iff v_i lies below the lower
+    envelope of the other lifted nodes at B_i, which is concave in the
+    values, so those starts form a convex set holding the default one.
+    ``problem`` is validated here, once per solve.  An accepted step keeps
+    every cell above half the smallest of the starting and target masses,
+    and the Jacobian comes from the cells of the last accepted evaluation.
+    A z-dependent weight is taken at the node's own value, so its Jacobian
     adds each cell's integral of d theta / dz to the diagonal; under
     theta_z <= 0 that only makes the diagonal more negative.  solve_info
     records the residual after the start and after each accepted step, the
@@ -632,7 +654,8 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
         # masses and the cells they came from, for the next Jacobian
         vals = full(x)
         refresh_window(vals)
-        cells = _cells(nodes, vals, interior_idx, window)
+        # the nodes never move, and validate has found them distinct
+        cells = _cells(nodes, vals, interior_idx, window, check_nodes=False)
         m = _cell_masses(nodes, vals, interior_idx, cells, theta, quad_now(res))
         return (m, cells), float(np.max(np.abs(m - mu) / mu))
 

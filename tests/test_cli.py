@@ -421,6 +421,41 @@ def test_degenerate_ma_nodes_are_schema_errors(tmp_path, capsys, changes):
     assert captured.err.startswith("ovaloid: ma.valid:")
 
 
+@pytest.mark.parametrize("changes", [
+    {"nodes": [[1.0, 1.0], [1.0, 1.0]]},
+    {"boundary": [[0, 0, 0.0], [1, 0, 0.0], [2, 0, 0.0]]},
+    {"masses": [0.7, -0.5]},
+    {"masses": [0.7, 0.0]},
+], ids=["duplicate-nodes", "collinear-boundary", "negative-mass", "zero-mass"])
+def test_invalid_ma_problems_are_schema_errors_under_homotopy(tmp_path, capsys,
+                                                               changes):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_ma_payload(**changes)))
+    code = cli.run(["ma", "solve", str(path), "--homotopy", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: ma.valid:")
+
+
+def test_ma_solve_validates_its_problem_once(tmp_path, capsys, monkeypatch):
+    from ovaloid import ma_solver as ma
+
+    calls = []
+    validate = ma.MAProblem.validate
+
+    def counted(problem):
+        calls.append(1)
+        return validate(problem)
+
+    monkeypatch.setattr(ma.MAProblem, "validate", counted)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_ma_payload()))
+    code, _ = run_cli(["ma", "solve", str(path)], capsys)
+    assert code == 0
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("changes, constraint", [
     ({"domain": [[0, 0], [2, 0, 1], [2, 2], [0, 2]]}, "ma.domain"),
     ({"masses": ["a", "b"]}, "ma.masses"),

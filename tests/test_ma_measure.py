@@ -263,6 +263,17 @@ def test_cell_errors_are_named():
     assert issubclass(DuplicateNodes, ValueError)
 
 
+
+def test_public_cell_entry_points_name_duplicate_nodes():
+    u = cone_function()
+    twin = ma.PLConvexFunction(nodes=np.vstack([u.nodes, u.nodes[:1]]),
+                               values=np.append(u.values, 0.5), domain=u.domain)
+    with pytest.raises(DuplicateNodes):
+        ma.subgradient_cell_polygon(twin.nodes, twin.values, 0)
+    with pytest.raises(DuplicateNodes):
+        ma.ma_measure(twin, 0)
+
+
 def test_cone_atom_cell():
     u = cone_function()
     cell = ma.ma_measure(u, 0)

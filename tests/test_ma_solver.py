@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,7 +8,10 @@ from conftest import grid_problem
 from oracles import cell_masses, masses_from_density
 from ovaloid import ma_solver as ma
 from ovaloid import planar
-from ovaloid.errors import Infeasible, IncomparableProblems, MaxIterExceeded
+from ovaloid.errors import (
+    DuplicateNodes, Infeasible, IncomparableProblems, MalformedMAProblem,
+    MaxIterExceeded,
+)
 
 
 def random_forward_instance(seed, n_side=6, extent=6.0):
@@ -206,6 +211,29 @@ def test_solver_validates_problem():
         ma.solve_ma(problem)
 
 
+
+def test_invalid_problems_raise_named_errors():
+    problem, _ = random_forward_instance(1, n_side=4)
+    b = problem.boundary_nodes
+    malformed = [
+        dataclasses.replace(problem, masses=-problem.masses),
+        dataclasses.replace(problem, masses=problem.masses[1:]),
+        dataclasses.replace(problem, boundary_nodes=np.outer(b @ [1.0, 0.1], [1.0, 0.0])),
+        dataclasses.replace(problem, mass_bound=-1.0),
+        dataclasses.replace(problem, theta=lambda p1, p2, z, x1, x2: -np.ones_like(p1)),
+    ]
+    for bad in malformed:
+        with pytest.raises(MalformedMAProblem):
+            ma.solve_ma(bad)
+    twin = problem.interior_nodes.copy()
+    twin[1] = twin[0]
+    with pytest.raises(DuplicateNodes):
+        dataclasses.replace(problem, interior_nodes=twin).validate()
+    # callers that catch ValueError still do
+    assert issubclass(MalformedMAProblem, ValueError)
+    assert issubclass(DuplicateNodes, ValueError)
+
+
 def _fd_jacobian(nodes, values, n, theta, window, h, rel_tol):
     """Central differences of the interior masses in each interior value."""
     idx = np.arange(n)
@@ -336,7 +364,18 @@ def test_unweighted_newton_solve_clips_nothing(monkeypatch):
     assert calls == []
 
 
-def _assert_rejected_step_raises(monkeypatch, problem):
+def _envelope_start(problem):
+    """The lower envelope of the boundary data plus t (|x - c|^2 - rho^2):
+    strictly convex, every cell nonempty, and far from the solution."""
+    x, b = problem.interior_nodes, problem.boundary_nodes
+    env = ma.lower_envelope_evaluator(b, problem.boundary_values)(x)
+    c = b.mean(axis=0)
+    rho2 = np.max(np.sum((b - c) ** 2, axis=1))
+    t = 0.5 * np.sqrt(problem.masses.sum() / abs(planar.polygon_area(problem.domain)))
+    return env + t * (np.sum((x - c) ** 2, axis=1) - rho2)
+
+
+def _assert_rejected_step_raises(monkeypatch, problem, init_values=None):
     # with a zero Jacobian no step is accepted, and the solve raises at once
     calls = []
 
@@ -347,7 +386,7 @@ def _assert_rejected_step_raises(monkeypatch, problem):
     monkeypatch.setattr(ma, "_mass_jacobian", zero_jacobian)
     monkeypatch.setattr(ma, "_theta_z_masses", lambda *args: np.zeros(len(args[2])))
     with pytest.raises(MaxIterExceeded) as err:
-        ma.solve_ma(problem, tol=1e-8)
+        ma.solve_ma(problem, tol=1e-8, init_values=init_values)
     assert len(calls) == 1
     info = err.value.best.solve_info
     assert info["newton_iters"] == 0
@@ -362,7 +401,8 @@ def test_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
     nodes = problem.all_nodes()
     n = len(problem.interior_nodes)
     problem.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
-    _assert_rejected_step_raises(monkeypatch, problem)
+    # the default start is this quadratic, the solution: start elsewhere
+    _assert_rejected_step_raises(monkeypatch, problem, _envelope_start(problem))
 
 
 def test_z_dependent_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
@@ -371,8 +411,9 @@ def test_z_dependent_rejected_newton_step_raises_max_iter_exceeded(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_strictly_convex_start_has_positive_cells(seed):
-    # convex boundary data: a random quadratic plus the largest of a few
-    # random planes, on grids of several sizes
+    # convex boundary data on grids of several sizes: a random quadratic
+    # plus the largest of a few random planes, and data that no quadratic
+    # fits: a cubic, an exponential and a cone plus a quadratic
     rng = np.random.default_rng(seed)
     planes = rng.normal(0, 1.0, (4, 3))
     a = rng.uniform(0.0, 0.5, 2)
@@ -381,19 +422,71 @@ def test_strictly_convex_start_has_positive_cells(seed):
         return (a[0] * p[:, 0] ** 2 + a[1] * p[:, 1] ** 2
                 + (p @ planes[:, :2].T + planes[:, 2]).max(axis=1))
 
-    problem = grid_problem(3 + seed, 3.0, boundary_fn=convex)
-    n = len(problem.interior_nodes)
+    b, w, apex = rng.uniform(0.1, 1.0, 2), rng.normal(0, 1.0, 2), rng.uniform(0, 3, 2)
+    for data in (convex,
+                 lambda p: (p + 1.0) ** 3 @ b,  # convex where p > -1
+                 lambda p: np.exp(p @ w),
+                 lambda p: np.linalg.norm(p - apex, axis=1) + 0.1 * (p ** 2) @ b):
+        problem = grid_problem(3 + seed, 3.0, boundary_fn=data)
+        n = len(problem.interior_nodes)
+        nodes = problem.all_nodes()
+        start = ma._boundary_start_values(problem)
+        values = np.concatenate([start, problem.boundary_values])
+        areas = cell_masses(nodes, values, np.arange(n), None)
+        assert (areas > 1e-9 * problem.masses.sum()).all(), areas.min()
+        # the lower envelope of the boundary data alone leaves cells empty
+        env = ma.lower_envelope_evaluator(
+            problem.boundary_nodes, problem.boundary_values
+        )(problem.interior_nodes)
+        values[:n] = env
+        assert cell_masses(nodes, values, np.arange(n), None).min() == 0.0
+
+
+def test_start_on_zero_boundary_data_is_the_centred_paraboloid():
+    # t (|x - c|^2 - rho^2) with 4 t^2 area the total target, as in the
+    # weighted solves, whose boundary data is zero
+    problem = grid_problem(7, 3.5)
+    b = problem.boundary_nodes
+    c = b.mean(axis=0)
+    rho2 = np.max(np.sum((b - c) ** 2, axis=1))
+    t = 0.5 * np.sqrt(problem.masses.sum() / 3.5 ** 2)
+    want = t * (np.sum((problem.interior_nodes - c) ** 2, axis=1) - rho2)
+    np.testing.assert_allclose(ma._boundary_start_values(problem), want,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hessian, centre", [
+    ((0.5, 0.0, 0.5), (1.5, 1.5)),
+    ((0.3, 0.1, 0.4), (1.2, 2.1)),
+    ((1.0, -0.4, 0.6), (-1.0, 0.5)),
+], ids=["round", "tilted", "off-centre"])
+def test_quadratic_data_with_its_own_masses_converges_at_the_start(hessian, centre):
+    (a, b, c), centre = hessian, np.asarray(centre)
+
+    def quad(p):
+        y = p - centre
+        return a * y[:, 0] ** 2 + 2 * b * y[:, 0] * y[:, 1] + c * y[:, 1] ** 2
+
+    problem = grid_problem(5, 3.0, boundary_fn=quad)
     nodes = problem.all_nodes()
-    start = ma._boundary_start_values(problem)
-    values = np.concatenate([start, problem.boundary_values])
-    areas = cell_masses(nodes, values, np.arange(n), None)
-    assert (areas > 1e-9 * problem.masses.sum()).all(), areas.min()
-    # the lower envelope of the boundary data alone leaves cells empty
-    env = ma.lower_envelope_evaluator(
-        problem.boundary_nodes, problem.boundary_values
-    )(problem.interior_nodes)
-    values[:n] = env
-    assert cell_masses(nodes, values, np.arange(n), None).min() == 0.0
+    n = len(problem.interior_nodes)
+    problem.masses[:] = cell_masses(nodes, quad(nodes), np.arange(n), None)
+    u = ma.solve_ma(problem, tol=1e-10)
+    assert u.solve_info["newton_iters"] == 0
+    assert u.solve_info["converged"]
+    assert np.abs(u.values[:n] - quad(problem.interior_nodes)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_side", [6, 20, 49])
+def test_forward_instances_take_few_steps(n_side):
+    # from the boundary data's best-fitting convex quadratic; the lower
+    # envelope of the boundary data took 6, 7 and 10 steps, the last with
+    # 3 backtracks
+    problem, v_int = random_forward_instance(0, n_side, extent=float(n_side))
+    u = ma.solve_ma(problem, tol=1e-10)
+    info = u.solve_info
+    assert info["newton_iters"] <= 5 and info["backtracks"] == 0, info
+    assert np.abs(u.values[: len(v_int)] - v_int).max() < 1e-7
 
 
 def test_backtracks_count_rejected_trials(monkeypatch):
@@ -410,7 +503,8 @@ def test_backtracks_count_rejected_trials(monkeypatch):
         return cells(*args, **kwargs)
 
     monkeypatch.setattr(ma, "_cells", counted)
-    u = ma.solve_ma(problem, tol=1e-11)
+    # from the default start this solve takes no backtrack
+    u = ma.solve_ma(problem, tol=1e-11, init_values=_envelope_start(problem))
     info = u.solve_info
     assert info["final_residual"] <= 1e-11
     assert info["backtracks"] > 0
