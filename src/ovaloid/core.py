@@ -13,13 +13,22 @@ import dataclasses
 import itertools
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
+from .errors import (
+    DegenerateInput,
+    DegenerateVertex,
+    EmptyBody,
+    InvalidPolytope,
+    MalformedGeometry,
+    NonPositiveScale,
+    UnboundedBody,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -27,9 +36,9 @@ DEFAULT_TOL = 1e-9
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use: importing
     ``scipy.optimize`` would add about 0.08 s to every CLI start.  Only
-    ``polytope_from_support``'s Chebyshev centre calls it; the Minkowski
-    solver intersects its iterates about the origin and falls back to that
-    LP only when the origin is not well inside every halfspace."""
+    ``chebyshev_centre`` calls it; the Minkowski solver intersects its
+    iterates about the origin and falls back to that LP only when the origin
+    is not well inside every halfspace."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -38,9 +47,10 @@ def linprog(*args, **kwargs):
 def as_points(points, dim=3):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"expected an (n, {dim}) array of points, got {pts.shape}")
+        raise MalformedGeometry(
+            f"expected an (n, {dim}) array of points, got {pts.shape}")
     if not np.isfinite(pts).all():
-        raise ValueError("points must have finite components")
+        raise MalformedGeometry("points must have finite components")
     return pts
 
 
@@ -48,7 +58,7 @@ def unit_vectors(vectors, tol=1e-8):
     v = as_points(vectors)
     norms = np.linalg.norm(v, axis=1)
     if (np.abs(norms - 1.0) > tol).any():
-        raise ValueError("normals must be unit vectors")
+        raise MalformedGeometry("normals must be unit vectors")
     return v / norms[:, None]
 
 
@@ -109,7 +119,7 @@ class ConvexPolytope:
 
     def scaled(self, s):
         if s <= 0:
-            raise ValueError("scale factor must be positive")
+            raise NonPositiveScale("scale factor must be positive")
         return ConvexPolytope(
             vertices=self.vertices * s,
             faces=self.faces,
@@ -120,26 +130,26 @@ class ConvexPolytope:
 
     def validate(self, tol=DEFAULT_TOL):
         """Check the boundary-complex invariants on the vertices the faces
-        use; raises ValueError on failure."""
+        use; raises InvalidPolytope on failure."""
         face, tail, _, _ = self._half_edges
         scale = max(self.diameter, 1e-300)
         slack = self.vertices[np.unique(tail)] @ self.normals.T \
             - self.support_numbers[None, :]
         if slack.max() > tol * scale:
-            raise ValueError("a vertex lies outside a face halfspace")
+            raise InvalidPolytope("a vertex lies outside a face halfspace")
         active = slack > -tol * scale  # vertex on face plane
         ok_faces = np.array([len(f) >= 3 for f in self.faces], dtype=bool)
         counts = active[:, ok_faces].sum(axis=1)
         if (counts < 3).any():
-            raise ValueError("a vertex touches fewer than 3 face planes")
+            raise InvalidPolytope("a vertex touches fewer than 3 face planes")
         defect = np.linalg.norm(closing_defect(self.normals, self.areas))
         if defect > tol * max(self.areas.sum(), 1.0):
-            raise ValueError(f"closing defect too large: {defect}")
+            raise InvalidPolytope(f"closing defect too large: {defect}")
         off = np.einsum("ij,ij->i", self.vertices[tail], self.normals[face]) \
             - self.support_numbers[face]
         bad = face[ok_faces[face] & (np.abs(off) > 10 * tol * scale)]
         if len(bad):
-            raise ValueError(f"face {bad[0]} is not planar")
+            raise InvalidPolytope(f"face {bad[0]} is not planar")
         return self
 
 
@@ -148,7 +158,7 @@ def closing_defect(normals, areas):
     n = np.asarray(normals, dtype=float)
     a = np.asarray(areas, dtype=float)
     if len(n) != len(a):
-        raise ValueError("normals and areas must have equal length")
+        raise MalformedGeometry("normals and areas must have equal length")
     return n.T @ a
 
 
@@ -248,39 +258,8 @@ def polytope_from_support(normals, support_numbers, tol=DEFAULT_TOL):
     """
     n = unit_vectors(normals)
     h = np.asarray(support_numbers, dtype=float)
-    if len(n) != len(h):
-        raise ValueError("normals and support numbers must have equal length")
-    if len(n) < 4:
-        raise UnboundedBody("fewer than 4 halfspaces cannot bound a body")
-
-    # Chebyshev centre: max r s.t. n_i . x + r <= h_i
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=np.hstack([n, np.ones((len(n), 1))]),
-        b_ub=h,
-        bounds=[(None, None)] * 3 + [(0, None)],
-        method="highs",
-    )
-    if res.status == 3:
-        raise UnboundedBody("normals do not positively span space")
-    if res.status != 0 or res.x is None:
-        raise EmptyBody("halfspace intersection is empty")
-    r = res.x[3]
-    scale = max(np.abs(h).max(), 1.0)
-    if r <= tol * scale:
-        raise EmptyBody("halfspace intersection has empty interior")
-    return _intersect_about(n, h, res.x[:3])
-
-
-def _intersect_about(n, h, interior):
-    """``polytope_from_support`` of unit normals ``n`` and support numbers
-    ``h`` about a given point strictly inside every halfspace.
-
-    Raises UnboundedBody when the halfspaces leave the body unbounded: the
-    dual hull then fails to enclose the origin, and qhull's intersections
-    are no body's vertices.
-    """
-    hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), interior)
+    centre = chebyshev_centre(n, h, tol)
+    hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), centre)
     if not (hsi.dual_equations[:, -1] < 0).all():
         raise UnboundedBody("normals do not positively span space")
     verts = hsi.intersections
@@ -296,6 +275,182 @@ def _intersect_about(n, h, interior):
         areas=np.linalg.norm(newell, axis=1),
         support_numbers=(verts @ n.T).max(axis=0),
     )
+
+
+def chebyshev_centre(n, h, tol=DEFAULT_TOL):
+    """Centre of the largest ball inside {x : <x, n_i> <= h_i}, unit normals
+    ``n``, from one linear program: a point strictly inside every halfspace.
+
+    Raises UnboundedBody when the halfspaces bound no body, EmptyBody when
+    their intersection is empty or its inradius is at most ``tol`` times
+    max(max|h|, 1).
+    """
+    if len(n) != len(h):
+        raise MalformedGeometry("normals and support numbers must have equal length")
+    if len(n) < 4:
+        raise UnboundedBody("fewer than 4 halfspaces cannot bound a body")
+    # max r s.t. n_i . x + r <= h_i
+    res = linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([n, np.ones((len(n), 1))]),
+        b_ub=h,
+        bounds=[(None, None)] * 3 + [(0, None)],
+        method="highs",
+    )
+    if res.status == 3:
+        raise UnboundedBody("normals do not positively span space")
+    if res.status != 0 or res.x is None:
+        raise EmptyBody("halfspace intersection is empty")
+    if res.x[3] <= tol * max(np.abs(h).max(), 1.0):
+        raise EmptyBody("halfspace intersection has empty interior")
+    return res.x[:3]
+
+
+class AreaEdges(NamedTuple):
+    """Face areas of a convex polytope and their derivatives in the support
+    numbers, from its edges (see ``edge_pass``).
+
+    ``pairs`` are the face pairs (i, j) that meet along an edge of positive
+    length, and ``coupling`` is that edge's length over sin(angle(n_i, n_j)):
+    the derivative of area i in h_j (Alexandrov, *Convex Polyhedra*, ch. 7).
+    ``diagonal`` is the derivative of area i in h_i, minus the sum of
+    coupling * cos over the edges of face i.
+    """
+
+    areas: np.ndarray     # (m,)
+    pairs: np.ndarray     # (E, 2)
+    coupling: np.ndarray  # (E,)
+    diagonal: np.ndarray  # (m,)
+
+    def scaled(self, s):
+        """The same for the body scaled by s > 0."""
+        return AreaEdges(self.areas * s * s, self.pairs, self.coupling * s,
+                         self.diagonal * s)
+
+    def jacobian(self):
+        """d(area_i)/d(h_j) as a symmetric sparse COO matrix; the
+        translations h_i = <n_i, t> are its kernel."""
+        m = len(self.areas)
+        i, j = self.pairs.T
+        diag = np.arange(m)
+        return sparse.coo_matrix(
+            (np.concatenate([self.coupling, self.coupling, self.diagonal]),
+             (np.concatenate([i, j, diag]), np.concatenate([j, i, diag]))),
+            shape=(m, m))
+
+
+def edge_pass(n, h, vertices, i, j, u, w):
+    """``AreaEdges`` of P(h) = {x : <x, n_i> <= h_i}, unit normals ``n``,
+    from one vectorised pass over its edges: edge k joins faces i[k] and
+    j[k] and runs between vertices u[k] and w[k], in either direction.
+
+    Each edge adds to both of its faces the signed triangle it spans with
+    that face's foot point h_i n_i, oriented counterclockwise about the
+    face's normal; summed over a face's edges this is its Newell area.  A
+    face without edges has area 0.
+    """
+    # 3-vectors as the rows of (3, E) arrays: np.cross and np.einsum on
+    # (E, 3) ones cost more in call overhead than in arithmetic here
+    ni, nj = n[i].T, n[j].T
+    along = _cross(ni, nj)  # the edge direction counterclockwise about face i
+    p, q = vertices[u].T, vertices[w].T
+    pq = q - p
+    turn = np.sign(_dot(pq, along))
+    fi, fj = h[i] * ni, h[j] * nj
+    sides = np.concatenate([turn * _dot(ni, _cross(p - fi, q - fi)),
+                            -turn * _dot(nj, _cross(p - fj, q - fj))])
+    areas = 0.5 * np.bincount(np.concatenate([i, j]), weights=sides, minlength=len(n))
+
+    length = np.sqrt(_dot(pq, pq))
+    sin = np.sqrt(_dot(along, along))
+    keep = (length > 0) & (sin >= 1e-14)
+    i, j = i[keep], j[keep]
+    coupling = length[keep] / sin[keep]
+    bend = coupling * _dot(ni, nj)[keep]
+    diagonal = -np.bincount(np.concatenate([i, j]), weights=np.concatenate([bend, bend]),
+                            minlength=len(n))
+    return AreaEdges(areas, np.stack([i, j], axis=1), coupling, diagonal)
+
+
+def _cross(a, b):
+    """a x b, each 3-vector given by its three components."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+@dataclasses.dataclass(frozen=True)
+class DualHull:
+    """The halfspace intersection P(h) = {x : <x, n_i> <= h_i} as its
+    vertices and its ``AreaEdges``, read off one triangulated convex hull of
+    its dual points (see ``dual_hull``).
+
+    Vertex t is where the faces ``triangles[t]`` meet.  Where more than
+    three faces meet, the triangulation splits the vertex into coincident
+    copies with equal coordinates, and the edges between them, of length
+    0, add nothing.
+    """
+
+    normals: np.ndarray    # (m, 3) unit
+    vertices: np.ndarray   # (T, 3) one per dual triangle
+    triangles: np.ndarray  # (T, 3) the faces meeting at each vertex
+    edges: AreaEdges
+
+    def scaled(self, s):
+        """P(s h) for s > 0, without a hull."""
+        return dataclasses.replace(self, vertices=self.vertices * s,
+                                   edges=self.edges.scaled(s))
+
+    def polytope(self):
+        """P(h) as a ConvexPolytope: coincident vertex copies merged, every
+        face's vertex cycle ordered and its Newell area taken."""
+        verts, vert = np.unique(self.vertices, axis=0, return_inverse=True)
+        faces, newell = _face_cycles(verts, self.triangles.ravel(),
+                                     np.repeat(vert.ravel(), 3), self.normals)
+        return ConvexPolytope(
+            vertices=verts,
+            faces=faces,
+            normals=self.normals,
+            areas=np.linalg.norm(newell, axis=1),
+            support_numbers=(verts @ self.normals.T).max(axis=0),
+        )
+
+
+def dual_hull(n, h, interior):
+    """P(h) for unit normals ``n`` about a point c strictly inside every
+    halfspace, as a ``DualHull``, from one qhull call.
+
+    About c, halfspace i is the polar of the dual point n_i / (h_i - <n_i, c>),
+    so each triangle of the dual points' triangulated hull, with equation
+    <a, y> + b = 0, is the vertex c - a / b of P.  Each side of a dual
+    triangle is an edge of P between the two faces it joins, running to the
+    vertex of the triangle across that side.  A plane that misses the body
+    has an interior dual point and no edges.
+
+    Raises UnboundedBody when the halfspaces leave the body unbounded: the
+    dual hull then fails to enclose the origin.
+    """
+    # h_i - <n_i, c> summed in qhull's order, so that the vertices are
+    # bitwise those of scipy's HalfspaceIntersection about c
+    c = interior
+    dist = h - n[:, 0] * c[0] - n[:, 1] * c[1] - n[:, 2] * c[2]
+    hull = ConvexHull(n / dist[:, None], qhull_options="Qt")
+    eq = hull.equations
+    if not (eq[:, 3] < 0).all():
+        raise UnboundedBody("normals do not positively span space")
+    verts = c - eq[:, :3] / eq[:, 3:]
+    tri = hull.simplices
+    # side k of triangle t joins the faces other than tri[t, k], and
+    # neighbors[t, k] lies across it; each edge is taken at its lower end
+    t = np.repeat(np.arange(len(tri)), 3)
+    u = hull.neighbors.ravel()
+    once = t < u
+    i, j = tri[:, [1, 2, 0]].ravel()[once], tri[:, [2, 0, 1]].ravel()[once]
+    return DualHull(normals=n, vertices=verts, triangles=tri,
+                    edges=edge_pass(n, h, verts, i, j, t[once], u[once]))
 
 
 def _face_cycles(verts, face, vert, normals):
@@ -357,7 +512,7 @@ def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):
     verts = as_points(vertices)
     cycles = tuple(tuple(map(int, cyc)) for cyc in faces)
     if any(len(cyc) < 3 for cyc in cycles):
-        raise ValueError("face with fewer than 3 vertices")
+        raise InvalidPolytope("face with fewer than 3 vertices")
     half = face, tail, head, _ = half_edges(cycles)
     newell = np.zeros((len(cycles), 3))
     np.add.at(newell, face, np.cross(verts[tail], verts[head]))

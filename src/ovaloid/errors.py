@@ -27,6 +27,22 @@ class DegenerateFace(OvaloidError):
     """A prescribed face vanished at the solver optimum."""
 
 
+class MalformedGeometry(OvaloidError, ValueError):
+    """Points or normals are not a finite (n, 3) array, normals are not of
+    unit length, or per-face arrays differ in length."""
+
+
+class InvalidPolytope(OvaloidError, ValueError):
+    """Vertices and face cycles break a boundary-complex invariant: a face
+    with fewer than 3 vertices, a vertex outside a face halfspace or on
+    fewer than 3 face planes, a face that is not planar, or a closing
+    defect."""
+
+
+class NonPositiveScale(OvaloidError, ValueError):
+    """A body was scaled by a factor that is not positive."""
+
+
 class NegativeCurvature(OvaloidError, ValueError):
     """Curvature samples must be strictly positive."""
 

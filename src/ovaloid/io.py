@@ -128,13 +128,14 @@ def _off_lines(path, body, nv, nf):
 
 
 def write_off(path, vertices, faces):
-    vertices = np.asarray(vertices, dtype=float)
+    """Write an OFF mesh: coordinates with 17 significant digits, each face
+    as its vertex count and its integer vertex ids."""
+    rows = np.asarray(vertices, dtype=float).tolist()
+    body = "".join([f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in rows])
+    cycles = "".join([" ".join((str(len(cyc)), *map(str, map(int, cyc)))) + "\n"
+                      for cyc in faces])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"OFF\n{len(vertices)} {len(faces)} 0\n")
-        for v in vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for cyc in faces:
-            fh.write(" ".join([str(len(cyc))] + [str(int(i)) for i in cyc]) + "\n")
+        fh.write(f"OFF\n{len(rows)} {len(faces)} 0\n{body}{cycles}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .core import (
-    ConvexPolytope,
-    _intersect_about,
+    chebyshev_centre,
     closing_defect,
+    dual_hull,
+    edge_pass,
     half_edges,
-    polytope_from_support,
     unit_vectors,
 )
 from .errors import (
@@ -138,31 +138,21 @@ def discretize_curvature(sample: CurvatureSample):
 
 def area_map(normals, support_numbers):
     """Face areas of the halfspace intersection, in the input normal order."""
-    return polytope_from_support(normals, support_numbers).areas.copy()
+    n = unit_vectors(normals)
+    h = np.asarray(support_numbers, dtype=float)
+    return dual_hull(n, h, chebyshev_centre(n, h)).edges.areas
 
 
-def area_jacobian(poly: ConvexPolytope):
-    """d(area_i)/d(h_j) as a sparse CSR matrix: edge/sin for neighbours,
-    -sum edge*cot on the diagonal.
-
-    Every half-edge u -> w of a face cycle meets its twin w -> u in the
-    neighbouring face, so the face pairs and their edge lengths come from
-    the twins of ``core.half_edges``.
-    """
-    m = len(poly.faces)
+def area_jacobian(poly):
+    """d(area_i)/d(h_j) of a ConvexPolytope as a sparse CSR matrix:
+    edge/sin for neighbours, -sum edge*cot on the diagonal, from
+    ``core.edge_pass`` over its edges, each half-edge u -> w of a face
+    cycle taken once with its twin w -> u in the neighbouring face."""
     face, tail, head, twin = half_edges(poly.faces)
-    hit = twin >= 0
-    i, j, tail, head = face[hit], face[twin[hit]], tail[hit], head[hit]
-    sin = np.linalg.norm(np.cross(poly.normals[i], poly.normals[j]), axis=1)
-    keep = sin >= 1e-14
-    i, j, tail, head, sin = (x[keep] for x in (i, j, tail, head, sin))
-    ell = np.linalg.norm(poly.vertices[tail] - poly.vertices[head], axis=1)
-    cos = np.einsum("ij,ij->i", poly.normals[i], poly.normals[j])
-    return sparse.csr_matrix(
-        (np.concatenate([ell / sin, -ell * cos / sin]),
-         (np.concatenate([i, i]), np.concatenate([j, i]))),
-        shape=(m, m),
-    )
+    k = np.flatnonzero(twin > np.arange(len(twin)))
+    edges = edge_pass(poly.normals, poly.support_numbers, poly.vertices,
+                      face[k], face[twin[k]], tail[k], head[k])
+    return edges.jacobian().tocsr()
 
 
 def _pinned_step(jac, normals, rhs):
@@ -170,19 +160,28 @@ def _pinned_step(jac, normals, rhs):
 
     The kernel of jac is the translations x_i = <n_i, t>.  Fixing x = 0 at
     three faces with independent normals removes it, leaving a nonsingular
-    sparse system in the other m - 3 faces; projecting the translations out
-    of its solution gives the minimum-norm step.  When the pinned system
-    is singular, the step is not finite.
+    sparse system in the other m - 3 faces; its compressed columns are
+    sorted straight from jac's triplets (spsolve sums repeated entries).
+    Projecting the translations out of its solution gives the minimum-norm
+    step.  When the pinned system is singular, the step is not finite.
     """
     a = 0
-    b = int(np.argmax(np.linalg.norm(np.cross(normals, normals[a]), axis=1)))
+    b = int(np.argmin(np.abs(normals @ normals[a])))  # the most nearly orthogonal
     c = int(np.argmax(np.abs(normals @ np.cross(normals[a], normals[b]))))
     free = np.ones(len(normals), dtype=bool)
     free[[a, b, c]] = False
+    jac = jac.tocoo()
+    keep = free[jac.row] & free[jac.col]
+    at = np.cumsum(free) - 1  # index of each free face among the free ones
+    row, col = at[jac.row[keep]], at[jac.col[keep]]
+    order = np.lexsort((row, col))
+    k = len(normals) - 3
+    starts = np.searchsorted(col[order], np.arange(k + 1))
+    pinned = sparse.csc_matrix((jac.data[keep][order], row[order], starts), shape=(k, k))
     x = np.zeros(len(normals))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
-        x[free] = sparse_linalg.spsolve(jac[free][:, free].tocsc(), rhs[free])
+        x[free] = sparse_linalg.spsolve(pinned, rhs[free])
     return x - normals @ np.linalg.solve(normals.T @ normals, normals.T @ x)
 
 
@@ -201,53 +200,58 @@ def solve_minkowski(problem: MinkowskiProblem, tol=1e-9, max_iter=100,
     and MaxIterExceeded, carrying the last iterate and its residual, when
     the budget runs out or no step is accepted.
 
-    Residuals below ~1e-10 relative are not reachable: the halfspace
-    intersection quantises vertices at that scale.
+    Each iterate is one ``core.dual_hull``: its areas and sparse Jacobian
+    come from one pass over its edges, and the face cycles are ordered once,
+    for the returned polytope (or the one MaxIterExceeded carries).
+    Residuals below ~1e-10 relative are not reachable: qhull rounds the
+    vertices at that scale.
     """
     problem.validate()
     n = problem.normals
     target = problem.target_areas
     floor = 1e-14 * float(target.max())  # no accepted step takes a face below it
 
-    def residual(poly):
-        return float(np.max(np.abs(poly.areas - target) / target))
+    def residual(hull):
+        return float(np.max(np.abs(hull.edges.areas - target) / target))
+
+    def hull_at(h):
+        if h.min() > ORIGIN_MARGIN * np.abs(h).max():
+            # the origin is inside the body, at least min(h) from its faces
+            return dual_hull(n, h, np.zeros(3))
+        return dual_hull(n, h, chebyshev_centre(n, h))
 
     def evaluate(h, _):
         try:
-            if h.min() > ORIGIN_MARGIN * np.abs(h).max():
-                # the origin is inside the body, at least min(h) from its faces
-                poly = _intersect_about(n, h, np.zeros(3))
-            else:
-                poly = polytope_from_support(n, h)
+            hull = hull_at(h)
         except (EmptyBody, ValueError):
             return None
-        return poly, residual(poly)
+        return hull, residual(hull)
 
     def alive(h):
         got = evaluate(h, None)
-        if got and got[0].areas.min() > 1e-12 * got[0].areas.max():
+        if got and got[0].edges.areas.min() > 1e-12 * got[0].edges.areas.max():
             return got[0]
 
-    def step(h, poly, _):
-        return _pinned_step(area_jacobian(poly), n, target - poly.areas)
+    def step(h, hull, _):
+        return _pinned_step(hull.edges.jacobian(), n, target - hull.edges.areas)
 
     init = np.ones(len(n)) if init_support is None else np.asarray(init_support, float)
-    h, poly = newton.blend_start(np.full(len(n), float(np.abs(init).mean()) or 1.0),
+    h, hull = newton.blend_start(np.full(len(n), float(np.abs(init).mean()) or 1.0),
                                  init, alive)
-    poly = poly or polytope_from_support(n, h)
-    scale = np.sqrt(target.sum() / poly.areas.sum())
-    poly = poly.scaled(scale)
-    run = newton.damped_newton(h * scale, poly, residual(poly), step, evaluate, tol,
-                               max_iter, lambda poly: poly.areas.min() > floor)
-    poly, history = run.state, run.history
+    hull = hull or hull_at(h)
+    scale = np.sqrt(target.sum() / hull.edges.areas.sum())
+    hull = hull.scaled(scale)
+    run = newton.damped_newton(h * scale, hull, residual(hull), step, evaluate, tol,
+                               max_iter, lambda hull: hull.edges.areas.min() > floor)
+    hull, history = run.state, run.history
     if run.failure is not None:
-        raise MaxIterExceeded(run.failure, best=poly, residual=history[-1])
+        raise MaxIterExceeded(run.failure, best=hull.polytope(), residual=history[-1])
 
-    dead = np.flatnonzero(poly.areas < 1e-12 * target.max()).tolist()
+    dead = np.flatnonzero(hull.edges.areas < 1e-12 * target.max()).tolist()
     if dead:
         raise DegenerateFace(f"faces {dead} vanished at the optimum")
 
-    centred = poly.centered()
+    centred = hull.polytope().centered()
     if full_output:
         report = {
             "iterations": len(history),

@@ -231,6 +231,18 @@ def _plain(obj):
     return obj
 
 
+def write_off_by_line(path, vertices, faces):
+    """``io.write_off`` one ``write`` per line, each vertex formatted from
+    its numpy components: the writer it replaced."""
+    vertices = np.asarray(vertices, dtype=float)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"OFF\n{len(vertices)} {len(faces)} 0\n")
+        for v in vertices:
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for cyc in faces:
+            fh.write(" ".join([str(len(cyc))] + [str(int(i)) for i in cyc]) + "\n")
+
+
 def write_net(path, net):
     """Write ``net`` as the JSON that ``io.read_net`` reads."""
     data = {
@@ -681,6 +693,48 @@ def pair_scan_area_jacobian(poly):
             jac[i, i] -= ell * cos / sin
             jac[j, j] -= ell * cos / sin
     return jac
+
+
+def intersect_about(n, h, interior):
+    """The halfspace intersection of unit normals ``n`` and support numbers
+    ``h`` about a point strictly inside every halfspace, by scipy's
+    ``HalfspaceIntersection`` and ``core._face_cycles``: the Minkowski
+    solver's evaluation before ``core.dual_hull``."""
+    hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), interior)
+    assert (hsi.dual_equations[:, -1] < 0).all()
+    verts = hsi.intersections
+    sizes = np.fromiter(map(len, hsi.dual_facets), dtype=np.intp, count=len(verts))
+    face = np.fromiter(itertools.chain.from_iterable(hsi.dual_facets),
+                       dtype=np.intp, count=int(sizes.sum()))
+    faces, newell = core._face_cycles(verts, face,
+                                      np.repeat(np.arange(len(verts)), sizes), n)
+    return core.ConvexPolytope(
+        vertices=verts,
+        faces=faces,
+        normals=n,
+        areas=np.linalg.norm(newell, axis=1),
+        support_numbers=(verts @ n.T).max(axis=0),
+    )
+
+
+def half_edge_area_jacobian(poly):
+    """Sparse area Jacobian from the twins of ``core.half_edges``: every
+    half-edge u -> w of a face cycle meets its twin w -> u in the
+    neighbouring face, which gives the face pairs and their edge lengths."""
+    m = len(poly.faces)
+    face, tail, head, twin = core.half_edges(poly.faces)
+    hit = twin >= 0
+    i, j, tail, head = face[hit], face[twin[hit]], tail[hit], head[hit]
+    sin = np.linalg.norm(np.cross(poly.normals[i], poly.normals[j]), axis=1)
+    keep = sin >= 1e-14
+    i, j, tail, head, sin = (x[keep] for x in (i, j, tail, head, sin))
+    ell = np.linalg.norm(poly.vertices[tail] - poly.vertices[head], axis=1)
+    cos = np.einsum("ij,ij->i", poly.normals[i], poly.normals[j])
+    return sp.csr_matrix(
+        (np.concatenate([ell / sin, -ell * cos / sin]),
+         (np.concatenate([i, i]), np.concatenate([j, i]))),
+        shape=(m, m),
+    )
 
 
 def lil_flex_system(zxx, zyy, zxy, zb):

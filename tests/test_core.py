@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,16 @@ from oracles import (
     union_find_convex_hull,
 )
 from ovaloid import core, shapes
-from ovaloid.errors import DegenerateInput, DegenerateVertex, EmptyBody, UnboundedBody
+from ovaloid.errors import (
+    DegenerateInput,
+    DegenerateVertex,
+    EmptyBody,
+    InvalidPolytope,
+    MalformedGeometry,
+    NonPositiveScale,
+    OvaloidError,
+    UnboundedBody,
+)
 from ovaloid.minkowski_solver import ORIGIN_MARGIN
 
 
@@ -181,7 +192,7 @@ def test_intersect_about_origin_matches_lp_path():
         cases.append((src.normals, src.support_numbers))
     for n, h in cases:
         lp = core.polytope_from_support(n, h)
-        origin = core._intersect_about(n, h, np.zeros(3))
+        origin = core.dual_hull(n, h, np.zeros(3)).polytope()
         scale = np.abs(h).max()
         for poly in (lp, origin):
             for i, f in enumerate(poly.faces):
@@ -202,7 +213,7 @@ def test_intersect_about_rejects_unbounded_body():
     r = np.sqrt(1 - z**2)
     n = np.column_stack([r * np.cos(t), r * np.sin(t), z])
     with pytest.raises(UnboundedBody):
-        core._intersect_about(n, np.ones(8), np.zeros(3))
+        core.dual_hull(n, np.ones(8), np.zeros(3))
 
 
 def test_hull_support_roundtrip_reproduces_areas():
@@ -306,3 +317,33 @@ def test_validate_rejects_bad_polytope(cube):
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def _raises_named_value_error(error, fn, *args):
+    with pytest.raises(error) as err:
+        fn(*args)
+    assert isinstance(err.value, OvaloidError) and isinstance(err.value, ValueError)
+
+
+def test_malformed_arrays_raise_malformed_geometry(cube):
+    for points in (np.zeros((4, 2)), [[0.0, 0.0, np.nan]] * 4):
+        _raises_named_value_error(MalformedGeometry, core.as_points, points)
+    _raises_named_value_error(MalformedGeometry, core.unit_vectors, 2 * cube.normals)
+    _raises_named_value_error(MalformedGeometry, core.closing_defect,
+                              cube.normals, cube.areas[:5])
+    _raises_named_value_error(MalformedGeometry, core.polytope_from_support,
+                              cube.normals, cube.support_numbers[:5])
+
+
+def test_broken_boundary_complex_raises_invalid_polytope(cube):
+    outside = dataclasses.replace(cube, vertices=cube.vertices * 1.5)
+    open_fan = dataclasses.replace(cube, support_numbers=cube.support_numbers + 1.0)
+    _raises_named_value_error(InvalidPolytope, outside.validate)
+    _raises_named_value_error(InvalidPolytope, open_fan.validate)
+    _raises_named_value_error(InvalidPolytope, core.polytope_from_mesh,
+                              cube.vertices, list(cube.faces) + [(0, 1)])
+
+
+def test_non_positive_scale_is_named(cube):
+    for s in (0.0, -2.0):
+        _raises_named_value_error(NonPositiveScale, cube.scaled, s)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import canonical_json, sphere_partition, write_net
+from oracles import canonical_json, sphere_partition, write_net, write_off_by_line
 from ovaloid import core, io, shapes
 from ovaloid import ma_solver as ma
 from ovaloid import minkowski_solver as mk
@@ -31,6 +31,24 @@ def test_off_random_precision(tmp_path):
     io.write_off(path, poly.vertices, poly.faces)
     verts, _ = io.read_off(path)
     np.testing.assert_array_equal(verts, poly.vertices)  # 17 digits: lossless
+
+
+def test_off_bytes_match_the_line_by_line_writer(tmp_path):
+    # mixed polygon sizes, an empty cycle, numpy and Python vertex ids, and
+    # coordinates that format unusually: -0.0, 1e-300, integral floats
+    hull = shapes.random_hull(30, seed=2)
+    odd = np.array([[-0.0, 1e-300, 2.0], [3.0, -1e-300, -0.0], [1e300, 0.1, -7.0]])
+    cases = [
+        (hull.vertices, hull.faces),
+        (np.vstack([hull.vertices, odd]),
+         [hull.faces[0], np.array([0, 1, 2, 3]), (), [4, 5, 6, 7, 8, 9]]),
+        (odd.tolist(), core.fan_triangles([(0, 1, 2)])),
+    ]
+    for k, (verts, faces) in enumerate(cases):
+        fast, ref = tmp_path / f"fast{k}.off", tmp_path / f"ref{k}.off"
+        io.write_off(fast, verts, faces)
+        write_off_by_line(ref, verts, faces)
+        assert fast.read_bytes() == ref.read_bytes()
 
 
 def test_off_parse_errors(tmp_path):

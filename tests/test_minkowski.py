@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import support_cases
-from oracles import pair_scan_area_jacobian, sphere_partition
+from oracles import (
+    half_edge_area_jacobian,
+    intersect_about,
+    pair_scan_area_jacobian,
+    per_face_polytope_from_support,
+    sphere_partition,
+)
 from ovaloid import core, errors, shapes
 from ovaloid import minkowski_solver as mk
 from ovaloid.errors import MaxIterExceeded
@@ -129,6 +135,105 @@ def test_pinned_step_is_minimum_norm_least_squares(n_points):
     assert np.abs(n.T @ step).max() <= 1e-12 * np.abs(step).max()
 
 
+def _cube_and_corner_plane(reach):
+    """The cube's normals and support numbers, and a seventh plane with
+    normal (1, 1, 1)/sqrt(3) at ``reach`` times the cube's support there:
+    at 2 it misses the cube, at 1 it passes through one vertex."""
+    cube = shapes.cube()
+    corner = np.full((1, 3), 1 / np.sqrt(3))
+    touch = float((cube.vertices @ corner[0]).max())
+    return (np.vstack([cube.normals, corner]),
+            np.append(cube.support_numbers, reach * touch))
+
+
+def _edge_pass_cases():
+    """``support_cases()``, the octahedron at h = const (every vertex on 4
+    planes), the cube, and the cube with a plane that misses it or passes
+    through one vertex."""
+    cube = shapes.cube()
+    octahedron = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1)
+                           for sz in (-1, 1)], float) / np.sqrt(3)
+    return support_cases() + [(octahedron, np.ones(8)),
+                              (cube.normals, cube.support_numbers),
+                              _cube_and_corner_plane(2.0), _cube_and_corner_plane(1.0)]
+
+
+def test_edge_pass_matches_the_code_it_replaced():
+    # about the Chebyshev centre against the per-face areas and the pair
+    # scan; about the origin, where the solver intersects its iterates,
+    # against the HalfspaceIntersection evaluation and half-edge Jacobian
+    for n, h in _edge_pass_cases():
+        n = core.unit_vectors(n)
+        centre = core.chebyshev_centre(n, h)
+        fast = core.dual_hull(n, h, centre)
+        ref = per_face_polytope_from_support(n, h)
+        scale = ref.areas.max()
+        assert np.abs(fast.edges.areas - ref.areas).max() <= 1e-13 * scale
+        jac = pair_scan_area_jacobian(core.polytope_from_support(n, h))
+        assert np.abs(fast.edges.jacobian().toarray() - jac).max() \
+            <= 1e-13 * np.abs(jac).max()
+        assert np.abs(fast.polytope().areas - ref.areas).max() <= 1e-13 * scale
+        if h.min() > mk.ORIGIN_MARGIN * np.abs(h).max():
+            fast = core.dual_hull(n, h, np.zeros(3))
+            ref = intersect_about(n, h, np.zeros(3))
+            assert np.abs(fast.edges.areas - ref.areas).max() <= 1e-13 * scale
+            jac = half_edge_area_jacobian(ref).toarray()
+            assert np.abs(fast.edges.jacobian().toarray() - jac).max() \
+                <= 1e-13 * np.abs(jac).max()
+
+
+def test_edge_pass_on_planes_that_miss_or_touch_the_body():
+    for reach in (2.0, 1.0):
+        n, h = _cube_and_corner_plane(reach)
+        hull = core.dual_hull(core.unit_vectors(n), h, np.zeros(3))
+        np.testing.assert_allclose(hull.edges.areas[:6], 1.0, rtol=1e-13)
+        assert abs(hull.edges.areas[6]) <= 1e-13
+        jac = hull.edges.jacobian().toarray()
+        assert np.abs(jac[6]).max() <= 1e-13 * np.abs(jac).max()
+        poly = hull.polytope()
+        assert len(poly.vertices) == 8 and poly.faces[6] == ()
+
+
+def _count_calls(monkeypatch, module, name):
+    """The list that grows by one at each call of ``module.name``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_hull_per_evaluation_and_face_cycles_once(monkeypatch):
+    src = shapes.random_hull(52, seed=1).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    hulls = _count_calls(monkeypatch, core, "ConvexHull")
+    cycles = _count_calls(monkeypatch, core, "_face_cycles")
+    intersections = _count_calls(monkeypatch, core, "HalfspaceIntersection")
+    _, rep = mk.solve_minkowski(prob, tol=1e-9, full_output=True)
+    # the start, each accepted step and each rejected trial is one evaluation
+    assert len(hulls) == rep["iterations"] + rep["backtracks"]
+    assert len(cycles) == 1 and intersections == []
+
+
+@pytest.mark.parametrize("n_points, seed, iterations, backtracks", [
+    (20, 0, 6, 1), (52, 1, 8, 3), (200, 1, 8, 3), (800, 3, 11, 20),
+])
+def test_steps_match_the_halfspace_intersection_solver(n_points, seed, iterations,
+                                                       backtracks):
+    # iterations and rejected trials of the solver that evaluated each
+    # iterate by HalfspaceIntersection and face cycles (36 to 1596 faces)
+    src = shapes.random_hull(n_points, seed=seed).centered()
+    prob = mk.MinkowskiProblem(normals=src.normals, target_areas=src.areas)
+    body, rep = mk.solve_minkowski(prob, tol=1e-9, full_output=True)
+    assert (rep["iterations"], rep["backtracks"]) == (iterations, backtracks)
+    rel = np.abs(body.support_numbers - src.support_numbers) / src.support_numbers
+    assert rel.max() < 1e-6
+
+
 def test_discretize_curvature_unit_and_scaled():
     centers, areas = sphere_partition(200, seed=1)
     assert abs(areas.sum() - 4 * np.pi) < 1e-9
@@ -237,15 +342,7 @@ def test_backtracks_are_reported():
 
 def _count_lps(monkeypatch):
     """The list that grows by one at each call of ``core.linprog``."""
-    calls = []
-    linprog = core.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(core, "linprog", counted)
-    return calls
+    return _count_calls(monkeypatch, core, "linprog")
 
 
 def test_solve_intersects_about_the_origin(monkeypatch):
