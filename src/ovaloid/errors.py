@@ -146,6 +146,18 @@ class MalformedMAProblem(OvaloidError, ValueError):
     weight that is not positive."""
 
 
+class MalformedPLFunction(OvaloidError, ValueError):
+    """A PL convex function has not exactly one value per node."""
+
+
+class MalformedSchedule(OvaloidError, ValueError):
+    """Continuation parameters are fewer than 2 or not strictly increasing."""
+
+
+class NonPositiveDensity(OvaloidError, ValueError):
+    """A constant Monge-Ampere density is not positive."""
+
+
 class UnboundedCell(OvaloidError, ValueError):
     """A subgradient cell is unbounded and no clip window was given."""
 

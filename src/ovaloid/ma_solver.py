@@ -21,12 +21,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from . import newton, planar
@@ -36,8 +34,11 @@ from .errors import (
     Infeasible,
     IncomparableProblems,
     MalformedMAProblem,
+    MalformedPLFunction,
+    MalformedSchedule,
     MaxIterExceeded,
     MinStepReached,
+    NonPositiveDensity,
     NotEnvelopeVertex,
     UnboundedCell,
 )
@@ -67,7 +68,7 @@ class PLConvexFunction:
         self.values = np.asarray(self.values, dtype=float)
         self.domain = np.asarray(self.domain, dtype=float)
         if len(self.nodes) != len(self.values):
-            raise ValueError("one value per node required")
+            raise MalformedPLFunction("one value per node required")
 
 
 @dataclasses.dataclass
@@ -170,7 +171,7 @@ class HomotopySchedule:
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
         if len(self.ts) < 2 or (np.diff(self.ts) <= 0).any():
-            raise ValueError("ts must be strictly increasing with >= 2 points")
+            raise MalformedSchedule("ts must be strictly increasing with >= 2 points")
 
 
 @dataclasses.dataclass
@@ -671,9 +672,7 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
                 _theta_z_masses(nodes, vals, interior_idx, cells, theta, quad_now(res)),
                 format="csc",
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
-            return sparse_linalg.spsolve(jac, mu - m)
+        return newton.sparse_solve(jac, mu - m)
 
     start = _boundary_start_values(problem)
     init = start if init_values is None else np.asarray(init_values, dtype=float)
@@ -777,7 +776,7 @@ def liouville_probe(radii, f=1.0, spacing=0.25, bump_height=0.0,
     recovered values from their best-fit quadratic inside the fixed window.
     """
     if f <= 0:
-        raise ValueError("f must be a positive constant")
+        raise NonPositiveDensity("f must be a positive constant")
     rows = []
     for R in radii:
         R = float(R)

@@ -12,11 +12,9 @@ minimum-norm step, plus recentering.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from .core import (
     chebyshev_centre,
@@ -161,7 +159,7 @@ def _pinned_step(jac, normals, rhs):
     The kernel of jac is the translations x_i = <n_i, t>.  Fixing x = 0 at
     three faces with independent normals removes it, leaving a nonsingular
     sparse system in the other m - 3 faces; its compressed columns are
-    sorted straight from jac's triplets (spsolve sums repeated entries).
+    sorted straight from jac's triplets (SuperLU sums repeated entries).
     Projecting the translations out of its solution gives the minimum-norm
     step.  When the pinned system is singular, the step is not finite.
     """
@@ -179,9 +177,7 @@ def _pinned_step(jac, normals, rhs):
     starts = np.searchsorted(col[order], np.arange(k + 1))
     pinned = sparse.csc_matrix((jac.data[keep][order], row[order], starts), shape=(k, k))
     x = np.zeros(len(normals))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sparse_linalg.MatrixRankWarning)
-        x[free] = sparse_linalg.spsolve(pinned, rhs[free])
+    x[free] = newton.sparse_solve(pinned, rhs[free])
     return x - normals @ np.linalg.solve(normals.T @ normals, normals.T @ x)
 
 

@@ -1,7 +1,8 @@
 """The damped Newton loop that the Monge-Ampere and Minkowski solvers share.
 
 Each solver passes its Newton step, its evaluation and its admissibility
-test as callbacks; the step control and the repair of a start live here.
+test as callbacks; the step control and the repair of a start live here,
+and so does the sparse solve that their steps and the flex equation share.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 
 class NewtonRun(NamedTuple):
@@ -59,6 +61,23 @@ def damped_newton(x, state, residual, step, evaluate, tol, max_iter, admissible)
         steps += 1
         history.append(residual)
     return NewtonRun(x, state, history, steps, backtracks, failure)
+
+
+def sparse_solve(a, b):
+    """x with a @ x = b for a square CSC matrix a, from one SuperLU factor;
+    all NaN when SuperLU finds a exactly singular.
+
+    The matrices solved here are structurally symmetric: Laplacian-like
+    Newton Jacobians and the 9-point flex stencil.  Minimum degree on
+    A^T + A with one-column supernodes (``relax`` and ``panel_size`` 1)
+    fills in and runs less on them than the default COLAMD; minimum degree
+    with the default supernodes is several times slower than either.
+    """
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    except RuntimeError:  # exactly singular
+        return np.full(a.shape[0], np.nan)
+    return lu.solve(b)
 
 
 def blend_start(start, init, alive):

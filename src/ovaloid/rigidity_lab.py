@@ -18,10 +18,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh, onenormest, splu,
-                                 spsolve)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, onenormest, splu
 
-from . import core
+from . import core, newton
 from .errors import (DegenerateGeometry, MalformedGrid, MalformedSurface, NotStrictlyConvex,
                      OpenSurface, PrecisionWarning)
 
@@ -163,12 +162,18 @@ def _rigid_spectrum_tail(mat, q, tol):
     if onenormest(inverse, t=1) * abs(block).sum(axis=0).max() > MAX_BLOCK_COND:
         return None
 
-    def gram_inverse(y):
-        x = np.zeros(n)
-        x[free] = lu.solve(y)
-        x -= q @ (q.T @ x)
-        return lu.solve(x[free], trans="T")
+    q_free = np.ascontiguousarray(q[free])
 
+    def gram_inverse(y):
+        # [P^-1 y; 0] is zero on the pinned columns, so (I - qq^T) acts on
+        # the free ones through q's free rows alone
+        u = lu.solve(y)
+        return lu.solve(u - q_free @ (q_free.T @ u), trans="T")
+
+    # tol=0 (machine precision) is needed, not only safe: a looser tol lets
+    # ARPACK stop before it has found every copy of a multiple eigenvalue.
+    # On geodesic_sphere(2), whose singular values come in fives, tol=1e-8
+    # misses copies and the tail is off by 11 %.
     try:
         lam = eigsh(LinearOperator((n_edges, n_edges), matvec=gram_inverse, dtype=float),
                     k=6, tol=0, return_eigenvectors=False,  # a fixed start: same report
@@ -308,45 +313,48 @@ def solve_defo(z, h, zeta_boundary):
 
     mat, rhs = _flex_system(zxx, zyy, zxy, zb)
     zeta = zb.copy()
-    # the 9-point stencil is structurally symmetric: order by minimum degree
-    # on A^T + A, which fills in less than the default COLAMD here
-    zeta[1:-1, 1:-1] = spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A").reshape(ny - 2, nx - 2)
+    zeta[1:-1, 1:-1] = newton.sparse_solve(mat, rhs).reshape(ny - 2, nx - 2)
     return GridPatch(h=h, z=z, zeta=zeta)
 
 
 def _flex_system(zxx, zyy, zxy, zb):
-    """Sparse matrix and right-hand side of the flex equation at interior
-    nodes, times h^2, with the Dirichlet ring of ``zb`` moved to the right.
+    """Sparse CSC matrix and right-hand side of the flex equation at
+    interior nodes, times h^2, with the Dirichlet ring of ``zb`` moved to
+    the right.
 
     zeta_xx ~ E - 2C + W, zeta_yy ~ N - 2C + S and
     zeta_xy ~ (NE - NW - SE + SW) / 4, each weighted by the node's own
-    coefficient; one COO block per stencil offset.
+    coefficient.  Column j holds, for each of the nine stencil offsets d,
+    the coefficient of offset d at the node j - d, in ascending row order;
+    a coefficient read off the grid (zero-padded on the ring) or equal to 0
+    is left out.
     """
     ny, nx = zb.shape
     nun = (ny - 2) * (nx - 2)
-    index = np.full((ny, nx), -1)
-    index[1:-1, 1:-1] = np.arange(nun).reshape(ny - 2, nx - 2)
     a, b, g = zyy, zxx, zxy  # multiply zeta_xx, zeta_yy, zeta_xy
-    rows, cols, vals = [], [], []
-    rhs = np.zeros_like(a)
-    for dr, dc, coef in (
+    stencil = (
         (0, 0, -2.0 * a - 2.0 * b),
         (0, 1, a), (0, -1, a), (1, 0, b), (-1, 0, b),
         (1, 1, -0.5 * g), (-1, -1, -0.5 * g), (1, -1, 0.5 * g), (-1, 1, 0.5 * g),
-    ):
-        near = (slice(1 + dr, ny - 1 + dr), slice(1 + dc, nx - 1 + dc))
-        col = index[near]
-        inside = col >= 0
-        rows.append(index[1:-1, 1:-1][inside])
-        cols.append(col[inside])
-        vals.append(coef[inside])
-        rhs -= np.where(inside, 0.0, coef * zb[near])
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nun, nun),
     )
-    mat.eliminate_zeros()
-    return mat, rhs.ravel()
+    rhs = np.zeros_like(a)
+    inside = np.zeros((ny, nx), dtype=bool)
+    inside[1:-1, 1:-1] = True
+    for dr, dc, coef in stencil[1:]:  # the centre is never on the ring
+        near = (slice(1 + dr, ny - 1 + dr), slice(1 + dc, nx - 1 + dc))
+        rhs -= np.where(inside[near], 0.0, coef * zb[near])
+    padded = np.zeros((ny, nx))
+    vals = np.empty((nun, 9))
+    shift = np.empty(9, dtype=np.int32)
+    for k, (dr, dc, coef) in enumerate(sorted(stencil, key=lambda s: s[:2], reverse=True)):
+        padded[1:-1, 1:-1] = coef
+        vals[:, k] = padded[1 - dr:ny - 1 - dr, 1 - dc:nx - 1 - dc].ravel()
+        shift[k] = dr * (nx - 2) + dc
+    keep = vals != 0
+    indptr = np.zeros(nun + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    rows = (np.arange(nun, dtype=np.int32)[:, None] - shift)[keep]
+    return sp.csc_matrix((vals[keep], rows, indptr), shape=(nun, nun)), rhs.ravel()
 
 
 @dataclasses.dataclass

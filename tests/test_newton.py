@@ -1,9 +1,15 @@
-"""The shared damped Newton loop on a toy system: componentwise x**3 = c."""
+"""The shared damped Newton loop on a toy system (componentwise x**3 = c),
+and the sparse solve that the Newton steps and the flex equation share."""
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from ovaloid import newton
+from ovaloid import core, newton, shapes
+from ovaloid import ma_solver as ma
+from ovaloid import minkowski_solver as mk
+from test_ma_solver import random_forward_instance
 
 C = np.array([1.0, 2.0])
 
@@ -134,3 +140,51 @@ def test_blend_start_halves_toward_the_start():
     seen.clear()
     x, state = newton.blend_start(start, np.array([8.0, 0.0]), lambda x: None)
     assert x is start and state is None
+
+
+# ---------------------------------------------------------------------------
+# the sparse solve, checked against scipy's spsolve (COLAMD) that it replaced
+
+
+def _assert_matches_spsolve(a, b):
+    want = spsolve(a, b)
+    got = newton.sparse_solve(a, b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sparse_solve_matches_spsolve_on_ma_jacobian():
+    problem, values = random_forward_instance(0, n_side=48, extent=48.0)
+    nodes = problem.all_nodes()
+    vals = np.concatenate([values, problem.boundary_values])
+    idx = np.arange(len(values))
+    assert len(idx) == 2209
+    cells = ma._cells(nodes, vals, idx, None, check_nodes=False)
+    jac = ma._mass_jacobian(nodes, vals, idx, cells, None)
+    _assert_matches_spsolve(jac, np.random.default_rng(1).standard_normal(len(idx)))
+
+
+def test_sparse_solve_matches_spsolve_on_pinned_minkowski_jacobian(monkeypatch):
+    poly = shapes.random_hull(200, seed=1)
+    n = poly.normals
+    edges = core.dual_hull(n, poly.support_numbers, np.zeros(3)).edges
+    seen, solve = [], newton.sparse_solve
+
+    def capture(a, b):  # SuperLU sums the duplicates of a in place
+        seen.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(newton, "sparse_solve", capture)
+    rhs = np.random.default_rng(2).standard_normal(len(n))
+    mk._pinned_step(edges.jacobian(), n, rhs)
+    (pinned, b), = seen
+    assert pinned.shape == (len(n) - 3, len(n) - 3)
+    _assert_matches_spsolve(pinned, b)
+
+
+@pytest.mark.parametrize("dense", [
+    np.zeros((5, 5)),
+    np.where(np.arange(5) == 2, 0.0, np.eye(5) * 4.0 + 1.0),  # column 2 empty
+], ids=["zero", "empty-column"])
+def test_sparse_solve_of_singular_matrix_is_not_finite(dense):
+    x = newton.sparse_solve(sparse.csc_matrix(dense), np.ones(5))
+    assert x.shape == (5,) and not np.isfinite(x).any()
