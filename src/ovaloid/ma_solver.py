@@ -5,7 +5,9 @@ over a convex domain.  The measure it carries at a node is the area of the
 subgradient cell {p : p . (B_k - B_i) <= v_k - v_i for all k}, optionally
 weighted by a positive density theta(p, z, x).  The cells are the dual of
 the lower hull of the lifted nodes: every cell of an evaluation is read off
-one sort of that hull's (node, facet) incidences.
+one sort of that hull's (node, facet) incidences.  Within a solve, the hull
+of the last evaluation is kept for as long as it stays locally convex under
+the new values.
 
 Matching prescribed node masses is the inverse problem solved here, by the
 damped Newton loop of ``newton`` (Kitagawa-Merigot-Thibert) from a strictly
@@ -245,27 +247,60 @@ def lower_envelope_evaluator(nodes, values):
     return evaluate
 
 
+def _next_in_cell(owner, n):
+    """Index of the entry after each entry of a flat layout sorted by
+    ``owner`` (n owners), cyclically within its owner."""
+    b = np.searchsorted(owner, np.arange(n + 1))
+    lo, hi = b[owner], b[owner + 1]
+    return lo + (np.arange(len(owner)) + 1 - lo) % (hi - lo)
+
+
+class _Topology(NamedTuple):
+    """The combinatorics of one lower hull, for the cells of nodes ``which``.
+
+    ``facets`` (F, 3) are oriented CCW in x.  The incidences of the wanted
+    nodes run in fan order, node after node and CCW about each: the
+    ``facet``, the ``owner`` (the node's position in ``which``) and the
+    vertices ``after`` and ``before`` the node in that facet; ``fan_open``
+    marks the wanted nodes whose fan is open.  Each interior edge appears
+    once in ``edge_quad``, as the three vertices of one facet holding it and
+    the node across it in the other facet; the row of ``edge_weights`` dots
+    the four nodes' values into the height of that node over the plane of
+    the facet.  ``unused`` lists the nodes that no facet uses.
+    """
+
+    facets: np.ndarray
+    facet: np.ndarray
+    owner: np.ndarray
+    after: np.ndarray
+    before: np.ndarray
+    fan_open: np.ndarray
+    edge_quad: np.ndarray
+    edge_weights: np.ndarray
+    unused: np.ndarray
+
+
 class _Cells(NamedTuple):
     """Subgradient cells of n nodes in one flat layout, cell after cell.
 
     ``owner`` is k at every vertex of the cell of the k-th node asked for,
     whose vertices run CCW, and ``label`` the node carving the edge from
     the vertex to the next one of its cell (-1 on a window edge).
+    ``topology`` is the lower hull that ``_cells`` read the cells from.
     """
 
     verts: np.ndarray
     owner: np.ndarray
     label: np.ndarray
     n: int
+    topology: _Topology | None = None
 
     def bounds(self):
         return np.searchsorted(self.owner, np.arange(self.n + 1))
 
     def next_vertex(self):
         """Index of the vertex after each vertex in its own cell."""
-        b = self.bounds()
-        lo, hi = b[self.owner], b[self.owner + 1]
-        return lo + (np.arange(len(self.owner)) + 1 - lo) % (hi - lo)
+        return _next_in_cell(self.owner, self.n)
 
     def cell(self, k):
         """(vertices, edge labels) of cell k, None labelling window edges."""
@@ -291,18 +326,106 @@ class _Cells(NamedTuple):
         label = np.where(inside, cut[self.owner], self.label)
         return _Cells(np.stack([self.verts, x], axis=1).reshape(-1, 2)[keep],
                       np.repeat(self.owner, 2)[keep],
-                      np.column_stack([self.label, label]).ravel()[keep], self.n)
+                      np.column_stack([self.label, label]).ravel()[keep], self.n,
+                      self.topology)
 
 
-def _cells(nodes, values, which, clip=None, check_nodes=True):
+def _topology(nodes, facets, which):
+    """The ``_Topology`` of lower-hull ``facets`` for the cells of ``which``.
+
+    With the facets oriented CCW in x, one sort of the (node, facet)
+    incidences by node and by the angle of the facet centroid about the
+    node lists each node's fan of facets in CCW order.  The interior edges
+    are paired by one sort of the packed (smaller, larger) end keys of the
+    facets' sides, which needs no orientation, and each pair's node across
+    the edge is given its barycentric coordinates in the facet.
+    """
+    n, size = len(which), len(nodes)
+    edge = nodes[facets[:, 1:]] - nodes[facets[:, :1]]
+    cw = edge[:, 0, 0] * edge[:, 1, 1] < edge[:, 0, 1] * edge[:, 1, 0]
+    facets = np.where(cw[:, None], facets[:, [0, 2, 1]], facets)
+    # the corners of the facets, facet after facet, and the vertices after
+    # and before each corner in its facet
+    corner = facets.ravel()
+    after, before = facets[:, [1, 2, 0]].ravel(), facets[:, [2, 0, 1]].ravel()
+    # incidences of the wanted nodes, by node and CCW about it: the
+    # direction from the node to the facet's centroid, times 3
+    pos = np.full(size, -1)
+    pos[which] = np.arange(n)
+    at = np.flatnonzero(pos[corner] >= 0)
+    node = corner[at]
+    d = nodes[after[at]] + nodes[before[at]] - 2.0 * nodes[node]
+    order = at[np.lexsort((np.arctan2(d[:, 1], d[:, 0]), pos[node]))]
+    owner = pos[corner[order]]
+    # a fan is closed when each facet shares an edge with the next one
+    fan_open = np.bincount(
+        owner, before[order] != after[order][_next_in_cell(owner, n)], n) > 0
+    # corner k starts the side to after[k], across from before[k]; the
+    # packed keys are intp, as size**2 outgrows qhull's int32 indices
+    key = np.minimum(corner, after) * np.intp(size) + np.maximum(corner, after)
+    side = np.argsort(key, kind="stable")
+    twin = np.flatnonzero(key[side[1:]] == key[side[:-1]])
+    quad = np.column_stack([facets[side[twin] // 3], before[side[twin + 1]]])
+    # the facet's plane at the fourth node is its vertices' values weighted
+    # by the node's barycentric coordinates (1 - l1 - l2, l1, l2)
+    p = nodes[quad]
+    ab, ac, aw = (p[:, k] - p[:, 0] for k in (1, 2, 3))
+    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    l1 = (aw[:, 0] * ac[:, 1] - aw[:, 1] * ac[:, 0]) / det
+    l2 = (ab[:, 0] * aw[:, 1] - ab[:, 1] * aw[:, 0]) / det
+    weights = np.column_stack([l1 + l2 - 1.0, -l1, -l2, np.ones(len(quad))])
+    return _Topology(facets, order // 3, owner, after[order], before[order],
+                     fan_open, quad, weights,
+                     np.flatnonzero(np.bincount(corner, minlength=size) == 0))
+
+
+def _still_lower(nodes, values, topology):
+    """Planes (s1, s2, t) of the facets of ``topology`` under ``values``,
+    or None unless those facets are still the lower hull.
+
+    The lifted facets are the lower hull when the surface they make is
+    strictly convex across every interior edge (the node across the edge
+    lies above the plane of the facet on this side: Lawson's criterion for
+    regular triangulations) and no node that no facet uses lies below the
+    surface, the largest facet plane at its position, by more than 1e-12
+    of the largest |value|.  Across a pair of coplanar facets the gap is 0
+    up to rounding, which rebuilds the hull whenever it comes out <= 0.
+    Each plane z = s . x + t comes from its facet's three lifted vertices.
+    """
+    gap = np.einsum("ij,ij->i", topology.edge_weights, values[topology.edge_quad])
+    if not (gap > 0.0).all():
+        return None
+    f = topology.facets
+    a, b, c = (nodes[f[:, k]] for k in range(3))
+    ab, ac = b - a, c - a
+    za = values[f[:, 0]]
+    db, dc = values[f[:, 1]] - za, values[f[:, 2]] - za
+    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    s = np.column_stack([db * ac[:, 1] - dc * ab[:, 1],
+                         dc * ab[:, 0] - db * ac[:, 0]]) / det[:, None]
+    t = za - np.einsum("ij,ij->i", s, a)
+    tol = 1e-12 * np.abs(values).max()
+    # a few unused nodes at a time against every plane, in bounded memory
+    step = max(1, (1 << 18) // len(f))
+    for lo in range(0, len(topology.unused), step):
+        k = topology.unused[lo:lo + step]
+        if (values[k] < (nodes[k] @ s.T + t).max(axis=1) - tol).any():
+            return None
+    return np.column_stack([s, t])
+
+
+def _cells(nodes, values, which, clip=None, check_nodes=True, reuse=None):
     """Subgradient cells of the nodes ``which``, as one ``_Cells`` layout.
 
-    The cells are the dual of the lower hull of the lifted nodes.  With its
-    facets oriented CCW in x, one sort of the (node, facet) incidences by
-    node and by the angle of the facet centroid about the node lists each
-    node's fan of facets in CCW order: their slopes are the cell's vertices,
-    and the edge between two consecutive ones is carved by the node the two
-    facets share besides it.  A node off the lower hull has an empty cell.
+    The cells are the dual of the lower hull of the lifted nodes, read off
+    its ``_Topology``: the slopes of a node's fan of facets, in CCW order,
+    are its cell's vertices, and the edge between two consecutive ones is
+    carved by the node the two facets share besides it.  A node off the
+    lower hull has an empty cell.  ``reuse`` is the topology of an earlier
+    call on the same nodes and ``which``; while ``_still_lower`` certifies
+    that it is still the lower hull under ``values``, no hull is built and
+    the planes come from the facets' vertices.  The returned layout carries
+    the topology it was read from.
 
     A node on the boundary of the nodes' hull has an open fan and an
     unbounded cell.  Without a ``clip`` window (a convex polygon) that
@@ -320,22 +443,14 @@ def _cells(nodes, values, which, clip=None, check_nodes=True):
     n, size = len(which), len(nodes)
     if check_nodes and len(np.unique(nodes, axis=0)) < size:
         raise DuplicateNodes("two nodes share a position")
-    facets, planes = _lower_hull(nodes, values)
-    a, b, c = (nodes[facets[:, k]] for k in range(3))
-    cw = (b - a)[:, 0] * (c - a)[:, 1] < (b - a)[:, 1] * (c - a)[:, 0]
-    facets = np.where(cw[:, None], facets[:, [0, 2, 1]], facets)
-    # incidences of the wanted nodes, each with the vertices after and
-    # before the node in its facet
-    pos = np.full(size, -1)
-    pos[which] = np.arange(n)
-    facet, j = np.divmod(np.flatnonzero(pos[facets.ravel()] >= 0), 3)
-    node, after, before = (facets[facet, (j + s) % 3] for s in range(3))
-    d = nodes[facets[facet]].mean(axis=1) - nodes[node]
-    order = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), pos[node]))
-    owner, after, before = pos[node][order], after[order], before[order]
-    cells = _Cells(planes[facet[order], :2], owner, before, n)
-    # a fan is closed when each facet shares an edge with the next one
-    fan_open = np.bincount(owner, before != after[cells.next_vertex()], n) > 0
+    topology = reuse
+    planes = None if reuse is None else _still_lower(nodes, values, reuse)
+    if planes is None:
+        facets, planes = _lower_hull(nodes, values)
+        topology = _topology(nodes, facets, which)
+    owner, after, before = topology.owner, topology.after, topology.before
+    cells = _Cells(planes[topology.facet, :2], owner, before, n, topology)
+    fan_open = topology.fan_open
     if clip is None:
         if fan_open.any():
             raise UnboundedCell(f"the cell of node {which[fan_open.argmax()]} "
@@ -366,7 +481,7 @@ def _cells(nodes, values, which, clip=None, check_nodes=True):
     verts = np.concatenate([cells.verts[kept], np.tile(window, (len(k), 1))])
     label = np.concatenate([before[kept], np.full(len(k) * len(window), -1)])
     order = np.argsort(owner, kind="stable")
-    cells = _Cells(verts[order], owner[order], label[order], n)
+    cells = _Cells(verts[order], owner[order], label[order], n, topology)
     rank = np.arange(len(cell)) - np.searchsorted(cell, cell)
     for s in np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1]):
         normal, offset, cut = np.zeros((n, 2)), np.zeros(n), np.zeros(n, np.intp)
@@ -601,10 +716,13 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
     and the Jacobian comes from the cells of the last accepted evaluation.
     A z-dependent weight is taken at the node's own value, so its Jacobian
     adds each cell's integral of d theta / dz to the diagonal; under
-    theta_z <= 0 that only makes the diagonal more negative.  solve_info
-    records the residual after the start and after each accepted step, the
-    accepted steps as ``newton_iters`` (and as ``sweeps``) and the rejected
-    trials as ``backtracks``.
+    theta_z <= 0 that only makes the diagonal more negative.  Each
+    evaluation passes the lower hull of the one before to ``_cells``, which
+    builds a new hull only when that one is no longer locally convex under
+    the new values.  solve_info records the residual after the start and
+    after each accepted step, the accepted steps as ``newton_iters`` (and
+    as ``sweeps``), the rejected trials as ``backtracks`` and the lower
+    hulls built as ``hull_builds``.
 
     Raises Infeasible when the targets exceed the attainable mass, and
     MaxIterExceeded, carrying the current iterate with ``converged`` False,
@@ -651,12 +769,19 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
         # inexact Newton: quadrature only needs to outpace the residual
         return float(np.clip(0.02 * res, quad_tol, 1e-6))
 
+    # the lower hull of the last evaluation, and the number of hulls built
+    hull, builds = None, 0
+
     def evaluate(x, res):
         # masses and the cells they came from, for the next Jacobian
+        nonlocal hull, builds
         vals = full(x)
         refresh_window(vals)
         # the nodes never move, and validate has found them distinct
-        cells = _cells(nodes, vals, interior_idx, window, check_nodes=False)
+        cells = _cells(nodes, vals, interior_idx, window, check_nodes=False,
+                       reuse=hull)
+        builds += cells.topology is not hull
+        hull = cells.topology
         m = _cell_masses(nodes, vals, interior_idx, cells, theta, quad_now(res))
         return (m, cells), float(np.max(np.abs(m - mu) / mu))
 
@@ -686,6 +811,7 @@ def solve_ma(problem: MAProblem, tol=1e-10, max_iter=400, init_values=None):
         solve_info={
             "residual_history": run.history, "sweeps": run.steps,
             "newton_iters": run.steps, "backtracks": run.backtracks,
+            "hull_builds": builds,
             "final_residual": run.history[-1], "converged": run.failure is None,
         },
     )

@@ -510,3 +510,157 @@ def test_backtracks_count_rejected_trials(monkeypatch):
     assert info["backtracks"] > 0
     # one evaluation of the start, then one per accepted or rejected trial
     assert len(calls) == 1 + info["newton_iters"] + info["backtracks"]
+
+
+# ---------------------------------------------------------------------------
+# the lower hull carried from one evaluation to the next
+
+
+def _zero_boundary_weighted_grid(n_side):
+    """A weighted grid with zero boundary data and uneven masses.  The
+    lifted nodes of each side are collinear, so no lower-hull facet uses
+    the middle ones."""
+    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    problem = grid_problem(
+        n_side, 3.0, mass_fn=lambda x: 1.0 + 0.5 * np.sin(x[:, 0] + 2.0 * x[:, 1]),
+        theta=theta, mass_bound=np.pi)
+    problem.masses *= 0.5 * np.pi / problem.masses.sum()
+    return problem
+
+
+def _lifted(problem, interior_values):
+    return problem.all_nodes(), np.concatenate([interior_values,
+                                                problem.boundary_values])
+
+
+def _gaps(nodes, values, topology):
+    """Height of the node across each interior edge over the plane through
+    the lifted vertices of the facet on this side, by a 3 x 3 solve."""
+    quad = topology.edge_quad
+    lift = np.concatenate([nodes[quad], np.ones(quad.shape + (1,))], axis=2)
+    planes = np.linalg.solve(lift[:, :3], values[quad[:, :3], None])[..., 0]
+    return values[quad[:, 3]] - np.einsum("ij,ij->i", lift[:, 3], planes)
+
+
+def test_solve_info_counts_hull_builds():
+    problem, _ = random_forward_instance(0, n_side=48, extent=48.0)
+    info = ma.solve_ma(problem, tol=1e-10).solve_info
+    evaluations = 1 + info["newton_iters"] + info["backtracks"]
+    assert 1 <= info["hull_builds"] < evaluations, info
+
+
+@pytest.mark.parametrize("case", ["forward0", "forward1", "forward2", "forward2209",
+                                  "zero-boundary"])
+def test_reused_hull_gives_the_cells_of_a_fresh_one(monkeypatch, case):
+    if case == "zero-boundary":
+        problem = _zero_boundary_weighted_grid(6)
+    elif case == "forward2209":
+        problem, _ = random_forward_instance(0, n_side=48, extent=48.0)
+    else:
+        problem, _ = random_forward_instance(int(case[-1]))
+    cells = ma._cells
+    reused = []
+
+    def checked(nodes, values, which, clip=None, check_nodes=True, reuse=None):
+        got = cells(nodes, values, which, clip, check_nodes, reuse)
+        if reuse is not None and got.topology is reuse:
+            fresh = cells(nodes, values, which, clip, check_nodes)
+            assert np.array_equal(got.owner, fresh.owner)
+            assert np.array_equal(got.label, fresh.label)
+            err = np.abs(got.verts - fresh.verts).max()
+            assert err <= 1e-12 * np.abs(fresh.verts).max()
+            reused.append(len(reuse.unused))
+        return got
+
+    monkeypatch.setattr(ma, "_cells", checked)
+    info = ma.solve_ma(problem, tol=1e-10).solve_info
+    assert info["final_residual"] <= 1e-10
+    evaluations = 1 + info["newton_iters"] + info["backtracks"]
+    assert reused and info["hull_builds"] + len(reused) == evaluations
+    if case == "zero-boundary":
+        # the certificate held with the middle boundary nodes on the surface
+        assert min(reused) == 4 * (6 - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_refuses_a_flipped_quad(seed):
+    problem, v_int = random_forward_instance(seed)
+    nodes, values = _lifted(problem, v_int)
+    which = np.arange(len(v_int))
+    hull = ma._cells(nodes, values, which).topology
+    gaps = _gaps(nodes, values, hull)
+    k = int(np.argmin(gaps))
+    w = hull.edge_quad[k, 3]
+    below = values.copy()
+    below[w] -= 0.99 * gaps[k]
+    assert ma._still_lower(nodes, below, hull) is not None
+    flipped = values.copy()
+    flipped[w] -= 1.5 * gaps[k]
+    assert ma._still_lower(nodes, flipped, hull) is None
+    got = ma._cells(nodes, flipped, which, reuse=hull)
+    assert got.topology is not hull
+    # the fresh hull has the other diagonal of that one quad
+    old = {tuple(sorted(f)) for f in hull.facets}
+    new = {tuple(sorted(f)) for f in got.topology.facets}
+    assert len(old - new) == len(new - old) == 2
+
+
+def test_certificate_refuses_an_unused_node_below_the_surface():
+    problem = _zero_boundary_weighted_grid(6)
+    nodes, values = problem.all_nodes(), ma.solve_ma(problem, tol=1e-10).values
+    which = np.arange(len(problem.interior_nodes))
+    hull = ma._cells(nodes, values, which, problem.domain).topology
+    assert len(hull.unused) == 4 * (6 - 1)
+    assert ma._still_lower(nodes, values, hull) is not None
+    lowered = values.copy()
+    lowered[hull.unused[0]] -= 1e-9
+    assert ma._still_lower(nodes, lowered, hull) is None
+    got = ma._cells(nodes, lowered, which, problem.domain, reuse=hull)
+    assert hull.unused[0] not in got.topology.unused
+
+
+def test_certificate_refuses_an_interior_node_above_the_surface():
+    problem, v_int = random_forward_instance(5)
+    nodes, values = _lifted(problem, v_int)
+    which = np.arange(len(v_int))
+    hull = ma._cells(nodes, values, which).topology
+    raised = values.copy()
+    raised[7] += np.ptp(values)
+    assert ma._still_lower(nodes, raised, hull) is None
+    got = ma._cells(nodes, raised, which, reuse=hull)
+    assert 7 in got.topology.unused
+    assert len(got.cell(7)[0]) == 0
+
+
+def _hull_cases():
+    problem, v_int = random_forward_instance(3)
+    yield pytest.param(*_lifted(problem, v_int), id="forward")
+    # coplanar lifted quads, and unused middle boundary nodes
+    problem = _zero_boundary_weighted_grid(6)
+    yield pytest.param(*_lifted(problem, ma._boundary_start_values(problem)),
+                       id="zero-boundary")
+    rng = np.random.default_rng(4)
+    nodes = rng.uniform(-1.0, 1.0, (80, 2))
+    yield pytest.param(nodes, np.sum(nodes**2, axis=1) + rng.normal(0, 0.05, 80),
+                       id="scattered")
+
+
+@pytest.mark.parametrize("nodes, values", _hull_cases())
+def test_interior_edges_are_all_paired(nodes, values):
+    facets, _ = ma._lower_hull(nodes, values)
+    # qhull's simplices come in either orientation; flip some more
+    flip = np.random.default_rng(0).random(len(facets)) < 0.5
+    facets = np.where(flip[:, None], facets[:, ::-1], facets)
+    hull = ma._topology(nodes, facets, np.arange(len(nodes)))
+    # Euler on a triangulated disk: h = 2 V - F - 2 boundary edges
+    n_facets, used = len(facets), len(nodes) - len(hull.unused)
+    boundary = 2 * used - n_facets - 2
+    assert len(hull.edge_quad) == (3 * n_facets - boundary) // 2
+    # each row is a facet and the fourth vertex of a facet across a side
+    known = {tuple(sorted(f)) for f in facets}
+    for *f, w in hull.edge_quad:
+        assert tuple(sorted(f)) in known and w not in f
+        assert any(tuple(sorted(set(f) - {x} | {w})) in known for x in f)
+    # and the certificate's weights give the heights of a plane solve
+    gaps = np.einsum("ij,ij->i", hull.edge_weights, values[hull.edge_quad])
+    assert np.abs(gaps - _gaps(nodes, values, hull)).max() <= 1e-12
