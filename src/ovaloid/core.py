@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateInput,
@@ -251,30 +251,16 @@ def convex_hull(points, tol=DEFAULT_TOL, merge_tol=1e-7):
 
 
 def polytope_from_support(normals, support_numbers, tol=DEFAULT_TOL):
-    """Bounded intersection of halfspaces {x : <x, n_i> <= h_i} as a polytope.
+    """Bounded intersection of halfspaces {x : <x, n_i> <= h_i} as a polytope:
+    ``dual_hull`` about the Chebyshev centre, its vertices in lexicographic
+    coordinate order.
 
     Faces are returned in the order of the input normals; a face whose plane
     does not touch the body is kept with area 0 and an empty vertex cycle.
     """
     n = unit_vectors(normals)
     h = np.asarray(support_numbers, dtype=float)
-    centre = chebyshev_centre(n, h, tol)
-    hsi = HalfspaceIntersection(np.hstack([n, -h[:, None]]), centre)
-    if not (hsi.dual_equations[:, -1] < 0).all():
-        raise UnboundedBody("normals do not positively span space")
-    verts = hsi.intersections
-    # dual_facets[k] lists the halfspaces meeting at vertex k
-    sizes = np.fromiter(map(len, hsi.dual_facets), dtype=np.intp, count=len(verts))
-    face = np.fromiter(itertools.chain.from_iterable(hsi.dual_facets),
-                       dtype=np.intp, count=int(sizes.sum()))
-    faces, newell = _face_cycles(verts, face, np.repeat(np.arange(len(verts)), sizes), n)
-    return ConvexPolytope(
-        vertices=verts,
-        faces=faces,
-        normals=n,
-        areas=np.linalg.norm(newell, axis=1),
-        support_numbers=(verts @ n.T).max(axis=0),
-    )
+    return dual_hull(n, h, chebyshev_centre(n, h, tol)).polytope()
 
 
 def chebyshev_centre(n, h, tol=DEFAULT_TOL):
@@ -433,8 +419,9 @@ def dual_hull(n, h, interior):
     Raises UnboundedBody when the halfspaces leave the body unbounded: the
     dual hull then fails to enclose the origin.
     """
-    # h_i - <n_i, c> summed in qhull's order, so that the vertices are
-    # bitwise those of scipy's HalfspaceIntersection about c
+    # h_i - <n_i, c> summed in the order of qhull's own halfspace
+    # intersection (option H), so that the vertices are bitwise the ones it
+    # gives about c
     c = interior
     dist = h - n[:, 0] * c[0] - n[:, 1] * c[1] - n[:, 2] * c[2]
     hull = ConvexHull(n / dist[:, None], qhull_options="Qt")

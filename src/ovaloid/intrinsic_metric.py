@@ -29,7 +29,6 @@ from .errors import (
     NonConvexPolygon,
     PointOutsidePolygon,
     SearchBudgetExceeded,
-    TooFewSamples,
     TriangleInequalityViolated,
 )
 
@@ -676,64 +675,6 @@ def comparison_angle(x, y, d, tol=1e-12):
         )
     c = (x * x + y * y - d * d) / (2.0 * x * y)
     return float(np.arccos(min(1.0, max(-1.0, c))))
-
-
-@dataclasses.dataclass
-class ScanReport:
-    xs: np.ndarray
-    ys: np.ndarray
-    ds: np.ndarray
-    alphas: np.ndarray
-    violations: list          # (k, increase) where alpha[k+1] > alpha[k] + tol
-    angle_estimate: float     # alpha at the smallest sampled scale
-    samples: int
-
-    def as_dict(self):
-        return {
-            "xs": self.xs.tolist(),
-            "ys": self.ys.tolist(),
-            "ds": self.ds.tolist(),
-            "alphas": self.alphas.tolist(),
-            "violations": [(int(k), float(v)) for k, v in self.violations],
-            "angle_estimate": float(self.angle_estimate),
-            "samples": int(self.samples),
-        }
-
-
-def angle_monotonicity_scan(net, origin, a, b, samples=8, tol=1e-9, **path_kw):
-    """Comparison angles along nested sub-paths of the two geodesics.
-
-    For k = 1..samples, take the points at arclength x*k/samples on the
-    geodesic to ``a`` and y*k/samples on the geodesic to ``b``; report every
-    adjacent pair where the comparison angle *increases* beyond ``tol``.
-    On a net of non-negative curvature there are none.
-    """
-    if samples < 2:
-        raise TooFewSamples("need at least 2 samples")
-    path_a = shortest_path(net, origin, a, **path_kw)
-    path_b = shortest_path(net, origin, b, **path_kw)
-    xs, ys, ds, alphas = [], [], [], []
-    for k in range(1, samples + 1):
-        xk = path_a.length * k / samples
-        yk = path_b.length * k / samples
-        pk = path_a.point_at(xk)
-        qk = path_b.point_at(yk)
-        dk = shortest_path(net, pk, qk, **path_kw).length
-        xs.append(xk)
-        ys.append(yk)
-        ds.append(dk)
-        alphas.append(comparison_angle(xk, yk, dk))
-    alphas = np.array(alphas)
-    violations = [
-        (k, float(alphas[k + 1] - alphas[k]))
-        for k in range(samples - 1)
-        if alphas[k + 1] > alphas[k] + tol
-    ]
-    return ScanReport(
-        xs=np.array(xs), ys=np.array(ys), ds=np.array(ds),
-        alphas=alphas, violations=violations,
-        angle_estimate=float(alphas[0]), samples=samples,
-    )
 
 
 def corner_angle(net, origin, a, b, start_fraction=0.25, converge_tol=1e-12, **path_kw):

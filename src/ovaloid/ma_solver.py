@@ -135,9 +135,9 @@ class MAProblem:
         b = self.boundary_nodes
         if len(b) < 3 or np.linalg.matrix_rank(b[1:] - b[0]) < 2:
             raise bad("boundary nodes must not be collinear")
-        if not _on_polygon_boundary(self.domain, self.boundary_nodes).all():
+        if not planar.on_polygon_boundary(self.domain, self.boundary_nodes).all():
             raise bad("boundary nodes must lie on the domain boundary")
-        if _on_polygon_boundary(self.domain, self.interior_nodes).any():
+        if planar.on_polygon_boundary(self.domain, self.interior_nodes).any():
             raise bad("interior nodes must be strictly inside the domain")
         if self.theta is None:
             # without a weight window, a cell is bounded only when its node
@@ -187,22 +187,6 @@ class ComparisonReport:
 # envelope and cells
 
 
-def _on_polygon_boundary(polygon, points, tol=1e-9):
-    poly = np.asarray(polygon, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    scale = max(np.abs(poly).max(), 1.0)
-    out = np.zeros(len(pts), dtype=bool)
-    for k in range(len(poly)):
-        a = poly[k]
-        b = poly[(k + 1) % len(poly)]
-        ab = b - a
-        denom = float(ab @ ab)
-        t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-        proj = a[None, :] + t[:, None] * ab[None, :]
-        out |= np.linalg.norm(pts - proj, axis=1) <= tol * scale
-    return out
-
-
 def _lower_hull(nodes, values):
     """Lower facets of the convex hull of the lifted nodes (B_i, v_i).
 
@@ -229,22 +213,6 @@ def _lower_hull(nodes, values):
     # facet a x + b y + c z + d = 0, c < 0  ->  z = -(a x + b y + d) / c
     planes = -eq[lower][:, [0, 1, 3]] / eq[lower][:, 2:3]
     return hull.simplices[lower], planes
-
-
-def lower_envelope_evaluator(nodes, values):
-    """Callable evaluating the lower convex envelope of the lifted nodes.
-
-    The envelope is the pointwise maximum of the planes of the lifted hull's
-    lower facets; if the lifted points are coplanar it is that single plane.
-    """
-    _, planes = _lower_hull(nodes, values)
-
-    def evaluate(query):
-        q = np.atleast_2d(np.asarray(query, dtype=float))
-        vals = q @ planes[:, :2].T + planes[:, 2][None, :]
-        return vals.max(axis=1)
-
-    return evaluate
 
 
 def _next_in_cell(owner, n):

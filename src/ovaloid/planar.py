@@ -35,19 +35,27 @@ def polygon_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def on_polygon_boundary(poly, points, tol=1e-9):
+    """For each of the (n, 2) ``points``, whether it lies within ``tol``
+    times max(max|poly|, 1) of an edge of the closed polygon ``poly``.  A
+    zero-length edge (a repeated vertex) is the point it sits at."""
+    p = np.asarray(poly, dtype=float)
+    q = np.atleast_2d(np.asarray(points, dtype=float))
+    scale = max(np.abs(p).max(), 1.0)
+    out = np.zeros(len(q), dtype=bool)
+    for a, b in zip(p, np.roll(p, -1, axis=0)):
+        ab = b - a
+        t = np.clip((q - a) @ ab / max(float(ab @ ab), 1e-300), 0.0, 1.0)
+        out |= np.linalg.norm(q - (a + t[:, None] * ab), axis=1) <= tol * scale
+    return out
+
+
 def point_in_polygon(poly, point, tol=1e-12):
     """Winding-number test with a boundary tolerance; closed polygon assumed."""
     p = np.asarray(poly, dtype=float)
     q = np.asarray(point, dtype=float)
-    scale = max(np.abs(p).max(), 1.0)
-    # on-boundary check first
-    for k in range(len(p)):
-        a, b = p[k], p[(k + 1) % len(p)]
-        ab = b - a
-        t = np.dot(q - a, ab) / max(np.dot(ab, ab), 1e-300)
-        t = min(1.0, max(0.0, t))
-        if np.linalg.norm(a + t * ab - q) <= tol * scale:
-            return True
+    if on_polygon_boundary(p, q, tol)[0]:
+        return True
     wind = 0
     for k in range(len(p)):
         a, b = p[k], p[(k + 1) % len(p)]

@@ -89,15 +89,6 @@ def trivial_motion_basis(vertices):
     return basis
 
 
-def constraint_residual(surface, field):
-    """Max edge-length-rate magnitude of a displacement field (V, 3)."""
-    tau = np.asarray(field, dtype=float).reshape(len(surface.vertices), 3)
-    edges = surface.edges()
-    d = _unit_directions(surface.vertices, edges)
-    rate = np.einsum("ij,ij->i", d, tau[edges[:, 0]] - tau[edges[:, 1]])
-    return float(np.abs(rate).max(initial=0.0))
-
-
 @dataclasses.dataclass
 class BendingReport:
     kernel_dim: int

@@ -82,22 +82,3 @@ def doubled_polygon(poly):
     q = (p * np.array([1.0, -1.0]))[::-1].copy()
     idents = tuple(((0, k), (1, (n - 2 - k) % n)) for k in range(n))
     return (p, q), idents
-
-
-def fibonacci_sphere(n, seed=None):
-    """Roughly even sphere covering; optional random rotation for variety."""
-    k = np.arange(n) + 0.5
-    phi = np.arccos(1.0 - 2.0 * k / n)
-    theta = np.pi * (1.0 + np.sqrt(5.0)) * k
-    pts = np.stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
-        axis=1,
-    )
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        pts = pts @ q.T
-    return pts
-

@@ -37,17 +37,17 @@ def random_face_point(net, rng, margin=0.15):
 
 def interior_indices(u):
     """Indices of the nodes of a PLConvexFunction off its domain's boundary."""
-    from ovaloid import ma_solver as ma
+    from ovaloid import planar
 
-    return np.nonzero(~ma._on_polygon_boundary(u.domain, u.nodes))[0]
+    return np.nonzero(~planar.on_polygon_boundary(u.domain, u.nodes))[0]
 
 
 def envelope_flags(u):
     """True where a node of a PLConvexFunction is on its lower envelope."""
-    from ovaloid import ma_solver as ma
+    from oracles import lower_envelope_evaluator
 
     scale = max(np.ptp(u.values), 1.0)
-    env = ma.lower_envelope_evaluator(u.nodes, u.values)(u.nodes)
+    env = lower_envelope_evaluator(u.nodes, u.values)(u.nodes)
     return u.values <= env + 1e-9 * scale
 
 

@@ -1,5 +1,6 @@
 """Independent slow oracles used to cross-check the fast implementations."""
 
+import dataclasses
 import heapq
 import itertools
 import json
@@ -9,9 +10,14 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, SphericalVoronoi
 
-from ovaloid import core, ma_solver, planar, rigidity_lab, shapes
-from ovaloid.errors import CoincidentPoints, InvalidNet, SearchBudgetExceeded
-from ovaloid.intrinsic_metric import MetricNet, _point_representations
+from ovaloid import core, ma_solver, planar, rigidity_lab
+from ovaloid.errors import CoincidentPoints, InvalidNet, SearchBudgetExceeded, TooFewSamples
+from ovaloid.intrinsic_metric import (
+    MetricNet,
+    _point_representations,
+    comparison_angle,
+    shortest_path,
+)
 
 
 def _cross(u, v):
@@ -258,7 +264,7 @@ def write_net(path, net):
 
 def sphere_partition(n_cells, seed=None):
     """Roughly uniform sphere partition: Fibonacci centers, Voronoi areas."""
-    centers = shapes.fibonacci_sphere(n_cells, seed=seed)
+    centers = fibonacci_sphere(n_cells, seed=seed)
     sv = SphericalVoronoi(centers)
     return centers, sv.calculate_areas()
 
@@ -808,3 +814,94 @@ def full_svd_bending_space(surface, tol=1e-10):
     u2, s2, _ = np.linalg.svd(proj, full_matrices=False)
     extra = int(np.sum(s2 > 1e-8))
     return len(kernel.T), extra, u2[:, :extra], svals, resid
+
+
+def fibonacci_sphere(n, seed=None):
+    """Roughly even sphere covering; optional random rotation for variety."""
+    k = np.arange(n) + 0.5
+    phi = np.arccos(1.0 - 2.0 * k / n)
+    theta = np.pi * (1.0 + np.sqrt(5.0)) * k
+    pts = np.stack(
+        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
+        axis=1,
+    )
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        pts = pts @ q.T
+    return pts
+
+
+@dataclasses.dataclass
+class ScanReport:
+    xs: np.ndarray
+    ys: np.ndarray
+    ds: np.ndarray
+    alphas: np.ndarray
+    violations: list          # (k, increase) where alpha[k+1] > alpha[k] + tol
+    angle_estimate: float     # alpha at the smallest sampled scale
+    samples: int
+
+
+def angle_monotonicity_scan(net, origin, a, b, samples=8, tol=1e-9, **path_kw):
+    """Comparison angles along nested sub-paths of the two geodesics.
+
+    For k = 1..samples, take the points at arclength x*k/samples on the
+    geodesic to ``a`` and y*k/samples on the geodesic to ``b``; report every
+    adjacent pair where the comparison angle *increases* beyond ``tol``.
+    On a net of non-negative curvature there are none.
+    """
+    if samples < 2:
+        raise TooFewSamples("need at least 2 samples")
+    path_a = shortest_path(net, origin, a, **path_kw)
+    path_b = shortest_path(net, origin, b, **path_kw)
+    xs, ys, ds, alphas = [], [], [], []
+    for k in range(1, samples + 1):
+        xk = path_a.length * k / samples
+        yk = path_b.length * k / samples
+        pk = path_a.point_at(xk)
+        qk = path_b.point_at(yk)
+        dk = shortest_path(net, pk, qk, **path_kw).length
+        xs.append(xk)
+        ys.append(yk)
+        ds.append(dk)
+        alphas.append(comparison_angle(xk, yk, dk))
+    alphas = np.array(alphas)
+    violations = [
+        (k, float(alphas[k + 1] - alphas[k]))
+        for k in range(samples - 1)
+        if alphas[k + 1] > alphas[k] + tol
+    ]
+    return ScanReport(
+        xs=np.array(xs), ys=np.array(ys), ds=np.array(ds),
+        alphas=alphas, violations=violations,
+        angle_estimate=float(alphas[0]), samples=samples,
+    )
+
+
+def lower_envelope_evaluator(nodes, values):
+    """Callable evaluating the lower convex envelope of the lifted nodes.
+
+    The envelope is the pointwise maximum of the planes of the lifted hull's
+    lower facets (``ma_solver._lower_hull``); if the lifted points are
+    coplanar it is that single plane.
+    """
+    _, planes = ma_solver._lower_hull(nodes, values)
+
+    def evaluate(query):
+        q = np.atleast_2d(np.asarray(query, dtype=float))
+        vals = q @ planes[:, :2].T + planes[:, 2][None, :]
+        return vals.max(axis=1)
+
+    return evaluate
+
+
+def constraint_residual(surface, field):
+    """Max edge-length-rate magnitude of a displacement field (V, 3)."""
+    tau = np.asarray(field, dtype=float).reshape(len(surface.vertices), 3)
+    edges = surface.edges()
+    d = rigidity_lab._unit_directions(surface.vertices, edges)
+    rate = np.einsum("ij,ij->i", d, tau[edges[:, 0]] - tau[edges[:, 1]])
+    return float(np.abs(rate).max(initial=0.0))

@@ -1,11 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from conftest import grid_problem
-from oracles import cell_masses, masses_from_density
+from oracles import cell_masses, lower_envelope_evaluator, masses_from_density
 from ovaloid import ma_solver as ma
 from ovaloid import planar
 from ovaloid.errors import (
@@ -234,6 +235,23 @@ def test_invalid_problems_raise_named_errors():
     assert issubclass(DuplicateNodes, ValueError)
 
 
+def test_domain_with_a_repeated_vertex_validates_without_warnings():
+    # a zero-length domain edge once divided 0 by 0 in the boundary test
+    problem, _ = random_forward_instance(2, n_side=4, extent=4.0)
+    d = problem.domain
+    doubled = dataclasses.replace(problem, domain=np.vstack([d[:2], d[1:]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert doubled.validate() is doubled
+        on_b = planar.on_polygon_boundary(doubled.domain, doubled.all_nodes())
+    n = len(doubled.interior_nodes)
+    assert not on_b[:n].any() and on_b[n:].all()
+    # the corner at the repeated vertex is on the boundary, a node just
+    # inside it is not
+    assert planar.on_polygon_boundary(doubled.domain, [d[1], d[1] + [-0.1, 0.1]]).tolist() \
+        == [True, False]
+
+
 def _fd_jacobian(nodes, values, n, theta, window, h, rel_tol):
     """Central differences of the interior masses in each interior value."""
     idx = np.arange(n)
@@ -368,7 +386,7 @@ def _envelope_start(problem):
     """The lower envelope of the boundary data plus t (|x - c|^2 - rho^2):
     strictly convex, every cell nonempty, and far from the solution."""
     x, b = problem.interior_nodes, problem.boundary_nodes
-    env = ma.lower_envelope_evaluator(b, problem.boundary_values)(x)
+    env = lower_envelope_evaluator(b, problem.boundary_values)(x)
     c = b.mean(axis=0)
     rho2 = np.max(np.sum((b - c) ** 2, axis=1))
     t = 0.5 * np.sqrt(problem.masses.sum() / abs(planar.polygon_area(problem.domain)))
@@ -435,7 +453,7 @@ def test_strictly_convex_start_has_positive_cells(seed):
         areas = cell_masses(nodes, values, np.arange(n), None)
         assert (areas > 1e-9 * problem.masses.sum()).all(), areas.min()
         # the lower envelope of the boundary data alone leaves cells empty
-        env = ma.lower_envelope_evaluator(
+        env = lower_envelope_evaluator(
             problem.boundary_nodes, problem.boundary_values
         )(problem.interior_nodes)
         values[:n] = env
