@@ -274,7 +274,7 @@ def _cmd_minkowski(args):
     if args.action == "check":
         defect = mk.check_closing(problem)
         norm = float(np.linalg.norm(defect))
-        ok = norm <= 1e-8 * problem.target_areas.sum()
+        ok = norm <= mk.CLOSING_TOL * problem.target_areas.sum()
         return (0 if ok else 1), {
             "closing_defect": [float(v) for v in defect],
             "norm": norm,

@@ -20,6 +20,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError
 
+from . import planar
 from .errors import (
     DegenerateInput,
     DegenerateVertex,
@@ -176,8 +177,7 @@ def half_edges(faces):
     tail = np.fromiter(itertools.chain.from_iterable(faces), dtype=np.intp,
                        count=int(sizes.sum()))
     face = np.repeat(np.arange(len(faces)), sizes)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    head = tail[start + (np.arange(len(tail)) - start + 1) % sizes[face]]
+    head = tail[planar.cycle_next(face, len(faces))]
     nv = int(tail.max(initial=-1)) + 1
     key, rev = tail * nv + head, head * nv + tail
     order = np.argsort(key)
@@ -477,12 +477,11 @@ def _face_cycles(verts, face, vert, normals):
 
     # Newell vector of each face in that order; reverse the faces where it
     # points inward
-    pos = np.arange(len(face)) - start[face]
-    nxt = start[face] + (pos + 1) % count[face]
     newell = np.zeros((m, 3))
-    np.add.at(newell, face, np.cross(pts, pts[nxt]))
+    np.add.at(newell, face, np.cross(pts, pts[planar.cycle_next(face, m)]))
     newell *= 0.5
     flip = np.einsum("ij,ij->i", newell, normals) < 0
+    pos = np.arange(len(face)) - start[face]
     pos = np.where(flip[face], count[face] - 1 - pos, pos)
     cyc = vert[order][start[face] + pos].tolist()
     faces = tuple(tuple(cyc[a:a + c]) for a, c in zip(start.tolist(), count.tolist()))
@@ -498,6 +497,8 @@ def polytope_from_mesh(vertices, faces, tol=DEFAULT_TOL):
     """
     verts = as_points(vertices)
     cycles = tuple(tuple(map(int, cyc)) for cyc in faces)
+    if not cycles:
+        raise InvalidPolytope("a mesh needs at least one face")
     if any(len(cyc) < 3 for cyc in cycles):
         raise InvalidPolytope("face with fewer than 3 vertices")
     half = face, tail, head, _ = half_edges(cycles)

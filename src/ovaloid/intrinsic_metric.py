@@ -68,8 +68,7 @@ class MetricNet:
             raise MalformedNet(f"polygon {k} is not a finite (n>=3, 2) array")
         sizes = np.array([len(p) for p in polys])
         start = np.cumsum(sizes) - sizes
-        nxt = np.arange(1, len(pts) + 1)
-        nxt[start + sizes - 1] = start
+        nxt = planar.cycle_next(np.repeat(np.arange(len(polys)), sizes), len(polys))
         # twice the signed area of every polygon, by one shoelace sum
         area = np.add.reduceat(pts[:, 0] * pts[nxt, 1] - pts[nxt, 0] * pts[:, 1], start)
         if not (area > 0).all():
@@ -677,23 +676,23 @@ def comparison_angle(x, y, d, tol=1e-12):
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 
-def corner_angle(net, origin, a, b, start_fraction=0.25, converge_tol=1e-12, **path_kw):
+def corner_angle(net, origin, a, b, **path_kw):
     """Angle between the geodesics origin->a and origin->b at the origin.
 
-    Comparison angles are evaluated at geometrically shrinking scales; on a
-    polyhedral metric they stabilise exactly once the sector between the two
-    path germs is flat at the sampled scale.
+    Comparison angles at scales halving from a quarter of the shorter path
+    until two agree to 1e-12; on a polyhedral metric they stabilise exactly
+    once the sector between the two path germs is flat at the sampled scale.
     """
     path_a = shortest_path(net, origin, a, **path_kw)
     path_b = shortest_path(net, origin, b, **path_kw)
-    s = min(path_a.length, path_b.length) * start_fraction
+    s = min(path_a.length, path_b.length) * 0.25
     prev = None
     for _ in range(60):
         pk = path_a.point_at(s)
         qk = path_b.point_at(s)
         d = shortest_path(net, pk, qk, **path_kw).length
         alpha = comparison_angle(s, s, d)
-        if prev is not None and abs(alpha - prev) <= converge_tol:
+        if prev is not None and abs(alpha - prev) <= 1e-12:
             return alpha
         prev = alpha
         s *= 0.5

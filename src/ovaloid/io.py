@@ -154,8 +154,8 @@ def compile_theta(expression):
 
     The weight returns one float per slope, also for an expression that
     does not depend on p.  An expression that does not compile is
-    ``theta.syntax``; one that cannot be evaluated (a division by zero, a
-    string value) raises ``theta.eval`` when it is called.
+    ``theta.syntax``; one that cannot be evaluated (a division by zero, an
+    overflow, a string value) raises ``theta.eval`` when it is called.
     """
     try:
         code = compile(expression, "<theta>", "eval")
@@ -169,7 +169,8 @@ def compile_theta(expression):
         env = dict(_THETA_NAMES)
         env.update({"p1": p1, "p2": p2, "z": z, "x1": x1, "x2": x2})
         try:
-            value = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
             if value.shape != np.shape(p1):
                 value = np.broadcast_to(value, np.shape(p1))
             return value

@@ -51,6 +51,13 @@ _GL_T = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
 
+# planes agreeing to this share of the largest coefficient make a flat lift;
+# a false "flat" costs only the all-nodes recut, a missed one mis-cuts cells
+_FLAT_RTOL = 1e-12
+
+# largest relative mass change that homotopy_solve tries in one step
+MAX_MASS_STEP = 0.5
+
 
 # ---------------------------------------------------------------------------
 # types
@@ -187,40 +194,38 @@ class ComparisonReport:
 # envelope and cells
 
 
+def _facet_planes(nodes, values, facets):
+    """Plane z = s . x + t through the three lifted vertices of each facet,
+    as rows (s1, s2, t)."""
+    a, b, c = (nodes[facets[:, k]] for k in range(3))
+    ab, ac = b - a, c - a
+    za = values[facets[:, 0]]
+    db, dc = values[facets[:, 1]] - za, values[facets[:, 2]] - za
+    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    s = np.column_stack([db * ac[:, 1] - dc * ab[:, 1],
+                         dc * ab[:, 0] - db * ac[:, 0]]) / det[:, None]
+    return np.column_stack([s, za - np.einsum("ij,ij->i", s, a)])
+
+
 def _lower_hull(nodes, values):
     """Lower facets of the convex hull of the lifted nodes (B_i, v_i).
 
     Returns (facets, planes): ``facets`` is an (F, 3) array of node indices
-    and ``planes`` holds the plane z = s . x + t of each facet as a row
-    (s1, s2, t).  When Qhull refuses the lift (coplanar lifted points) the
-    facets are the Delaunay triangles of the nodes, all under the
-    least-squares plane.  Collinear nodes raise DegenerateInput.
+    and ``planes`` holds the ``_facet_planes`` row (s1, s2, t) of each.
+    When Qhull refuses the lift (coplanar lifted points) the facets are the
+    Delaunay triangles of the nodes.  Collinear nodes raise DegenerateInput.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     try:
         hull = ConvexHull(np.column_stack([nodes, values]))
+        facets = hull.simplices[hull.equations[:, 2] < -1e-12]
     except QhullError:
-        lift = np.column_stack([nodes, np.ones(len(nodes))])
-        coef = np.linalg.lstsq(lift, values, rcond=None)[0]
         try:
-            tri = Delaunay(nodes)
+            facets = Delaunay(nodes).simplices
         except QhullError as exc:
             raise DegenerateInput("the nodes are collinear") from exc
-        return tri.simplices, np.repeat(coef[None, :], len(tri.simplices), axis=0)
-    eq = hull.equations
-    lower = eq[:, 2] < -1e-12
-    # facet a x + b y + c z + d = 0, c < 0  ->  z = -(a x + b y + d) / c
-    planes = -eq[lower][:, [0, 1, 3]] / eq[lower][:, 2:3]
-    return hull.simplices[lower], planes
-
-
-def _next_in_cell(owner, n):
-    """Index of the entry after each entry of a flat layout sorted by
-    ``owner`` (n owners), cyclically within its owner."""
-    b = np.searchsorted(owner, np.arange(n + 1))
-    lo, hi = b[owner], b[owner + 1]
-    return lo + (np.arange(len(owner)) + 1 - lo) % (hi - lo)
+    return facets, _facet_planes(nodes, values, facets)
 
 
 class _Topology(NamedTuple):
@@ -231,10 +236,8 @@ class _Topology(NamedTuple):
     ``facet``, the ``owner`` (the node's position in ``which``) and the
     vertices ``after`` and ``before`` the node in that facet; ``fan_open``
     marks the wanted nodes whose fan is open.  Each interior edge appears
-    once in ``edge_quad``, as the three vertices of one facet holding it and
-    the node across it in the other facet; the row of ``edge_weights`` dots
-    the four nodes' values into the height of that node over the plane of
-    the facet.  ``unused`` lists the nodes that no facet uses.
+    once in ``edge_across``, as one facet holding it and the node across it
+    in the other facet.  ``unused`` lists the nodes that no facet uses.
     """
 
     facets: np.ndarray
@@ -243,8 +246,7 @@ class _Topology(NamedTuple):
     after: np.ndarray
     before: np.ndarray
     fan_open: np.ndarray
-    edge_quad: np.ndarray
-    edge_weights: np.ndarray
+    edge_across: np.ndarray
     unused: np.ndarray
 
 
@@ -268,7 +270,7 @@ class _Cells(NamedTuple):
 
     def next_vertex(self):
         """Index of the vertex after each vertex in its own cell."""
-        return _next_in_cell(self.owner, self.n)
+        return planar.cycle_next(self.owner, self.n)
 
     def cell(self, k):
         """(vertices, edge labels) of cell k, None labelling window edges."""
@@ -305,8 +307,7 @@ def _topology(nodes, facets, which):
     incidences by node and by the angle of the facet centroid about the
     node lists each node's fan of facets in CCW order.  The interior edges
     are paired by one sort of the packed (smaller, larger) end keys of the
-    facets' sides, which needs no orientation, and each pair's node across
-    the edge is given its barycentric coordinates in the facet.
+    facets' sides, which needs no orientation.
     """
     n, size = len(which), len(nodes)
     edge = nodes[facets[:, 1:]] - nodes[facets[:, :1]]
@@ -327,23 +328,15 @@ def _topology(nodes, facets, which):
     owner = pos[corner[order]]
     # a fan is closed when each facet shares an edge with the next one
     fan_open = np.bincount(
-        owner, before[order] != after[order][_next_in_cell(owner, n)], n) > 0
+        owner, before[order] != after[order][planar.cycle_next(owner, n)], n) > 0
     # corner k starts the side to after[k], across from before[k]; the
     # packed keys are intp, as size**2 outgrows qhull's int32 indices
     key = np.minimum(corner, after) * np.intp(size) + np.maximum(corner, after)
     side = np.argsort(key, kind="stable")
     twin = np.flatnonzero(key[side[1:]] == key[side[:-1]])
-    quad = np.column_stack([facets[side[twin] // 3], before[side[twin + 1]]])
-    # the facet's plane at the fourth node is its vertices' values weighted
-    # by the node's barycentric coordinates (1 - l1 - l2, l1, l2)
-    p = nodes[quad]
-    ab, ac, aw = (p[:, k] - p[:, 0] for k in (1, 2, 3))
-    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-    l1 = (aw[:, 0] * ac[:, 1] - aw[:, 1] * ac[:, 0]) / det
-    l2 = (ab[:, 0] * aw[:, 1] - ab[:, 1] * aw[:, 0]) / det
-    weights = np.column_stack([l1 + l2 - 1.0, -l1, -l2, np.ones(len(quad))])
+    across = np.column_stack([side[twin] // 3, before[side[twin + 1]]])
     return _Topology(facets, order // 3, owner, after[order], before[order],
-                     fan_open, quad, weights,
+                     fan_open, across,
                      np.flatnonzero(np.bincount(corner, minlength=size) == 0))
 
 
@@ -358,28 +351,21 @@ def _still_lower(nodes, values, topology):
     surface, the largest facet plane at its position, by more than 1e-12
     of the largest |value|.  Across a pair of coplanar facets the gap is 0
     up to rounding, which rebuilds the hull whenever it comes out <= 0.
-    Each plane z = s . x + t comes from its facet's three lifted vertices.
     """
-    gap = np.einsum("ij,ij->i", topology.edge_weights, values[topology.edge_quad])
+    planes = _facet_planes(nodes, values, topology.facets)
+    s, t = planes[:, :2], planes[:, 2]
+    f, w = topology.edge_across.T
+    gap = values[w] - np.einsum("ij,ij->i", nodes[w], s[f]) - t[f]
     if not (gap > 0.0).all():
         return None
-    f = topology.facets
-    a, b, c = (nodes[f[:, k]] for k in range(3))
-    ab, ac = b - a, c - a
-    za = values[f[:, 0]]
-    db, dc = values[f[:, 1]] - za, values[f[:, 2]] - za
-    det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-    s = np.column_stack([db * ac[:, 1] - dc * ab[:, 1],
-                         dc * ab[:, 0] - db * ac[:, 0]]) / det[:, None]
-    t = za - np.einsum("ij,ij->i", s, a)
     tol = 1e-12 * np.abs(values).max()
     # a few unused nodes at a time against every plane, in bounded memory
-    step = max(1, (1 << 18) // len(f))
+    step = max(1, (1 << 18) // len(planes))
     for lo in range(0, len(topology.unused), step):
         k = topology.unused[lo:lo + step]
         if (values[k] < (nodes[k] @ s.T + t).max(axis=1) - tol).any():
             return None
-    return np.column_stack([s, t])
+    return planes
 
 
 def _cells(nodes, values, which, clip=None, check_nodes=True, reuse=None):
@@ -391,9 +377,8 @@ def _cells(nodes, values, which, clip=None, check_nodes=True, reuse=None):
     carved by the node the two facets share besides it.  A node off the
     lower hull has an empty cell.  ``reuse`` is the topology of an earlier
     call on the same nodes and ``which``; while ``_still_lower`` certifies
-    that it is still the lower hull under ``values``, no hull is built and
-    the planes come from the facets' vertices.  The returned layout carries
-    the topology it was read from.
+    that it is still the lower hull under ``values``, no hull is built.  The
+    returned layout carries the topology it was read from.
 
     A node on the boundary of the nodes' hull has an open fan and an
     unbounded cell.  Without a ``clip`` window (a convex polygon) that
@@ -429,7 +414,7 @@ def _cells(nodes, values, which, clip=None, check_nodes=True, reuse=None):
         window = window[::-1]
     normal = (np.roll(window, -1, axis=0) - window) @ np.array([[0, -1], [1, 0]])
     outside = (cells.verts @ normal.T > (normal * window).sum(axis=1)).any(axis=1)
-    flat = bool((planes == planes[0]).all())
+    flat = bool((np.abs(planes - planes[0]) <= _FLAT_RTOL * np.abs(planes).max()).all())
     recut = fan_open | (np.bincount(owner, outside, n) > 0) | flat
     if not recut.any():
         return cells
@@ -815,7 +800,7 @@ def maximum_principle_check(u1, u2, problem1, problem2, tol=1e-9):
 
 
 def homotopy_solve(schedule: HomotopySchedule, tol=1e-10, min_step=1e-3,
-                   max_iter=400, max_mass_step=0.5):
+                   max_iter=400):
     """Warm-started continuation along the problem family.
 
     Failed steps are bisected; when the step between successful parameters
@@ -836,7 +821,7 @@ def homotopy_solve(schedule: HomotopySchedule, tol=1e-10, min_step=1e-3,
             t_next = t_target
             while True:
                 problem = schedule.problem_at(t_next)
-                if np.max(np.abs(problem.masses - mu_good) / mu_good) <= max_mass_step:
+                if np.max(np.abs(problem.masses - mu_good) / mu_good) <= MAX_MASS_STEP:
                     try:
                         u_try = solve_ma(
                             problem, tol=tol, max_iter=max_iter,

@@ -43,6 +43,9 @@ SPAN_TOL = 1e-10
 # fraction of max|h|; otherwise the Chebyshev LP finds an interior point
 ORIGIN_MARGIN = 1e-2
 
+# largest closing defect |sum_i A_i n_i|, as a fraction of the total area
+CLOSING_TOL = 1e-8
+
 
 @dataclasses.dataclass
 class MinkowskiProblem:
@@ -54,7 +57,7 @@ class MinkowskiProblem:
         self.normals = unit_vectors(self.normals)
         self.target_areas = np.asarray(self.target_areas, dtype=float)
 
-    def validate(self, closing_tol=1e-8):
+    def validate(self):
         """Self, or a named ValueError.  Positive areas, a zero closing
         defect and spanning normals make the normals span space positively,
         so every support vector bounds a body."""
@@ -71,7 +74,7 @@ class MinkowskiProblem:
             raise DegenerateNormals("normals must be pairwise distinct")
         _require_spanning(self.normals)
         defect = np.linalg.norm(check_closing(self))
-        if defect > closing_tol * self.target_areas.sum():
+        if defect > CLOSING_TOL * self.target_areas.sum():
             raise OpenAreaVector(f"closing defect {defect} exceeds tolerance")
         return self
 

@@ -77,6 +77,14 @@ def box_polygon(cx, cy, half):
     )
 
 
+def cycle_next(owner, n):
+    """Index of the entry after each entry of a flat layout sorted by
+    ``owner`` (n owners), cyclically within its owner."""
+    b = np.searchsorted(owner, np.arange(n + 1))
+    lo, hi = b[owner], b[owner + 1]
+    return lo + (np.arange(len(owner)) + 1 - lo) % (hi - lo)
+
+
 def _fans(verts, owner):
     """Fan triangles (apex, p_k, p_k+1) of the polygons of a flat layout.
 
@@ -95,9 +103,7 @@ def _fans(verts, owner):
         return np.empty((0, 3, 2)), tag, np.empty(0)
     starts = np.r_[True, tag[1:] != tag[:-1]]
     first = np.flatnonzero(starts)
-    nxt = np.arange(1, len(p) + 1)
-    nxt[np.r_[first[1:], len(p)] - 1] = first
-    q = p[nxt]
+    q = p[cycle_next(tag, tag[-1] + 1)]
     cross = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
     area = 0.5 * np.add.reduceat(cross, first)
     moment = np.add.reduceat((p + q) * cross[:, None], first) / 6.0

@@ -364,7 +364,11 @@ class LemmaReport:
         }
 
 
-def main_lemma_check(patch: GridPatch, tol=1e-8, residual_gate=1e-6):
+# flex residual over max(max|z|, 1) above which main_lemma_check warns
+RESIDUAL_GATE = 1e-6
+
+
+def main_lemma_check(patch: GridPatch, tol=1e-8):
     """Audit: det Hess zeta <= tol wherever Hess z is positive definite.
 
     Algebraically, Hess z > 0 together with a vanishing flex pairing forces
@@ -374,7 +378,7 @@ def main_lemma_check(patch: GridPatch, tol=1e-8, residual_gate=1e-6):
     """
     resid = defo_residual(patch)
     scale = max(float(np.abs(patch.z).max()), 1.0)
-    if resid > residual_gate * scale:
+    if resid > RESIDUAL_GATE * scale:
         warnings.warn(
             f"flex residual {resid} too large for a {tol} determinant check",
             PrecisionWarning,

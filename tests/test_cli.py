@@ -175,6 +175,14 @@ def test_rigidity_mesh_without_faces_is_schema_error(tmp_path, capsys):
     assert err.startswith("ovaloid: mesh.triangles:") and "Traceback" not in err
 
 
+def test_mesh_without_faces_is_not_convex(tmp_path, capsys):
+    path = tmp_path / "empty.off"
+    path.write_text("OFF\n4 0 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    assert cli.run(["net", "curvature", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ovaloid: mesh.convex: a mesh needs at least one face\n"
+
+
 def test_inside_out_mesh_is_not_convex(tmp_path, capsys):
     # a closed tetrahedron whose faces all wind clockwise seen from outside
     path = tmp_path / "inverted.off"
@@ -462,8 +470,9 @@ def test_ma_solve_validates_its_problem_once(tmp_path, capsys, monkeypatch):
     ({"mass_bound": "pi"}, "ma.mass_bound"),
     ({"theta": "exp(-(p1**2 + p2**2)"}, "theta.syntax"),
     ({"theta": "1 / z"}, "theta.eval"),
+    ({"theta": "exp(1000*p1)"}, "theta.eval"),
 ], ids=["ragged-domain", "string-masses", "string-mass-bound", "theta-syntax",
-        "theta-zero-division"])
+        "theta-zero-division", "theta-overflow"])
 def test_malformed_ma_payloads_are_schema_errors(tmp_path, capsys, changes,
                                                  constraint):
     path = tmp_path / "prob.json"

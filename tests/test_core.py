@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     total_normal_cone_area,
     union_find_convex_hull,
 )
-from ovaloid import core, shapes
+from ovaloid import core, planar, shapes
 from ovaloid.errors import (
     DegenerateInput,
     DegenerateVertex,
@@ -153,6 +154,36 @@ def test_half_edges_pair_each_edge_with_its_reverse():
     assert (head[twin[glued]] == tail[glued]).all()
     assert sorted(zip(tail[~glued], head[~glued])) == [(0, 2), (2, 3), (3, 0)]
     assert all(len(a) == 0 for a in core.half_edges(()))
+
+
+def test_half_edges_heads_follow_each_cycle_past_empty_ones():
+    faces = ((0, 2, 1), (), (3, 4, 5, 6), (7, 1, 2), ())
+    face, tail, head, _ = core.half_edges(faces)
+    assert face.tolist() == [0, 0, 0, 2, 2, 2, 2, 3, 3, 3]
+    assert head.tolist() == [c[(k + 1) % len(c)] for c in faces for k in range(len(c))]
+
+
+def _cycle_next_reference(owner):
+    """The successor of each entry within its run of equal owners, by a
+    Python walk over the runs."""
+    nxt = []
+    for _, run in itertools.groupby(range(len(owner)), key=owner.__getitem__):
+        run = list(run)
+        nxt += run[1:] + run[:1]
+    return nxt
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cycle_next_matches_a_per_group_successor(seed):
+    rng = np.random.default_rng(seed)
+    # empty groups (gaps in the owner ids, also at either end) and groups of
+    # one entry among longer ones
+    counts = rng.integers(0, 5, rng.integers(1, 40))
+    owner = np.repeat(np.arange(len(counts)), counts)
+    assert planar.cycle_next(owner, len(counts)).tolist() == \
+        _cycle_next_reference(owner.tolist())
+    assert planar.cycle_next(owner, len(counts) + 3).tolist() == \
+        _cycle_next_reference(owner.tolist())
 
 
 def test_undirected_edges_count_face_sides():
@@ -349,6 +380,11 @@ def test_broken_boundary_complex_raises_invalid_polytope(cube):
     _raises_named_value_error(InvalidPolytope, open_fan.validate)
     _raises_named_value_error(InvalidPolytope, core.polytope_from_mesh,
                               cube.vertices, list(cube.faces) + [(0, 1)])
+
+
+def test_mesh_without_faces_raises_invalid_polytope(cube):
+    # named, not numpy's error from reducing zero support numbers
+    _raises_named_value_error(InvalidPolytope, core.polytope_from_mesh, cube.vertices, [])
 
 
 def test_non_positive_scale_is_named(cube):

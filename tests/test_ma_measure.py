@@ -151,6 +151,12 @@ def _cell_cases():
                        inner, grid.domain, id="quads")
     yield pytest.param("flat", nodes, 0.3 * nodes[:, 0] - 0.2 * nodes[:, 1] + 1.0,
                        inner, planar.box_polygon(0.0, 0.0, 2.0), id="flat")
+    # qhull accepts this lift, and all its lower facets lie in one plane
+    above = np.vstack([nodes, [[2.5, 2.5]]])
+    values = 0.3 * above[:, 0] - 0.2 * above[:, 1] + 1.0
+    values[-1] += 0.5
+    yield pytest.param("flat-above", above, values, inner,
+                       planar.box_polygon(0.0, 0.0, 2.0), id="flat-above")
     # the window cuts closed cells as well as the boundary ones
     yield pytest.param("jittered441", *jittered_grid(),
                        planar.box_polygon(0.0, 0.0, 0.6), id="jittered441")

@@ -554,7 +554,8 @@ def _lifted(problem, interior_values):
 def _gaps(nodes, values, topology):
     """Height of the node across each interior edge over the plane through
     the lifted vertices of the facet on this side, by a 3 x 3 solve."""
-    quad = topology.edge_quad
+    f, w = topology.edge_across.T
+    quad = np.column_stack([topology.facets[f], w])
     lift = np.concatenate([nodes[quad], np.ones(quad.shape + (1,))], axis=2)
     planes = np.linalg.solve(lift[:, :3], values[quad[:, :3], None])[..., 0]
     return values[quad[:, 3]] - np.einsum("ij,ij->i", lift[:, 3], planes)
@@ -608,7 +609,7 @@ def test_certificate_refuses_a_flipped_quad(seed):
     hull = ma._cells(nodes, values, which).topology
     gaps = _gaps(nodes, values, hull)
     k = int(np.argmin(gaps))
-    w = hull.edge_quad[k, 3]
+    w = hull.edge_across[k, 1]
     below = values.copy()
     below[w] -= 0.99 * gaps[k]
     assert ma._still_lower(nodes, below, hull) is not None
@@ -673,12 +674,15 @@ def test_interior_edges_are_all_paired(nodes, values):
     # Euler on a triangulated disk: h = 2 V - F - 2 boundary edges
     n_facets, used = len(facets), len(nodes) - len(hull.unused)
     boundary = 2 * used - n_facets - 2
-    assert len(hull.edge_quad) == (3 * n_facets - boundary) // 2
+    assert len(hull.edge_across) == (3 * n_facets - boundary) // 2
     # each row is a facet and the fourth vertex of a facet across a side
     known = {tuple(sorted(f)) for f in facets}
-    for *f, w in hull.edge_quad:
+    for k, w in hull.edge_across:
+        f = hull.facets[k].tolist()
         assert tuple(sorted(f)) in known and w not in f
         assert any(tuple(sorted(set(f) - {x} | {w})) in known for x in f)
-    # and the certificate's weights give the heights of a plane solve
-    gaps = np.einsum("ij,ij->i", hull.edge_weights, values[hull.edge_quad])
+    # and the heights over the facets' planes are those of a plane solve
+    planes = ma._facet_planes(nodes, values, hull.facets)
+    k, w = hull.edge_across.T
+    gaps = values[w] - np.einsum("ij,ij->i", nodes[w], planes[k, :2]) - planes[k, 2]
     assert np.abs(gaps - _gaps(nodes, values, hull)).max() <= 1e-12
