@@ -207,7 +207,9 @@ class OpenSurface(OvaloidError, ValueError):
 
 
 class MalformedGrid(OvaloidError, ValueError):
-    """Grid patch arrays differ in shape or have fewer than 3 nodes per axis."""
+    """Grid patch arrays differ in shape, are not 2-D with at least 3 nodes
+    per axis or are not finite, or the spacing h or the second differences
+    leave the range of floats (see ``rigidity_lab.GridPatch``)."""
 
 
 class NotStrictlyConvex(OvaloidError):

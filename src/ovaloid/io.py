@@ -319,13 +319,9 @@ def _parse_rigidity(data):
         try:
             z = np.asarray(z, dtype=float)
             zeta = np.zeros_like(z) if zeta is None else np.asarray(zeta, dtype=float)
-            patch = GridPatch(h=float(h), z=z, zeta=zeta)
-        except (TypeError, ValueError) as exc:
+            return GridPatch(h=float(h), z=z, zeta=zeta)
+        except (TypeError, ValueError) as exc:  # MalformedGrid is a ValueError
             raise SchemaError("rigidity.grid.valid", str(exc)) from exc
-        finite = np.isfinite(patch.z).all() and np.isfinite(patch.zeta).all()
-        if not (finite and 0 < patch.h < math.inf):
-            raise SchemaError("rigidity.grid.valid", "need finite z, zeta and h > 0")
-        return patch
     surf = _need(data, "surface", "rigidity.surface")
     vertices = _need(surf, "vertices", "rigidity.vertices")
     triangles = _need(surf, "triangles", "rigidity.triangles")

@@ -68,7 +68,8 @@ def sparse_solve(a, b):
     all NaN when SuperLU finds a exactly singular.
 
     The matrices solved here are structurally symmetric: Laplacian-like
-    Newton Jacobians and the 9-point flex stencil.  Minimum degree on
+    Newton Jacobians and the 9-point flex stencil of grids too anisotropic
+    for ``rigidity_lab.solve_defo``'s Krylov path.  Minimum degree on
     A^T + A with one-column supernodes (``relax`` and ``panel_size`` 1)
     fills in and runs less on them than the default COLAMD; minimum degree
     with the default supernodes is several times slower than either.

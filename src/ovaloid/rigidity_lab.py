@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, onenormest, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, bicgstab, eigsh, onenormest, splu
 
 from . import core, newton
 from .errors import (DegenerateGeometry, MalformedGrid, MalformedSurface, NotStrictlyConvex,
@@ -253,12 +253,26 @@ class GridPatch:
     zeta: np.ndarray   # same shape
 
     def __post_init__(self):
+        self.h = float(self.h)
         self.z = np.asarray(self.z, dtype=float)
         self.zeta = np.asarray(self.zeta, dtype=float)
         if self.z.shape != self.zeta.shape:
             raise MalformedGrid("z and zeta must share a shape")
-        if min(self.z.shape) < 3:
-            raise MalformedGrid("need at least 3 nodes per axis")
+        if self.z.ndim != 2 or min(self.z.shape) < 3:
+            raise MalformedGrid("need a 2-D grid with at least 3 nodes per axis")
+        if not (np.isfinite(self.z).all() and np.isfinite(self.zeta).all()):
+            raise MalformedGrid("need finite z and zeta")
+        # h^2 must be a normal float: a subnormal or zero one divides the
+        # second differences into inf or NaN, an infinite one into zeros
+        if not (self.h > 0 and np.finfo(float).tiny <= self.h * self.h < np.inf):
+            raise MalformedGrid(f"spacing h = {self.h} has no finite normal square")
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = _second_diffs(self.z, self.h) + _second_diffs(self.zeta, self.h)
+        # the Hessian determinants and the flex residual add products of two
+        # second differences; NaN fails the comparison too
+        if not 2 * np.max([np.abs(d).max() for d in diffs]) < np.sqrt(np.finfo(float).max):
+            raise MalformedGrid("second differences of z or zeta too large to multiply "
+                                f"at h = {self.h}")
 
 
 def _second_diffs(a, h):
@@ -282,19 +296,36 @@ def _check_convex(zxx, zyy, zxy, tol=1e-12):
     return list(zip(*[b.tolist() for b in bad]))
 
 
+# Anisotropy q = max (eigenvalue gap / trace) of the Hessian of z up to which
+# solve_defo solves by BiCGSTAB instead of one SuperLU factor.  Its steps
+# depend on q, not on the grid: 1 at q = 0, 8-9 at 0.3, 12-14 at 0.5, 19-24
+# at 0.7 and 24-29 at 0.82 on 31^2 and 127^2 interior nodes, and 8 at
+# q = 0.3 on 255^2 and 383^2.  With one BLAS thread it ties the LU near
+# q = 0.7 on 127^2 nodes and is 2-5 times faster at q <= 0.3 from 127^2 up;
+# on 31^2 nodes the LU is faster by about 1 ms from q = 0.3 on.
+KRYLOV_MAX_ANISOTROPY = 0.7
+
+
 def solve_defo(z, h, zeta_boundary):
     """Dirichlet solve of the flex equation over a strictly convex base grid.
 
     ``zeta_boundary`` supplies the full grid array; only its outer ring is
-    read.  The discrete coefficient matrix at each interior node is the
-    adjugate of the Hessian of z, positive definite where z is strictly
-    convex, so the linear system is elliptic.  Raises NotStrictlyConvex with
-    the failing (row, col) nodes otherwise.
+    read, but all of it must pass the checks of ``GridPatch``.  The
+    discrete coefficient matrix at each interior node is the adjugate of
+    the Hessian of z, positive definite where z is strictly convex, so the
+    linear system is elliptic.  Raises NotStrictlyConvex with
+    the failing (row, col) nodes otherwise, and MalformedGrid where
+    ``GridPatch`` does.
+
+    Divided by z_xx + z_yy, the operator is half the 5-point Laplacian plus
+    a term at most q times as large, q < 1 the anisotropy of the Hessian.
+    Where q <= KRYLOV_MAX_ANISOTROPY, BiCGSTAB preconditioned by the exact
+    inverse of that half Laplacian (``_half_laplacian_solver``) converges in
+    a number of steps set by q alone.  More anisotropic grids, and a Krylov
+    solve that fails, take one SuperLU factor (``newton.sparse_solve``).
     """
-    z = np.asarray(z, dtype=float)
-    zb = np.asarray(zeta_boundary, dtype=float)
-    ny, nx = z.shape
-    zxx, zyy, zxy = _second_diffs(z, h)
+    patch = GridPatch(h=h, z=z, zeta=np.array(zeta_boundary, dtype=float))
+    zxx, zyy, zxy = _second_diffs(patch.z, patch.h)
     bad = _check_convex(zxx, zyy, zxy)
     if bad:
         raise NotStrictlyConvex(
@@ -302,10 +333,68 @@ def solve_defo(z, h, zeta_boundary):
             nodes=[(r + 1, c + 1) for r, c in bad],
         )
 
-    mat, rhs = _flex_system(zxx, zyy, zxy, zb)
-    zeta = zb.copy()
-    zeta[1:-1, 1:-1] = newton.sparse_solve(mat, rhs).reshape(ny - 2, nx - 2)
-    return GridPatch(h=h, z=z, zeta=zeta)
+    mat, rhs = _flex_system(zxx, zyy, zxy, patch.zeta)
+    trace = zxx + zyy
+    x = None
+    if (np.hypot(zxx - zyy, 2 * zxy) / trace).max() <= KRYLOV_MAX_ANISOTROPY:
+        x = _krylov_solve(mat, rhs, trace)
+    if x is None:
+        x = newton.sparse_solve(mat, rhs)
+    patch.zeta[1:-1, 1:-1] = x.reshape(trace.shape)
+    return patch
+
+
+def _krylov_solve(mat, rhs, trace):
+    """BiCGSTAB answer of the flex system ``mat`` x = ``rhs``, or None when
+    it does not converge to 1e-14 of |rhs| or is not finite.
+
+    Both sides are divided row by row by ``trace`` in place (mat on its CSC
+    data), which leaves the answer of the system unchanged.
+    """
+    scale = 1.0 / trace.ravel()
+    mat.data *= scale[mat.indices]
+    rhs *= scale
+    precond = LinearOperator(mat.shape, matvec=_half_laplacian_solver(*trace.shape),
+                             dtype=float)
+    # a q <= 0.7 solve takes at most about 25 steps; more means it stagnates
+    x, info = bicgstab(mat, rhs, rtol=1e-14, atol=0.0, maxiter=100, M=precond)
+    return x if info == 0 and np.isfinite(x).all() else None
+
+
+def _half_laplacian_solver(my, mx):
+    """u -> the solution of (E + W + N + S - 4C) v / 2 = u on an my x mx
+    grid with zero Dirichlet ring, u and v flat in row-major order.
+
+    The sine modes sin(pi k i / (my + 1)) sin(pi l j / (mx + 1)) diagonalise
+    the operator with eigenvalues -2 (sin^2(pi k / 2(my + 1)) +
+    sin^2(pi l / 2(mx + 1))); a DST-I along each axis maps to them and back.
+    """
+    sy = np.sin(0.5 * np.pi * np.arange(1, my + 1) / (my + 1)) ** 2
+    sx = np.sin(0.5 * np.pi * np.arange(1, mx + 1) / (mx + 1)) ** 2
+    # the DST-I applied twice is (m + 1) / 2 times the identity on each
+    # axis, and each of the four _dst1 calls gives -2 times a DST-I
+    weight = 4.0 / ((my + 1) * (mx + 1)) / (-2.0 * (sy[:, None] + sx)) / 16.0
+
+    def solve(u):
+        return _dst1(_dst1(_dst1(_dst1(u.reshape(my, mx))) * weight)).ravel()
+
+    return solve
+
+
+def _dst1(a):
+    """-2 sum_n a[:, n] sin(pi (k + 1)(n + 1) / (m + 1)) for k < m, -2 times
+    the DST-I along the last axis of an (r, m) array, returned as its (m, r)
+    transpose: two calls transform both axes of a grid array and restore
+    its layout.
+
+    That is the imaginary part of the FFT of the odd extension
+    (0, a, 0, -reversed a), of length 2(m + 1).
+    """
+    rows, m = a.shape
+    ext = np.zeros((rows, 2 * m + 2))
+    ext[:, 1:m + 1] = a
+    ext[:, m + 2:] = -a[:, ::-1]
+    return np.fft.rfft(ext)[:, 1:m + 1].imag.T
 
 
 def _flex_system(zxx, zyy, zxy, zb):

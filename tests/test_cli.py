@@ -299,7 +299,8 @@ assert not loaded(*absent), loaded(*absent)
 
 @pytest.mark.parametrize("command, absent", [
     (["rigidity", "defo", "solve"],
-     ["ovaloid.ma_solver", "ovaloid.minkowski_solver", "ovaloid.intrinsic_metric"]),
+     ["ovaloid.ma_solver", "ovaloid.minkowski_solver", "ovaloid.intrinsic_metric",
+      "scipy.fft"]),
     (["ma", "solve"],
      ["ovaloid.rigidity_lab", "ovaloid.minkowski_solver", "ovaloid.intrinsic_metric"]),
 ], ids=["defo", "ma"])
@@ -653,7 +654,14 @@ def test_rigidity_cli(tmp_path, capsys):
      "zeta": [[0.0, 1.0, 2.0], [0.0, float("inf"), 2.0], [0.0, 1.0, 2.0]]},
     {"h": 0.0, "z": np.eye(3).tolist()},
     {"h": -0.25, "z": np.eye(3).tolist()},
-], ids=["nan-z", "inf-zeta", "zero-h", "negative-h"])
+    {"h": 1e300, "z": np.eye(3).tolist()},
+    {"h": 1e160, "z": np.eye(3).tolist()},
+    {"h": 1e-170, "z": np.eye(3).tolist()},
+    {"h": 1e-300, "z": np.eye(3).tolist()},
+    {"h": 1e-100, "z": np.eye(3).tolist()},
+    {"h": 0.5, "z": [0.0, 1.0, 2.0, 3.0]},
+], ids=["nan-z", "inf-zeta", "zero-h", "negative-h", "h=1e300", "h=1e160", "h=1e-170",
+        "h=1e-300", "h=1e-100", "one-axis"])
 @pytest.mark.parametrize("action", ["solve", "check"])
 def test_bad_defo_grid_is_schema_error(tmp_path, capsys, grid, action):
     path = tmp_path / "grid.json"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import (constraint_residual, full_svd_bending_space, lil_flex_system,
                      loop_isometry_constraints)
 from ovaloid import rigidity_lab as rl
-from ovaloid import core, shapes
+from ovaloid import core, newton, shapes
 from ovaloid.errors import (DegenerateGeometry, MalformedGrid, MalformedSurface,
                             NotStrictlyConvex, OpenSurface, PrecisionWarning)
 
@@ -296,7 +297,7 @@ def test_solve_defo_convergence_order_two():
 
 
 def test_solve_defo_ordering_matches_default_solve():
-    # the minimum-degree ordering changes the factorization, not the answer
+    # the BiCGSTAB path (q = 0.2 here) changes the solver, not the answer
     from scipy.sparse.linalg import spsolve
 
     X, Y, h = grid(129)
@@ -307,6 +308,82 @@ def test_solve_defo_ordering_matches_default_solve():
     want = spsolve(mat, rhs)
     got = sol.zeta[1:-1, 1:-1].ravel()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def laplacian_5_point(my, mx):
+    """(E + W + N + S - 4C) / 2 on an my x mx interior, zero ring, row-major."""
+    def second(m):
+        return sp.diags([np.ones(m - 1), -2.0 * np.ones(m), np.ones(m - 1)], [-1, 0, 1])
+    return 0.5 * (sp.kron(sp.eye(my), second(mx)) + sp.kron(second(my), sp.eye(mx)))
+
+
+@pytest.mark.parametrize("my, mx", [(1, 1), (1, 7), (7, 12), (31, 31)])
+def test_half_laplacian_solver_inverts_the_5_point_laplacian(my, mx):
+    v = np.random.default_rng(my * mx).normal(size=my * mx)
+    got = rl._half_laplacian_solver(my, mx)(laplacian_5_point(my, mx) @ v)
+    assert np.abs(got - v).max() <= 1e-13 * np.abs(v).max()
+
+
+def flex_grid(ny, nx, gamma):
+    """z = (x^2 + y^2)/2 + gamma x y (anisotropy |gamma|) on an ny x nx grid
+    of [0.3, 1.1] in x, and random Dirichlet data."""
+    h = 0.8 / (nx - 1)
+    X, Y = np.meshgrid(0.3 + h * np.arange(nx), 0.3 + h * np.arange(ny))
+    zb = np.random.default_rng(ny * nx).normal(size=X.shape)
+    return 0.5 * (X**2 + Y**2) + gamma * X * Y, h, zb
+
+
+@pytest.mark.parametrize("ny, nx", [(3, 3), (3, 17), (9, 14), (65, 65), (129, 129)])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, -0.3])
+def test_krylov_solve_matches_lu(ny, nx, gamma):
+    z, h, zb = flex_grid(ny, nx, gamma)
+    diffs = rl._second_diffs(z, h)
+    mat, rhs = rl._flex_system(*diffs, zb)
+    want = newton.sparse_solve(mat, rhs)
+    got = rl._krylov_solve(mat.copy(), rhs.copy(), diffs[0] + diffs[1])
+    assert got is not None
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """The answers of every newton.sparse_solve call."""
+    answers = []
+    sparse_solve = newton.sparse_solve
+
+    def counted(a, b):
+        answers.append(sparse_solve(a, b))
+        return answers[-1]
+    monkeypatch.setattr(newton, "sparse_solve", counted)
+    return answers
+
+
+def test_near_isotropic_flex_solve_factors_nothing(lu_calls):
+    z, h, zb = flex_grid(33, 33, 0.3)
+    sol = rl.solve_defo(z, h, zb)
+    assert not lu_calls
+    assert rl.defo_residual(sol) < 1e-9
+
+
+@pytest.mark.parametrize("surface", [
+    lambda X, Y: 50 * X**2 + 0.5 * Y**2 + 0.5 * X * Y,
+    lambda X, Y: np.exp(2 * X + Y) + 0.5 * Y**2,
+], ids=["stretched", "exponential"])
+def test_anisotropic_flex_solve_factors_once(lu_calls, surface):
+    X, Y, h = grid(33)
+    sol = rl.solve_defo(surface(X, Y), h, np.cos(3 * X) * np.sinh(Y))
+    assert len(lu_calls) == 1
+    assert np.array_equal(sol.zeta[1:-1, 1:-1].ravel(), lu_calls[0])
+    assert rl.defo_residual(sol) < 1e-9
+
+
+def test_unconverged_krylov_solve_falls_back_to_lu(monkeypatch, lu_calls):
+    monkeypatch.setattr(rl, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
+    z, h, zb = flex_grid(17, 17, 0.1)
+    sol = rl.solve_defo(z, h, zb)
+    assert len(lu_calls) == 1
+    assert np.array_equal(sol.zeta[1:-1, 1:-1].ravel(), lu_calls[0])
+    assert rl.defo_residual(sol) < 1e-9
 
 
 def test_flex_system_matches_lil_reference():
@@ -380,3 +457,13 @@ def test_surface_and_grid_errors_are_named():
     for z, zeta in ((np.zeros((2, 5)), np.zeros((2, 5))), (np.zeros((5, 5)), np.zeros((4, 5)))):
         with pytest.raises(MalformedGrid):
             rl.GridPatch(h=0.1, z=z, zeta=zeta)
+    X, Y, _ = grid(5)
+    z = 0.5 * (X**2 + Y**2)
+    # h^2 infinite, subnormal or zero; second differences near 1e200
+    for h in (1e300, 1e160, 1e-160, 1e-170, 1e-300, 1e-100):
+        with pytest.raises(MalformedGrid):
+            rl.GridPatch(h=h, z=z, zeta=np.zeros_like(z))
+        with pytest.raises(MalformedGrid):
+            rl.solve_defo(z, h, np.zeros_like(z))
+    with pytest.raises(MalformedGrid):
+        rl.solve_defo(z, 0.25, np.zeros((4, 5)))
