@@ -21,10 +21,12 @@ from .errors import (
     DuplicateNodes,
     MalformedMAProblem,
     NonConvexPolygon,
+    OpenAreaVector,
     OpenSurface,
     OvaloidError,
     ParseError,
     PointOutsidePolygon,
+    PrecisionWarning,
     SchemaError,
     UnknownDemo,
 )
@@ -132,13 +134,12 @@ def _load_net(path):
     from . import io
 
     if str(path).endswith(".off"):
-        pf = io.parse_problem(path, kind="mesh")
+        vertices, faces = io.read_off(path)
         from . import core, intrinsic_metric as im
 
-        _check_closed(pf.payload["faces"])
+        _check_closed(faces)
         try:
-            poly = core.polytope_from_mesh(pf.payload["vertices"],
-                                           pf.payload["faces"])
+            poly = core.polytope_from_mesh(vertices, faces)
         except ValueError as exc:  # not the boundary of a convex polytope
             raise SchemaError("mesh.convex", str(exc)) from exc
         return im.net_from_polytope(poly)
@@ -206,7 +207,7 @@ def _cmd_ma(args):
 
     from . import io
 
-    problem = io.parse_problem(args.path, kind="ma-problem").payload
+    problem = io.parse_problem(args.path, kind="ma-problem")
     from . import ma_solver as ma
 
     tol = args.tol if args.tol is not None else 1e-10
@@ -261,16 +262,9 @@ def _cmd_minkowski(args):
         return (0 if err <= 1e-6 else 1), metrics
     from . import io
 
-    payload = io.parse_problem(args.path, kind="minkowski-problem").payload
+    problem = io.parse_problem(args.path, kind="minkowski-problem")
     from . import minkowski_solver as mk
 
-    if isinstance(payload, mk.CurvatureSample):
-        try:
-            problem = mk.discretize_curvature(payload).validate()
-        except ValueError as exc:  # the closing repair fails or the normals are bad
-            raise SchemaError("minkowski.curvature.valid", str(exc)) from exc
-    else:
-        problem = payload
     if args.action == "check":
         defect = mk.check_closing(problem)
         norm = float(np.linalg.norm(defect))
@@ -281,8 +275,11 @@ def _cmd_minkowski(args):
             "metadata": problem.metadata,
         }
     max_iter = args.max_iter if args.max_iter is not None else 100
-    body, rep = mk.solve_minkowski(problem, tol=tol, max_iter=max_iter,
-                                   full_output=True)
+    try:
+        body, rep = mk.solve_minkowski(problem, tol=tol, max_iter=max_iter,
+                                       full_output=True)
+    except OpenAreaVector as exc:  # io leaves the closing test to the command
+        raise SchemaError("minkowski.valid", str(exc)) from exc
     out = str(args.path) + ".solution.off"
     io.write_off(out, body.vertices, body.faces)
     return 0, {
@@ -301,15 +298,14 @@ def _cmd_rigidity(args):
 
     tol = args.tol if args.tol is not None else 1e-10
     if args.action == "analyze":
-        pf = io.parse_problem(args.path, kind="mesh")
+        vertices, faces = io.read_off(args.path)
         from . import rigidity_lab as rl
 
-        faces = pf.payload["faces"]
         if not faces or any(len(f) != 3 for f in faces):
             raise SchemaError("mesh.triangles", "the surface must be triangulated")
         # vertex lines that no face uses are not part of the surface
         used, faces = np.unique(np.ravel(faces), return_inverse=True)
-        surf = rl.TriangulatedSurface(vertices=pf.payload["vertices"][used],
+        surf = rl.TriangulatedSurface(vertices=vertices[used],
                                       triangles=faces.reshape(-1, 3))
         try:
             surf.validate()
@@ -317,18 +313,20 @@ def _cmd_rigidity(args):
             raise SchemaError("mesh.closed", str(exc)) from exc
         rep = rl.bending_space(surf, tol=tol)
         return (0 if rep.nontrivial_dim == 0 else 1), rep.as_dict()
-    patch = io.parse_problem(args.path, kind="rigidity-problem").payload
+    patch = io.parse_problem(args.path, kind="rigidity-problem")
     from . import rigidity_lab as rl
 
-    if not isinstance(patch, rl.GridPatch):
-        raise SchemaError("rigidity.grid", "defo commands need a grid payload")
     if args.defo_action == "solve":
-        sol = rl.solve_defo(patch.z, patch.h, patch.zeta)
+        sol = rl.solve_defo(patch)
         return 0, {
             "zeta": sol.zeta.tolist(),
             "residual": rl.defo_residual(sol),
         }
-    rep = rl.main_lemma_check(patch, tol=args.tol if args.tol is not None else 1e-8)
+    import warnings
+
+    with warnings.catch_warnings():  # the report's residual_gate_exceeded says it
+        warnings.simplefilter("ignore", PrecisionWarning)
+        rep = rl.main_lemma_check(patch, tol=args.tol if args.tol is not None else 1e-8)
     return (0 if rep.ok else 1), rep.as_dict()
 
 

@@ -122,10 +122,6 @@ class SearchBudgetExceeded(OvaloidError):
     """Geodesic search expanded more face sequences than its state budget."""
 
 
-class TooFewSamples(OvaloidError, ValueError):
-    """A scan needs more sample points than it was given."""
-
-
 class TriangleInequalityViolated(OvaloidError):
     """Side lengths cannot form a planar triangle."""
 

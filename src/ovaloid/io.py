@@ -7,7 +7,6 @@ writer emits exactly "OFF\\n<nv> <nf> 0\\n" as its header.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -15,14 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
-
-
-@dataclasses.dataclass
-class ProblemFile:
-    kind: str
-    payload: object
-    path: str | None = None
+from .errors import OpenAreaVector, ParseError, SchemaError
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +212,15 @@ def _load_json(path):
 
 
 def parse_problem(path, kind=None):
-    """Parse a problem file; ``kind`` checks/selects the expected schema."""
+    """The checked object a problem file's command runs: ``read_off``'s
+    (vertices, faces), an ``MAProblem``, a ``MinkowskiProblem`` (from a
+    curvature sample too; open areas pass, for ``minkowski check`` to
+    report) or a ``GridPatch``.  ``kind`` checks/selects the schema."""
     if str(path).endswith(".off") or kind == "mesh":
-        verts, faces = read_off(path)
+        mesh = read_off(path)
         if kind not in (None, "mesh"):
             raise SchemaError("kind.match", f"expected {kind!r}, an OFF file holds a mesh")
-        return ProblemFile(kind="mesh", payload={"vertices": verts, "faces": faces},
-                           path=str(path))
+        return mesh
     data = _load_json(path)
     file_kind = data.get("kind")
     if file_kind is None:
@@ -234,14 +228,12 @@ def parse_problem(path, kind=None):
     if kind is not None and file_kind != kind:
         raise SchemaError("kind.match", f"expected {kind!r}, file says {file_kind!r}")
     if file_kind == "ma-problem":
-        payload = _parse_ma(data)
-    elif file_kind == "minkowski-problem":
-        payload = _parse_minkowski(data)
-    elif file_kind == "rigidity-problem":
-        payload = _parse_rigidity(data)
-    else:
-        raise SchemaError("kind.known", f"unknown kind {file_kind!r}")
-    return ProblemFile(kind=file_kind, payload=payload, path=str(path))
+        return _parse_ma(data)
+    if file_kind == "minkowski-problem":
+        return _parse_minkowski(data)
+    if file_kind == "rigidity-problem":
+        return _parse_rigidity(data)
+    raise SchemaError("kind.known", f"unknown kind {file_kind!r}")
 
 
 def _real_array(data, field):
@@ -284,7 +276,7 @@ def _parse_ma(data):
 
 
 def _parse_minkowski(data):
-    from .minkowski_solver import CurvatureSample, MinkowskiProblem
+    from .minkowski_solver import CurvatureSample, MinkowskiProblem, discretize_curvature
 
     if "curvature" in data:
         cur = data["curvature"]
@@ -292,47 +284,39 @@ def _parse_minkowski(data):
         cell_areas = _need(cur, "cell_areas", "minkowski.cell_areas")
         curvature = _need(cur, "K", "minkowski.K")
         try:
-            return CurvatureSample(
+            return discretize_curvature(CurvatureSample(
                 centers=np.asarray(centers, float),
                 cell_areas=np.asarray(cell_areas, float),
                 curvature=np.asarray(curvature, float),
-            ).validate()
-        except ValueError as exc:
+            )).validate()
+        except ValueError as exc:  # a bad sample, or a failed closing repair
             raise SchemaError("minkowski.curvature.valid", str(exc)) from exc
     normals = _need(data, "normals", "minkowski.normals")
     areas = _need(data, "areas", "minkowski.areas")
     try:
-        return MinkowskiProblem(normals=np.asarray(normals, float),
-                                target_areas=np.asarray(areas, float)).validate()
+        problem = MinkowskiProblem(normals=np.asarray(normals, float),
+                                   target_areas=np.asarray(areas, float))
+        return problem.validate()
+    except OpenAreaVector:
+        # the closing test is the last one, so every other check has passed
+        return problem
     except ValueError as exc:
         raise SchemaError("minkowski.valid", str(exc)) from exc
 
 
 def _parse_rigidity(data):
-    from .rigidity_lab import GridPatch, TriangulatedSurface
+    from .rigidity_lab import GridPatch
 
-    if "grid" in data:
-        grid = data["grid"]
-        z = _need(grid, "z", "rigidity.grid.z")
-        h = _need(grid, "h", "rigidity.grid.h")
-        zeta = grid.get("zeta")
-        try:
-            z = np.asarray(z, dtype=float)
-            zeta = np.zeros_like(z) if zeta is None else np.asarray(zeta, dtype=float)
-            return GridPatch(h=float(h), z=z, zeta=zeta)
-        except (TypeError, ValueError) as exc:  # MalformedGrid is a ValueError
-            raise SchemaError("rigidity.grid.valid", str(exc)) from exc
-    surf = _need(data, "surface", "rigidity.surface")
-    vertices = _need(surf, "vertices", "rigidity.vertices")
-    triangles = _need(surf, "triangles", "rigidity.triangles")
+    grid = _need(data, "grid", "rigidity.grid")
+    z = _need(grid, "z", "rigidity.grid.z")
+    h = _need(grid, "h", "rigidity.grid.h")
+    zeta = grid.get("zeta")
     try:
-        return TriangulatedSurface(
-            vertices=np.asarray(vertices, float),
-            triangles=np.asarray(triangles, int),
-            with_boundary=bool(surf.get("with_boundary", False)),
-        ).validate()
-    except ValueError as exc:
-        raise SchemaError("rigidity.surface.valid", str(exc)) from exc
+        z = np.asarray(z, dtype=float)
+        zeta = np.zeros_like(z) if zeta is None else np.asarray(zeta, dtype=float)
+        return GridPatch(h=float(h), z=z, zeta=zeta)
+    except (TypeError, ValueError) as exc:  # MalformedGrid is a ValueError
+        raise SchemaError("rigidity.grid.valid", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

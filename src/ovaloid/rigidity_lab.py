@@ -244,18 +244,23 @@ def bending_space(surface: TriangulatedSurface, tol=1e-10):
 # the flex equation on grid patches
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class GridPatch:
-    """Rectangular grid carrying a base graph z and a flex component zeta."""
+    """Rectangular grid carrying a base graph z and a flex component zeta.
+
+    Frozen; building it is the one check of a grid, and it keeps the
+    second differences it takes, which every flex computation reads."""
 
     h: float
     z: np.ndarray      # (ny, nx); axis 0 is y, axis 1 is x
     zeta: np.ndarray   # same shape
+    z_diffs: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    zeta_diffs: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.h = float(self.h)
-        self.z = np.asarray(self.z, dtype=float)
-        self.zeta = np.asarray(self.zeta, dtype=float)
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
+        object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
         if self.z.shape != self.zeta.shape:
             raise MalformedGrid("z and zeta must share a shape")
         if self.z.ndim != 2 or min(self.z.shape) < 3:
@@ -267,9 +272,11 @@ class GridPatch:
         if not (self.h > 0 and np.finfo(float).tiny <= self.h * self.h < np.inf):
             raise MalformedGrid(f"spacing h = {self.h} has no finite normal square")
         with np.errstate(over="ignore", invalid="ignore"):
-            diffs = _second_diffs(self.z, self.h) + _second_diffs(self.zeta, self.h)
+            object.__setattr__(self, "z_diffs", _second_diffs(self.z, self.h))
+            object.__setattr__(self, "zeta_diffs", _second_diffs(self.zeta, self.h))
         # the Hessian determinants and the flex residual add products of two
         # second differences; NaN fails the comparison too
+        diffs = self.z_diffs + self.zeta_diffs
         if not 2 * np.max([np.abs(d).max() for d in diffs]) < np.sqrt(np.finfo(float).max):
             raise MalformedGrid("second differences of z or zeta too large to multiply "
                                 f"at h = {self.h}")
@@ -285,8 +292,8 @@ def _second_diffs(a, h):
 
 def defo_residual(patch: GridPatch):
     """Max-norm residual of z_xx zeta_yy - 2 z_xy zeta_xy + z_yy zeta_xx."""
-    zxx, zyy, zxy = _second_diffs(patch.z, patch.h)
-    wxx, wyy, wxy = _second_diffs(patch.zeta, patch.h)
+    zxx, zyy, zxy = patch.z_diffs
+    wxx, wyy, wxy = patch.zeta_diffs
     return float(np.abs(zxx * wyy - 2 * zxy * wxy + zyy * wxx).max())
 
 
@@ -306,16 +313,16 @@ def _check_convex(zxx, zyy, zxy, tol=1e-12):
 KRYLOV_MAX_ANISOTROPY = 0.7
 
 
-def solve_defo(z, h, zeta_boundary):
+def solve_defo(patch: GridPatch):
     """Dirichlet solve of the flex equation over a strictly convex base grid.
 
-    ``zeta_boundary`` supplies the full grid array; only its outer ring is
-    read, but all of it must pass the checks of ``GridPatch``.  The
-    discrete coefficient matrix at each interior node is the adjugate of
-    the Hessian of z, positive definite where z is strictly convex, so the
-    linear system is elliptic.  Raises NotStrictlyConvex with
-    the failing (row, col) nodes otherwise, and MalformedGrid where
-    ``GridPatch`` does.
+    Returns a new patch with the solved interior inside the outer ring of
+    ``patch.zeta``; the rest of ``patch.zeta`` is not read, and ``patch`` is
+    left as it is.  The discrete coefficient matrix at each interior node
+    is the adjugate of the Hessian of z, positive definite where z is
+    strictly convex, so the linear system is elliptic.  Raises
+    NotStrictlyConvex with the failing (row, col) nodes otherwise, and
+    MalformedGrid where the answer fails the checks of ``GridPatch``.
 
     Divided by z_xx + z_yy, the operator is half the 5-point Laplacian plus
     a term at most q times as large, q < 1 the anisotropy of the Hessian.
@@ -324,8 +331,7 @@ def solve_defo(z, h, zeta_boundary):
     a number of steps set by q alone.  More anisotropic grids, and a Krylov
     solve that fails, take one SuperLU factor (``newton.sparse_solve``).
     """
-    patch = GridPatch(h=h, z=z, zeta=np.array(zeta_boundary, dtype=float))
-    zxx, zyy, zxy = _second_diffs(patch.z, patch.h)
+    zxx, zyy, zxy = patch.z_diffs
     bad = _check_convex(zxx, zyy, zxy)
     if bad:
         raise NotStrictlyConvex(
@@ -340,8 +346,9 @@ def solve_defo(z, h, zeta_boundary):
         x = _krylov_solve(mat, rhs, trace)
     if x is None:
         x = newton.sparse_solve(mat, rhs)
-    patch.zeta[1:-1, 1:-1] = x.reshape(trace.shape)
-    return patch
+    zeta = patch.zeta.copy()
+    zeta[1:-1, 1:-1] = x.reshape(trace.shape)
+    return GridPatch(h=patch.h, z=patch.z, zeta=zeta)
 
 
 def _krylov_solve(mat, rhs, trace):
@@ -443,6 +450,7 @@ class LemmaReport:
     max_det: float
     violations: list       # (row, col, det) beyond tolerance
     defo_residual: float
+    residual_gate_exceeded: bool  # defo_residual above the scaled RESIDUAL_GATE
 
     def as_dict(self):
         return {
@@ -450,6 +458,7 @@ class LemmaReport:
             "max_det": float(self.max_det),
             "violations": [(int(r), int(c), float(d)) for r, c, d in self.violations],
             "defo_residual": float(self.defo_residual),
+            "residual_gate_exceeded": self.residual_gate_exceeded,
         }
 
 
@@ -461,20 +470,22 @@ def main_lemma_check(patch: GridPatch, tol=1e-8):
     """Audit: det Hess zeta <= tol wherever Hess z is positive definite.
 
     Algebraically, Hess z > 0 together with a vanishing flex pairing forces
-    det Hess zeta <= 0; the discrete check inherits the solver residual, so a
-    PrecisionWarning is issued when that residual is too large for ``tol`` to
-    be meaningful.
+    det Hess zeta <= 0; the discrete check inherits the solver residual, so
+    when that residual exceeds RESIDUAL_GATE times max(max|z|, 1), too large
+    for ``tol`` to be meaningful, the report says so in
+    ``residual_gate_exceeded`` and a PrecisionWarning is issued.  The
+    second differences are the ones the patch keeps.
     """
     resid = defo_residual(patch)
-    scale = max(float(np.abs(patch.z).max()), 1.0)
-    if resid > RESIDUAL_GATE * scale:
+    gate_exceeded = resid > RESIDUAL_GATE * max(float(np.abs(patch.z).max()), 1.0)
+    if gate_exceeded:
         warnings.warn(
             f"flex residual {resid} too large for a {tol} determinant check",
             PrecisionWarning,
             stacklevel=2,
         )
-    zxx, zyy, zxy = _second_diffs(patch.z, patch.h)
-    wxx, wyy, wxy = _second_diffs(patch.zeta, patch.h)
+    zxx, zyy, zxy = patch.z_diffs
+    wxx, wyy, wxy = patch.zeta_diffs
     det = wxx * wyy - wxy**2
     convex = (zxx > 0) & (zxx * zyy - zxy**2 > 0)
     det_on = np.where(convex, det, -np.inf)
@@ -489,4 +500,5 @@ def main_lemma_check(patch: GridPatch, tol=1e-8):
         max_det=max_det,
         violations=violations,
         defo_residual=resid,
+        residual_gate_exceeded=gate_exceeded,
     )

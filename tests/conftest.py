@@ -35,6 +35,19 @@ def random_face_point(net, rng, margin=0.15):
     return im.SurfacePoint(f, (float(p[0]), float(p[1])))
 
 
+def counted_calls(monkeypatch, owner, name):
+    """A list that grows by one entry at each call of ``owner.name``."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def interior_indices(u):
     """Indices of the nodes of a PLConvexFunction off its domain's boundary."""
     from ovaloid import planar

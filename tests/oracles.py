@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, SphericalVoronoi
 
 from ovaloid import core, ma_solver, planar, rigidity_lab
-from ovaloid.errors import CoincidentPoints, InvalidNet, SearchBudgetExceeded, TooFewSamples
+from ovaloid.errors import CoincidentPoints, InvalidNet, OvaloidError, SearchBudgetExceeded
 from ovaloid.intrinsic_metric import (
     MetricNet,
     _point_representations,
@@ -843,6 +843,10 @@ class ScanReport:
     violations: list          # (k, increase) where alpha[k+1] > alpha[k] + tol
     angle_estimate: float     # alpha at the smallest sampled scale
     samples: int
+
+
+class TooFewSamples(OvaloidError, ValueError):
+    """A scan needs more sample points than it was given."""
 
 
 def angle_monotonicity_scan(net, origin, a, b, samples=8, tol=1e-9, **path_kw):

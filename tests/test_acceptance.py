@@ -324,7 +324,7 @@ def test_10_flex_equation():
             xs = np.linspace(0, 1, n)
             X, Y = np.meshgrid(xs, xs)
             z = 0.5 * (X**2 + Y**2) + gamma * X * Y
-            sol = rl.solve_defo(z, xs[1] - xs[0], exact(X, Y))
+            sol = rl.solve_defo(rl.GridPatch(h=xs[1] - xs[0], z=z, zeta=exact(X, Y)))
             errs.append(np.abs(sol.zeta - exact(X, Y)).max())
         for k in range(2):
             order = np.log2(errs[k] / errs[k + 1])
@@ -337,7 +337,7 @@ def test_10_flex_equation():
             ax, ay = rng.uniform(0.5, 2.0, 2)
             gxy = rng.uniform(-0.4, 0.4) * np.sqrt(ax * ay)
             z = 0.5 * (ax * X**2 + ay * Y**2) + gxy * X * Y
-            sol = rl.solve_defo(z, xs[1] - xs[0], rng.normal(0, 1, (n, n)))
+            sol = rl.solve_defo(rl.GridPatch(h=xs[1] - xs[0], z=z, zeta=rng.normal(0, 1, (n, n))))
             rep = rl.main_lemma_check(sol, tol=1e-8)
             assert rep.ok, rep.violations
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_face_point
-from oracles import angle_monotonicity_scan
+from oracles import TooFewSamples, angle_monotonicity_scan
 from ovaloid import intrinsic_metric as im
 from ovaloid import shapes
-from ovaloid.errors import TooFewSamples, TriangleInequalityViolated
+from ovaloid.errors import TriangleInequalityViolated
 
 
 def test_comparison_angle_examples():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import counted_calls
 from oracles import write_net
 import ovaloid
 from ovaloid import cli, core, intrinsic_metric as im, io, shapes
@@ -502,8 +503,9 @@ def test_top_level_json_non_object_is_schema_error(tmp_path, capsys, command, to
      "rigidity.grid.z"),
     (["minkowski", "solve"], {"kind": "minkowski-problem", "curvature": 3},
      "minkowski.centers"),
+    # no "grid": the surface form is not read
     (["rigidity", "defo", "check"], {"kind": "rigidity-problem", "surface": "vertices"},
-     "rigidity.vertices"),
+     "rigidity.grid"),
 ], ids=["grid", "curvature", "surface"])
 def test_nested_non_object_is_schema_error(tmp_path, capsys, command, body, constraint):
     path = tmp_path / "prob.json"
@@ -593,6 +595,27 @@ def test_minkowski_solve_and_check_cli(tmp_path, capsys, cube):
     assert len(verts) == 8 and len(faces) == 6
 
 
+def test_minkowski_check_reports_an_open_area_vector(tmp_path, capsys, cube):
+    # closed but for one area: check writes the defect and exits 1, and
+    # solve refuses the data as it did
+    areas = cube.areas.copy()
+    areas[0] *= 1.0 + 1e-7
+    path = tmp_path / "mk.json"
+    path.write_text(json.dumps({"kind": "minkowski-problem",
+                                "normals": cube.normals.tolist(),
+                                "areas": areas.tolist()}))
+    code, out = run_cli(["minkowski", "check", str(path)], capsys)
+    assert code == 1
+    metrics = json.loads(out)["metrics"]
+    assert metrics["norm"] == pytest.approx(1e-7, rel=1e-6)
+    assert np.linalg.norm(metrics["closing_defect"]) == pytest.approx(metrics["norm"])
+    code = cli.run(["minkowski", "solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ovaloid: minkowski.valid: closing defect")
+
+
 @pytest.mark.parametrize("action", ["check", "solve"])
 @pytest.mark.parametrize("centers, cell_areas", [
     # the closing repair takes every area to zero
@@ -646,6 +669,46 @@ def test_rigidity_cli(tmp_path, capsys):
     code, out = run_cli(["rigidity", "defo", "check", str(gpath)], capsys)
     assert code == 0
     assert json.loads(out)["metrics"]["ok"]
+
+
+def _write_flex_grid(path, zeta):
+    xs = np.linspace(0, 1, 9)
+    X, Y = np.meshgrid(xs, xs)
+    path.write_text(json.dumps({
+        "kind": "rigidity-problem",
+        "grid": {"h": float(xs[1]), "z": (0.5 * (X**2 + Y**2)).tolist(),
+                 "zeta": zeta(X, Y).tolist()},
+    }))
+
+
+def test_defo_check_reports_the_residual_gate(tmp_path, capsys):
+    # boundary data alone is far from a flex: the report says so, and no
+    # PrecisionWarning reaches the terminal (the suite makes it an error)
+    path = tmp_path / "grid.json"
+    _write_flex_grid(path, lambda X, Y: np.pad(np.zeros((7, 7)), 1, constant_values=1.0))
+    code = cli.run(["rigidity", "defo", "check", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert json.loads(captured.out)["metrics"]["residual_gate_exceeded"] is True
+    _write_flex_grid(path, lambda X, Y: X**2 - Y**2)
+    code, out = run_cli(["rigidity", "defo", "check", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["metrics"]["residual_gate_exceeded"] is False
+
+
+@pytest.mark.parametrize("action, calls", [("solve", 4), ("check", 2)])
+def test_defo_commands_difference_each_patch_once(tmp_path, capsys, monkeypatch,
+                                                  action, calls):
+    # z and zeta of the parsed patch, and of the solved one for solve
+    from ovaloid import rigidity_lab as rl
+
+    counted = counted_calls(monkeypatch, rl, "_second_diffs")
+    path = tmp_path / "grid.json"
+    _write_flex_grid(path, lambda X, Y: X**2 - Y**2)
+    code, _ = run_cli(["rigidity", "defo", action, str(path)], capsys)
+    assert code == 0
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("grid", [

@@ -69,9 +69,9 @@ def test_off_parse_errors(tmp_path):
 def test_parse_mesh_kind(tmp_path, cube):
     path = tmp_path / "cube.off"
     io.write_off(path, cube.vertices, cube.faces)
-    pf = io.parse_problem(path, kind="mesh")
-    assert pf.kind == "mesh"
-    assert len(pf.payload["faces"]) == 6
+    verts, faces = io.parse_problem(path, kind="mesh")
+    assert len(verts) == 8
+    assert len(faces) == 6
 
 
 def test_ma_problem_roundtrip(tmp_path):
@@ -85,10 +85,10 @@ def test_ma_problem_roundtrip(tmp_path):
     }
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(data))
-    pf = io.parse_problem(path, kind="ma-problem")
-    assert isinstance(pf.payload, ma.MAProblem)
-    assert len(pf.payload.masses) == 1
-    u = ma.solve_ma(pf.payload, tol=1e-10)
+    problem = io.parse_problem(path, kind="ma-problem")
+    assert isinstance(problem, ma.MAProblem)
+    assert len(problem.masses) == 1
+    u = ma.solve_ma(problem, tol=1e-10)
     assert u.solve_info["converged"]
 
 
@@ -104,8 +104,8 @@ def test_ma_problem_with_theta(tmp_path):
     }
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(data))
-    pf = io.parse_problem(path)
-    vals = pf.payload.theta(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0, 0, 0)
+    problem = io.parse_problem(path)
+    vals = problem.theta(np.array([0.0, 1.0]), np.array([0.0, 0.0]), 0, 0, 0)
     np.testing.assert_allclose(vals, [1.0, np.exp(-1.0)])
 
 
@@ -142,8 +142,8 @@ def test_minkowski_problem_parse(tmp_path, cube):
         "normals": cube.normals.tolist(),
         "areas": cube.areas.tolist(),
     }))
-    pf = io.parse_problem(path, kind="minkowski-problem")
-    assert isinstance(pf.payload, mk.MinkowskiProblem)
+    problem = io.parse_problem(path, kind="minkowski-problem")
+    assert isinstance(problem, mk.MinkowskiProblem)
     centers, areas = sphere_partition(80, seed=0)
     path.write_text(json.dumps({
         "kind": "minkowski-problem",
@@ -153,8 +153,11 @@ def test_minkowski_problem_parse(tmp_path, cube):
             "K": [1.0] * 80,
         },
     }))
-    pf2 = io.parse_problem(path)
-    assert isinstance(pf2.payload, mk.CurvatureSample)
+    # a curvature sample is discretised, and its closing repair recorded
+    problem = io.parse_problem(path)
+    assert isinstance(problem, mk.MinkowskiProblem)
+    assert len(problem.normals) == 80
+    assert set(problem.metadata) == {"closing_defect_before", "area_correction_norm"}
 
 
 @pytest.mark.parametrize("body, constraint", [
@@ -174,19 +177,6 @@ def test_malformed_minkowski_arrays_are_schema_errors(tmp_path, body, constraint
     with pytest.raises(SchemaError) as err:
         io.parse_problem(path)
     assert err.value.constraint == constraint
-
-
-@pytest.mark.parametrize("triangles", [[[0, 1]], [[0, 1, 2], [0, 1]], [[0, 1, 5]], []],
-                         ids=["pairs", "ragged", "out-of-range", "empty"])
-def test_malformed_triangles_are_schema_errors(tmp_path, triangles):
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps({
-        "kind": "rigidity-problem",
-        "surface": {"vertices": np.eye(3).tolist(), "triangles": triangles},
-    }))
-    with pytest.raises(SchemaError) as err:
-        io.parse_problem(path)
-    assert err.value.constraint == "rigidity.surface.valid"
 
 
 def test_ragged_grid_is_schema_error(tmp_path):
@@ -210,14 +200,16 @@ def test_rigidity_problem_parse(tmp_path):
             "triangles": core.fan_triangles(ico.faces).tolist(),
         },
     }))
-    pf = io.parse_problem(path)
-    assert isinstance(pf.payload, rl.TriangulatedSurface)
+    # a surface is not a rigidity problem: `rigidity analyze` reads OFF
+    with pytest.raises(SchemaError) as err:
+        io.parse_problem(path)
+    assert err.value.constraint == "rigidity.grid"
     path.write_text(json.dumps({
         "kind": "rigidity-problem",
         "grid": {"h": 0.25, "z": np.eye(4).tolist()},
     }))
-    pf2 = io.parse_problem(path)
-    assert isinstance(pf2.payload, rl.GridPatch)
+    patch = io.parse_problem(path)
+    assert isinstance(patch, rl.GridPatch)
 
 
 def test_kind_mismatch(tmp_path, cube):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import grid_problem
+from conftest import counted_calls, grid_problem
 from oracles import cell_masses, lower_envelope_evaluator, masses_from_density
 from ovaloid import ma_solver as ma
 from ovaloid import planar
@@ -80,6 +80,38 @@ def test_feasible_weighted_solve():
     problem.masses[:] = 0.5 * np.pi / len(problem.masses)
     u = ma.solve_ma(problem, tol=1e-8)
     assert u.solve_info["final_residual"] <= 1e-8
+
+
+def test_mass_balance_bound_integrates_the_weight():
+    # without a mass_bound, the attainable mass is theta's quadrature
+    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    assert ma.mass_balance_bound(theta) == pytest.approx(np.pi, rel=1e-13)
+    problem = grid_problem(3, 3.0, theta=theta)
+    problem.masses[:] = 0.9 * np.pi / len(problem.masses)
+    u = ma.solve_ma(problem, tol=1e-8)
+    assert u.solve_info["final_residual"] <= 1e-8
+    problem.masses[:] = 1.01 * np.pi / len(problem.masses)
+    with pytest.raises(Infeasible):
+        ma.solve_ma(problem)
+
+
+def test_weighted_solve_recuts_cells_outside_the_boundary_hull(monkeypatch):
+    # (2.7, 2.7) lies outside the boundary nodes' hull, which a weight
+    # allows: its cell is unbounded and solve_ma recuts it in the window
+    theta = lambda p1, p2, z, x1, x2: np.exp(-(p1**2 + p2**2))
+    problem = ma.MAProblem(
+        domain=[[0, 0], [3, 0], [3, 3], [0, 3]],
+        interior_nodes=[[1.5, 1.5], [2.7, 2.7], [1.0, 1.2], [2.0, 1.0]],
+        masses=[0.3] * 4,
+        boundary_nodes=[[1.5, 0], [3, 1.5], [1.5, 3], [0, 1.5], [0, 0]],
+        boundary_values=[0.0] * 5, theta=theta, mass_bound=np.pi)
+    clips = counted_calls(monkeypatch, ma._Cells, "clip")
+    u = ma.solve_ma(problem, tol=1e-10)
+    assert u.solve_info["final_residual"] <= 1e-10
+    assert clips
+    window = planar.box_polygon(0.0, 0.0, ma._theta_window(theta))
+    got = cell_masses(u.nodes, u.values, np.arange(4), theta, rel_tol=1e-10, clip=window)
+    np.testing.assert_allclose(got, problem.masses, rtol=1e-9)
 
 
 def test_unweighted_big_masses_still_solvable():

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import counted_calls
 from oracles import (constraint_residual, full_svd_bending_space, lil_flex_system,
                      loop_isometry_constraints)
 from ovaloid import rigidity_lab as rl
@@ -270,14 +273,14 @@ def test_defo_residual_examples():
 def test_solve_defo_zero_boundary_gives_zero():
     X, Y, h = grid(11)
     z = 0.5 * (X**2 + Y**2) + 0.1 * X * Y
-    sol = rl.solve_defo(z, h, np.zeros_like(z))
+    sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=np.zeros_like(z)))
     assert np.abs(sol.zeta).max() < 1e-12
 
 
 def test_solve_defo_recovers_harmonic_quadratic():
     X, Y, h = grid(13)
     z = 0.5 * (X**2 + Y**2)
-    sol = rl.solve_defo(z, h, X**2 - Y**2)
+    sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=X**2 - Y**2))
     assert np.abs(sol.zeta - (X**2 - Y**2)).max() < 1e-11
 
 
@@ -289,7 +292,7 @@ def test_solve_defo_convergence_order_two():
     for n in (9, 17, 33):
         X, Y, h = grid(n)
         z = 0.5 * (X**2 + Y**2) + gamma * X * Y
-        sol = rl.solve_defo(z, h, exact(X, Y))
+        sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=exact(X, Y)))
         errs.append(np.abs(sol.zeta - exact(X, Y)).max())
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     for o in orders:
@@ -303,11 +306,26 @@ def test_solve_defo_ordering_matches_default_solve():
     X, Y, h = grid(129)
     z = 0.5 * (X**2 + Y**2) + 0.2 * X * Y
     zb = np.exp(X + 0.2 * Y) * np.cos(0.9 * Y)
-    sol = rl.solve_defo(z, h, zb)
+    sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=zb))
     mat, rhs = rl._flex_system(*rl._second_diffs(z, h), zb)
     want = spsolve(mat, rhs)
     got = sol.zeta[1:-1, 1:-1].ravel()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_defo_returns_a_new_patch(monkeypatch):
+    # the input keeps its boundary-only zeta, and only the answer is checked
+    X, Y, h = grid(9)
+    zb = X**2 - Y**2
+    zb[1:-1, 1:-1] = 0.0
+    patch = rl.GridPatch(h=h, z=0.5 * (X**2 + Y**2), zeta=zb.copy())
+    counted = counted_calls(monkeypatch, rl, "_second_diffs")
+    sol = rl.solve_defo(patch)
+    assert len(counted) == 2
+    assert np.array_equal(patch.zeta, zb)
+    assert np.abs(sol.zeta - (X**2 - Y**2)).max() < 1e-12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.zeta = zb
 
 
 def laplacian_5_point(my, mx):
@@ -360,7 +378,7 @@ def lu_calls(monkeypatch):
 
 def test_near_isotropic_flex_solve_factors_nothing(lu_calls):
     z, h, zb = flex_grid(33, 33, 0.3)
-    sol = rl.solve_defo(z, h, zb)
+    sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=zb))
     assert not lu_calls
     assert rl.defo_residual(sol) < 1e-9
 
@@ -371,7 +389,7 @@ def test_near_isotropic_flex_solve_factors_nothing(lu_calls):
 ], ids=["stretched", "exponential"])
 def test_anisotropic_flex_solve_factors_once(lu_calls, surface):
     X, Y, h = grid(33)
-    sol = rl.solve_defo(surface(X, Y), h, np.cos(3 * X) * np.sinh(Y))
+    sol = rl.solve_defo(rl.GridPatch(h=h, z=surface(X, Y), zeta=np.cos(3 * X) * np.sinh(Y)))
     assert len(lu_calls) == 1
     assert np.array_equal(sol.zeta[1:-1, 1:-1].ravel(), lu_calls[0])
     assert rl.defo_residual(sol) < 1e-9
@@ -380,7 +398,7 @@ def test_anisotropic_flex_solve_factors_once(lu_calls, surface):
 def test_unconverged_krylov_solve_falls_back_to_lu(monkeypatch, lu_calls):
     monkeypatch.setattr(rl, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
     z, h, zb = flex_grid(17, 17, 0.1)
-    sol = rl.solve_defo(z, h, zb)
+    sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=zb))
     assert len(lu_calls) == 1
     assert np.array_equal(sol.zeta[1:-1, 1:-1].ravel(), lu_calls[0])
     assert rl.defo_residual(sol) < 1e-9
@@ -405,7 +423,7 @@ def test_not_strictly_convex_names_nodes():
     X, Y, h = grid(9)
     z = 0.5 * (X**2 - Y**2)  # saddle
     with pytest.raises(NotStrictlyConvex) as err:
-        rl.solve_defo(z, h, np.zeros_like(z))
+        rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=np.zeros_like(z)))
     assert err.value.nodes
 
 
@@ -427,7 +445,7 @@ def test_main_lemma_on_solver_outputs():
         gxy = rng.uniform(-0.4, 0.4) * np.sqrt(ax * ay)
         z = 0.5 * (ax * X**2 + ay * Y**2) + gxy * X * Y
         zb = rng.normal(0, 1, (n, n))
-        sol = rl.solve_defo(z, h, zb)
+        sol = rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=zb))
         rep = rl.main_lemma_check(sol, tol=1e-8)
         assert rep.ok, rep.violations
 
@@ -464,6 +482,6 @@ def test_surface_and_grid_errors_are_named():
         with pytest.raises(MalformedGrid):
             rl.GridPatch(h=h, z=z, zeta=np.zeros_like(z))
         with pytest.raises(MalformedGrid):
-            rl.solve_defo(z, h, np.zeros_like(z))
+            rl.solve_defo(rl.GridPatch(h=h, z=z, zeta=np.zeros_like(z)))
     with pytest.raises(MalformedGrid):
-        rl.solve_defo(z, 0.25, np.zeros((4, 5)))
+        rl.solve_defo(rl.GridPatch(h=0.25, z=z, zeta=np.zeros((4, 5))))
